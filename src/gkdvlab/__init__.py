@@ -20,7 +20,6 @@ from .background import (
     TabulatedBackground,
     ZeroBackground,
     check_hypotheses,
-    eval_jet,
     residual_S,
     resolve_cnoidal,
     zhidkov_split,
@@ -50,6 +49,7 @@ from .norms import (
 from .solver import (
     SimulationState,
     SolverConfig,
+    SpectralCore,
     evolve,
     picard_solve,
     rhs,

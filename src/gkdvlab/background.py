@@ -44,7 +44,6 @@ __all__ = [
     "TabulatedBackground",
     "CnoidalParameters",
     "ParameterResolutionError",
-    "eval_jet",
     "residual_S",
     "check_hypotheses",
     "HypothesesReport",
@@ -434,10 +433,6 @@ class TabulatedBackground(Background):
 
 # ----------------------------------------------------------------------
 # operations
-
-def eval_jet(bg: Background, t: float, x) -> Jet:
-    return bg.jet(t, x)
-
 
 def smooth_window(grid: Grid) -> np.ndarray:
     """Flat-at-ends C-infinity window: 1 on |x| <= L/2, 0 at the boundary."""

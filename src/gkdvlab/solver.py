@@ -11,6 +11,15 @@ Cox & Matthews (J. Comput. Phys. 176, 2002); coefficient evaluation uses
 the phi-function series below a safe threshold instead of the direct
 formulas, which lose up to ten digits to cancellation near the origin
 (cf. Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005).
+
+Every path through the equation (`evolve` and `step`, `rhs`, the Picard
+construction, signed-`dt` integration) evaluates its nonlinear term in one
+:class:`SpectralCore`, which computes run constants once and stage-time
+data once per time: one background jet on the flux grid gives Psi and
+f(Psi) to the flux and, through its samples x_big[::p] = x, the forcing.
+A step has two new stage times, t + dt/2 and t + dt, so two jets.  The
+unpaired Nyquist bin is zeroed in the linear symbol, the derivative and
+the forcing, so a real field's spectrum stays Hermitian along a run.
 """
 
 from __future__ import annotations
@@ -27,8 +36,11 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     Trajectory,
+    flux_coefficients,
+    flux_grid,
     inverse_transform,
-    nonlinear_flux,
+    require_resolved,
+    tail_fraction_of_spectrum,
     transform,
 )
 
@@ -38,6 +50,7 @@ __all__ = [
     "SolverError",
     "InstabilityError",
     "BoundaryContaminationError",
+    "SpectralCore",
     "rhs",
     "step",
     "evolve",
@@ -112,8 +125,7 @@ def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float) -> float:
     Solutions below L^2 norm 1e-10 are treated as empty; contamination is
     only meaningful against a non-negligible solution scale.
     """
-    x = u.grid.x
-    mask = np.abs(x) >= (1.0 - buffer_fraction) * u.grid.half_length
+    mask = np.abs(u.grid.x) >= (1.0 - buffer_fraction) * u.grid.half_length
     total = np.sum(u.values ** 2)
     if np.sqrt(total * u.grid.dx) < 1e-10:
         return 0.0
@@ -142,31 +154,23 @@ _PHI_SERIES_RADIUS = 0.5
 _PHI_SERIES_TERMS = 20
 
 
-def _phi_series(z: np.ndarray, k: int) -> np.ndarray:
-    """phi_k(z) = sum_m z^m / (m + k)!, truncated; accurate for |z| < 1."""
+def _phi(z, k: int):
+    """phi_k(z) = sum_m z^m / (m + k)!: the truncated series for |z| below
+    the radius, the direct formula, which cancels near 0, elsewhere."""
     from math import factorial
 
-    acc = np.zeros_like(z)
-    for m in range(_PHI_SERIES_TERMS, -1, -1):
-        acc = acc * z + 1.0 / factorial(m + k)
-    return acc
-
-
-def _phi_direct(z: np.ndarray, k: int) -> np.ndarray:
-    if k == 1:
-        return np.expm1(z) / z
-    if k == 2:
-        return (np.expm1(z) - z) / z ** 2
-    return (np.expm1(z) - z - 0.5 * z ** 2) / z ** 3
-
-
-def _phi(z, k: int):
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
     small = np.abs(z) < _PHI_SERIES_RADIUS
-    out[small] = _phi_series(z[small], k)
-    if np.any(~small):
-        out[~small] = _phi_direct(z[~small], k)
+    zs, zl = z[small], z[~small]
+    acc = np.zeros_like(zs)
+    for m in range(_PHI_SERIES_TERMS, -1, -1):
+        acc = acc * zs + 1.0 / factorial(m + k)
+    out[small] = acc
+    direct = np.expm1(zl)
+    for j in range(1, k):
+        direct = direct - zl ** j / factorial(j)
+    out[~small] = direct / zl ** k
     return out
 
 
@@ -183,128 +187,154 @@ def phi3(z):
 
 
 # ----------------------------------------------------------------------
-# right-hand side
+# the spectral core
+
+class Stage(NamedTuple):
+    """Background data of one stage time."""
+
+    psi: np.ndarray         # Psi on the flux grid
+    f_psi: np.ndarray       # f(Psi) on the flux grid
+    forcing: np.ndarray     # spectrum of S on the grid, Nyquist bin zeroed
+
+
+def _without_nyquist(symbol: np.ndarray) -> np.ndarray:
+    symbol[len(symbol) // 2] = 0.0
+    return symbol
+
+
+class SpectralCore:
+    """Nonlinear term -d/dx(f(u+Psi) - f(Psi)) - S of one (grid, bg, nl, dealias).
+
+    Spectra are complex coefficient arrays in FFT ordering.  Stage data
+    are kept for the last three stage times: the distinct times of a step,
+    the last of which opens the next step.
+    """
+
+    def __init__(self, grid: Grid, bg: Background, nl: AnalyticNonlinearity,
+                 dealias: str = "auto"):
+        self.grid, self.bg, self.nl, self.dealias = grid, bg, nl, dealias
+        self.flux_grid = flux_grid(grid, nl, dealias)
+        self._derivative = _without_nyquist(-1j * grid.xi)
+        self._stages: dict[float, Stage] = {}
+        self._tables: dict[tuple, tuple] = {}
+
+    def check_background(self, t: float, tail_threshold: float = 1e-10):
+        """Raise UnresolvedFieldError unless the grid resolves Psi(t)."""
+        residual_S(self.bg, self.nl, t, self.grid,
+                   tail_threshold=max(tail_threshold, 1e-10))
+
+    def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
+        """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
+        xi = self.grid.xi
+        return _without_nyquist(1j * xi ** 3 - mu * xi ** 2)
+
+    def stage(self, t: float) -> Stage:
+        """Background data at time t, from one jet per new time."""
+        if t not in self._stages:
+            jet = self.bg.jet(t, self.flux_grid.x)
+            p = self.flux_grid.n // self.grid.n
+            psi = jet.psi[::p]
+            forcing = (jet.psi_t[::p] + jet.psi_xxx[::p]
+                       + self.nl.fp(psi) * jet.psi_x[::p])
+            forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
+            if len(self._stages) == 3:
+                del self._stages[next(iter(self._stages))]
+            self._stages[t] = Stage(jet.psi, self.nl.f(jet.psi),
+                                    _without_nyquist(forcing_hat))
+        return self._stages[t]
+
+    def flux_term(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
+        """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectrum `spec`."""
+        return self._derivative * flux_coefficients(
+            SpectralField(self.grid, spec), self.nl, stage.psi, stage.f_psi,
+            rule=self.dealias)
+
+    def n_hat(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
+        """Spectrum of the nonlinear term for the spectrum `spec`."""
+        return self.flux_term(spec, stage) - stage.forcing
+
+    def advance(self, spec: np.ndarray, t: float, dt: float,
+                scheme: str = "etdrk4", mu: float = 0.0) -> np.ndarray:
+        """One step of signed size dt from time t; dt < 0 needs mu = 0."""
+        key = (scheme, dt, mu)
+        if key not in self._tables:
+            if scheme not in ("etdrk4", "ifrk4"):
+                raise ValueError(f"unknown scheme {scheme!r}")
+            if mu < 0:
+                raise ValueError("viscosity must be non-negative")
+            if mu > 0 and dt < 0:
+                raise ValueError(
+                    "dissipative propagation is forward-only for mu > 0")
+            z = dt * self.linear_symbol(mu)
+            p1, p2, p3 = phi1(z), phi2(z), phi3(z)
+            self._tables[key] = (
+                np.exp(z), np.exp(z / 2.0), 0.5 * dt * phi1(z / 2.0),
+                dt * (p1 - 3.0 * p2 + 4.0 * p3), dt * (p2 - 2.0 * p3),
+                dt * (4.0 * p3 - p2))
+        e_full, e_half, q_half, w1, w2, w3 = self._tables[key]
+        h = dt
+        s0, s_mid, s_end = self.stage(t), self.stage(t + h / 2.0), self.stage(t + h)
+        if scheme == "etdrk4":
+            n0 = self.n_hat(spec, s0)
+            a = e_half * spec + q_half * n0
+            na = self.n_hat(a, s_mid)
+            b = e_half * spec + q_half * na
+            nb = self.n_hat(b, s_mid)
+            c = e_half * a + q_half * (2.0 * nb - n0)
+            nc = self.n_hat(c, s_end)
+            return e_full * spec + w1 * n0 + 2.0 * w2 * (na + nb) + w3 * nc
+        k1 = self.n_hat(spec, s0)
+        k2 = self.n_hat(e_half * (spec + 0.5 * h * k1), s_mid)
+        k3 = self.n_hat(e_half * spec + 0.5 * h * k2, s_mid)
+        k4 = self.n_hat(e_full * spec + e_half * h * k3, s_end)
+        return e_full * spec + h / 6.0 * (
+            e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+
 
 def rhs(u: PhysicalField, bg: Background, nl: AnalyticNonlinearity, t: float,
         mu: float = 0.0, tail_threshold: float = 1e-6) -> PhysicalField:
     """Full right side, including the dispersive and viscous linear part.
 
     The tail threshold is the scenario's resolution budget; it gates both
-    the evolving field and the sampled background.
+    the evolving field and the sampled background.  S enters as sampled,
+    Nyquist content included, which the stepper's spectral forcing drops.
     """
     spec = transform(u)
-    xi = u.grid.xi
-    linear = spec.apply_multiplier(1j * xi ** 3 - mu * xi ** 2)
-    flux = nonlinear_flux(u, bg, nl, t, tail_threshold=tail_threshold)
-    flux_x = transform(flux).apply_multiplier(1j * xi)
+    require_resolved(spec, tail_threshold)
     forcing = residual_S(bg, nl, t, u.grid,
                          tail_threshold=max(tail_threshold, 1e-10))
-    values = (inverse_transform(linear).values
-              - inverse_transform(flux_x).values
-              - forcing.values)
+    core = SpectralCore(u.grid, bg, nl)
+    coeffs = (core.linear_symbol(mu) * spec.coeffs
+              + core.flux_term(spec.coeffs, core.stage(t)))
+    values = inverse_transform(SpectralField(u.grid, coeffs)).values - forcing.values
     if not np.all(np.isfinite(values)):
         raise InstabilityError(-1, "non-finite right-hand side")
     return PhysicalField(u.grid, values)
 
 
-class _Stepper:
-    """Precomputed exponential-integrator tables for one (grid, config, bg, nl)."""
-
-    def __init__(self, grid: Grid, config: SolverConfig, bg: Background,
-                 nl: AnalyticNonlinearity):
-        self.grid = grid
-        self.config = config
-        self.bg = bg
-        self.nl = nl
-        h = config.dt
-        symbol = 1j * grid.xi ** 3 - config.mu * grid.xi ** 2
-        z = h * symbol
-        self.exp_full = np.exp(z)
-        self.exp_half = np.exp(z / 2.0)
-        if config.scheme == "etdrk4":
-            self.q_half = 0.5 * h * phi1(z / 2.0)
-            p1, p2, p3 = phi1(z), phi2(z), phi3(z)
-            self.w1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-            self.w2 = h * (p2 - 2.0 * p3)
-            self.w3 = h * (4.0 * p3 - p2)
-        # validates that the grid resolves the background, once per run
-        residual_S(bg, nl, 0.0, grid,
-                   tail_threshold=max(config.tail_threshold, 1e-10))
-        self._forcing_cache: dict[float, np.ndarray] = {}
-
-    def _forcing_hat(self, t: float) -> np.ndarray | None:
-        if self.bg.variant == "zero":
-            return None
-        key = round(t, 12)
-        cached = self._forcing_cache.get(key)
-        if cached is not None:
-            return cached
-        jet = self.bg.jet(t, self.grid.x)
-        values = jet.psi_t + jet.psi_xxx + self.nl.fp(jet.psi) * jet.psi_x
-        coeffs = transform(PhysicalField(self.grid, values)).coeffs
-        if len(self._forcing_cache) > 8:
-            self._forcing_cache.clear()
-        self._forcing_cache[key] = coeffs
-        return coeffs
-
-    def check_tail(self, spec: np.ndarray, step_index: int):
-        from .spectral import tail_fraction_of_spectrum
-
-        tail = tail_fraction_of_spectrum(self.grid, spec)
-        if tail > self.config.tail_threshold:
-            raise InstabilityError(
-                step_index,
-                f"spectral tail {tail:.2e} exceeds threshold "
-                f"{self.config.tail_threshold:.2e} at step {step_index}",
-            )
-
-    def _n_hat(self, spec: np.ndarray, t: float) -> np.ndarray:
-        """Spectral nonlinear term -d/dx flux - S at time t."""
-        from .spectral import flux_coefficients
-
-        flux_hat = flux_coefficients(SpectralField(self.grid, spec),
-                                     self.bg, self.nl, t,
-                                     rule=getattr(self.config, "dealias",
-                                                  "auto"))
-        out = -1j * self.grid.xi * flux_hat
-        forcing = self._forcing_hat(t)
-        if forcing is not None:
-            out = out - forcing
-        return out
-
-    def advance(self, spec: np.ndarray, t: float) -> np.ndarray:
-        h = self.config.dt
-        if self.config.scheme == "etdrk4":
-            n0 = self._n_hat(spec, t)
-            a = self.exp_half * spec + self.q_half * n0
-            na = self._n_hat(a, t + h / 2.0)
-            b = self.exp_half * spec + self.q_half * na
-            nb = self._n_hat(b, t + h / 2.0)
-            c = self.exp_half * a + self.q_half * (2.0 * nb - n0)
-            nc = self._n_hat(c, t + h)
-            return (self.exp_full * spec + self.w1 * n0
-                    + 2.0 * self.w2 * (na + nb) + self.w3 * nc)
-        k1 = self._n_hat(spec, t)
-        k2 = self._n_hat(self.exp_half * (spec + 0.5 * h * k1), t + h / 2.0)
-        k3 = self._n_hat(self.exp_half * spec + 0.5 * h * k2, t + h / 2.0)
-        k4 = self._n_hat(self.exp_full * spec + self.exp_half * h * k3, t + h)
-        return self.exp_full * spec + h / 6.0 * (
-            self.exp_full * k1 + 2.0 * self.exp_half * (k2 + k3) + k4)
-
-
 def step(state: SimulationState, config: SolverConfig, bg: Background,
-         nl: AnalyticNonlinearity, _stepper: _Stepper | None = None) -> SimulationState:
-    """Advance one time step; deterministic for identical inputs."""
-    stepper = _stepper or _Stepper(state.spectrum.grid, config, bg, nl)
-    stepper.check_tail(state.spectrum.coeffs, state.step_index)
-    coeffs = stepper.advance(state.spectrum.coeffs, state.t)
+         nl: AnalyticNonlinearity,
+         core: SpectralCore | None = None) -> SimulationState:
+    """Advance one time step; deterministic for identical inputs.
+
+    `core` carries the tables and stage data of an ongoing run; without
+    one, a core is built and the background checked at state.t.
+    """
+    grid = state.spectrum.grid
+    if core is None:
+        core = SpectralCore(grid, bg, nl, config.dealias)
+        core.check_background(state.t, config.tail_threshold)
+    tail = tail_fraction_of_spectrum(grid, state.spectrum.coeffs)
+    if tail > config.tail_threshold:
+        raise InstabilityError(state.step_index, (
+            f"spectral tail {tail:.2e} exceeds threshold "
+            f"{config.tail_threshold:.2e} at step {state.step_index}"))
+    coeffs = core.advance(state.spectrum.coeffs, state.t, config.dt,
+                          config.scheme, config.mu)
     if not np.all(np.isfinite(coeffs)):
         raise InstabilityError(state.step_index + 1)
-    new = SimulationState(
-        t=state.t + config.dt,
-        spectrum=SpectralField(state.spectrum.grid, coeffs),
-        step_index=state.step_index + 1,
-    )
+    new = SimulationState(state.t + config.dt, SpectralField(grid, coeffs),
+                          state.step_index + 1)
     frac = boundary_mass_fraction(new.u, config.boundary_buffer)
     if frac > config.boundary_threshold:
         raise BoundaryContaminationError(new.step_index, frac,
@@ -325,12 +355,13 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         raise ValueError("horizon must be an integer number of steps")
     if n_steps % config.cadence != 0:
         raise ValueError("cadence must divide the number of steps")
-    stepper = _Stepper(grid, config, bg, nl)
+    core = SpectralCore(grid, bg, nl, config.dealias)
+    core.check_background(0.0, config.tail_threshold)
     state = SimulationState.from_field(u0)
     fields = [u0]
     try:
         for _ in range(n_steps):
-            state = step(state, config, bg, nl, _stepper=stepper)
+            state = step(state, config, bg, nl, core=core)
             if state.step_index % config.cadence == 0:
                 fields.append(state.u)
     except SolverError as err:
@@ -364,17 +395,11 @@ def _prefix_weights(m: int, h: float) -> np.ndarray:
     if m == 1:
         weights[:2] = h / 2.0
         return weights
-    start = 0
-    if m % 2 == 1:
-        weights[0] += 3.0 * h / 8.0
-        weights[1] += 9.0 * h / 8.0
-        weights[2] += 9.0 * h / 8.0
-        weights[3] += 3.0 * h / 8.0
-        start = 3
+    start = 3 if m % 2 == 1 else 0
+    if start:
+        weights[:4] += np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
     for seg in range(start, m, 2):
-        weights[seg] += h / 3.0
-        weights[seg + 1] += 4.0 * h / 3.0
-        weights[seg + 2] += h / 3.0
+        weights[seg:seg + 3] += np.array([1.0, 4.0, 1.0]) * h / 3.0
     return weights
 
 
@@ -392,40 +417,32 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     if mu <= 0:
         raise ValueError("the regularized construction requires mu > 0")
     grid = u0.grid
-    m_max = n_nodes - 1
-    h = t_small / m_max
-    xi = grid.xi
-    symbol = 1j * xi ** 3 - mu * xi ** 2
-    prop = [np.exp(symbol * (g * h)) for g in range(n_nodes)]
-    weight_table = [_prefix_weights(m, h) for m in range(n_nodes)]
+    h = t_small / (n_nodes - 1)
+    core = SpectralCore(grid, bg, nl)
+    symbol = core.linear_symbol(mu)
+    prop = np.array([np.exp(symbol * (g * h)) for g in range(n_nodes)])
+    weight_table = [_prefix_weights(m, h)[:, None] for m in range(n_nodes)]
     u0_hat = transform(u0).coeffs
+    # node times are fixed across sweeps: check and sample Psi once per node
+    for m in range(n_nodes):
+        core.check_background(m * h)
+    stages = [core.stage(m * h) for m in range(n_nodes)]
 
     def duhamel_map(iterate: list[np.ndarray]) -> list[np.ndarray]:
-        integrand = []
-        for m in range(n_nodes):
-            u_m = inverse_transform(SpectralField(grid, iterate[m]))
-            flux = nonlinear_flux(u_m, bg, nl, m * h)
-            forcing = residual_S(bg, nl, m * h, grid)
-            integrand.append(-1j * xi * transform(flux).coeffs
-                             - transform(forcing).coeffs)
-        out = []
-        for m in range(n_nodes):
-            acc = prop[m] * u0_hat
-            w = weight_table[m]
-            for ell in range(m + 1):
-                if w[ell] != 0.0:
-                    acc = acc + w[ell] * prop[m - ell] * integrand[ell]
-            out.append(acc)
-        return out
+        for spec in iterate:
+            require_resolved(SpectralField(grid, spec), 1e-6)
+        integrand = np.array([core.n_hat(spec, stage)
+                              for spec, stage in zip(iterate, stages)])
+        # node m sums w_l * W(t_m - t_l) N(t_l) over the nodes l <= m
+        return [prop[m] * u0_hat
+                + np.sum(w * prop[m::-1] * integrand[:m + 1], axis=0)
+                for m, w in enumerate(weight_table)]
 
     from .norms import sobolev_norm
 
     def sup_diff(a, b):
-        worst = 0.0
-        for ca, cb in zip(a, b):
-            diff = inverse_transform(SpectralField(grid, ca - cb))
-            worst = max(worst, sobolev_norm(diff, s - 1.0))
-        return worst
+        return max(sobolev_norm(inverse_transform(SpectralField(grid, ca - cb)),
+                                s - 1.0) for ca, cb in zip(a, b))
 
     iterate = [np.zeros_like(u0_hat) for _ in range(n_nodes)]
     updates = []
@@ -446,8 +463,8 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         if updates[i] > 0
     )
     fields = [inverse_transform(SpectralField(grid, c)) for c in iterate]
-    traj = Trajectory(grid, 0.0, h, fields)
-    return traj, PicardReport(len(updates), factors, updates[-1])
+    return (Trajectory(grid, 0.0, h, fields),
+            PicardReport(len(updates), factors, updates[-1]))
 
 
 # ----------------------------------------------------------------------
@@ -472,18 +489,10 @@ def vanishing_viscosity(u0: PhysicalField, bg: Background,
     mus = [float(m) for m in mus]
     if mus[-1] != 0.0 or any(a <= b for a, b in zip(mus, mus[1:])):
         raise ValueError("viscosity list must decrease and terminate at 0")
-    runs = []
-    for mu in mus:
-        cfg = replace(config, mu=mu)
-        runs.append(evolve(u0, bg, nl, cfg))
-    limit = runs[-1]
-    diffs = []
-    for run in runs[:-1]:
-        worst = max(
-            sobolev_norm(a - b, s - 1.0)
-            for a, b in zip(run.fields, limit.fields)
-        )
-        diffs.append(float(worst))
+    runs = [evolve(u0, bg, nl, replace(config, mu=mu)) for mu in mus]
+    diffs = [float(max(sobolev_norm(a - b, s - 1.0)
+                       for a, b in zip(run.fields, runs[-1].fields)))
+             for run in runs[:-1]]
     pos = [(mu, d) for mu, d in zip(mus[:-1], diffs) if d > 0]
     tail = pos[-3:]
     if len(tail) >= 2:

@@ -10,15 +10,22 @@ in bin j, and the discrete Parseval identity reads
 
     ||u||_{L^2}^2 = dx * sum |u_m|^2 = 2L * sum_j |u_hat[j]|^2.
 
+The left end x_0 = -L contributes the phase exp(i*xi_j*L) = (-1)^j, which
+the transforms apply as the exact sign vector ``Grid.sign``, cached per
+grid.  The forward transform completes the real half spectrum by
+conjugation, so a real field's spectrum is exactly Hermitian; odd
+multipliers zero the unpaired Nyquist bin so that real fields stay real.
+
 All operators in this module are Fourier multipliers except the
 pseudoproduct and the nonlinear flux, which are genuinely bilinear or
-pointwise and are dealiased by zero padding.
+pointwise and are dealiased; polynomial fluxes run on the real half
+spectrum (rfft/irfft) of a zero-padded grid, see :func:`flux_grid`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,7 +53,9 @@ __all__ = [
     "smoothing_constant",
     "pseudoproduct",
     "nonlinear_flux",
+    "flux_grid",
     "flux_coefficients",
+    "require_resolved",
     "spectral_tail_fraction",
     "tail_fraction_of_spectrum",
     "trajectory_transform",
@@ -92,6 +101,12 @@ class Grid:
     def mode_index(self) -> np.ndarray:
         """Signed integer mode index j in FFT ordering."""
         return np.rint(self.xi * self.half_length / np.pi).astype(int)
+
+    @cached_property
+    def sign(self) -> np.ndarray:
+        """(-1)^j in FFT ordering: exactly the phase exp(i*xi_j*L) of -L."""
+        # mode j at FFT index k is k or k - n, and n is even
+        return np.where(np.arange(self.n) % 2, -1.0, 1.0)
 
     @property
     def xi_max(self) -> float:
@@ -209,20 +224,25 @@ class Trajectory:
 # ----------------------------------------------------------------------
 # transforms
 
-def _phase(grid: Grid) -> np.ndarray:
-    # exp(-i*xi_j*x_0) with x_0 = -L reduces to (-1)^j for integer modes
-    return np.exp(1j * grid.xi * grid.half_length)
+def _hermitian_fill(half: np.ndarray, n: int) -> np.ndarray:
+    """FFT-ordered spectrum of n bins from bins 0..n/2 of a real field's."""
+    m = n // 2 + 1
+    out = np.empty(n, dtype=complex)
+    out[:m] = half[:m]
+    np.conjugate(half[n - m:0:-1], out=out[m:])
+    return out
 
 
 def transform(f: PhysicalField) -> SpectralField:
-    """Forward transform to plane-wave coefficients."""
-    coeffs = _phase(f.grid) * np.fft.fft(f.values) / f.grid.n
+    """Forward transform to plane-wave coefficients (exactly Hermitian)."""
+    coeffs = _hermitian_fill(np.fft.rfft(f.values, norm="forward"), f.grid.n)
+    coeffs *= f.grid.sign
     return SpectralField(f.grid, coeffs)
 
 
 def inverse_transform(F: SpectralField) -> PhysicalField:
     """Inverse of :func:`transform`; imaginary residue is discarded."""
-    vals = np.fft.ifft(F.coeffs * F.grid.n / _phase(F.grid))
+    vals = np.fft.ifft(F.coeffs * F.grid.sign, norm="forward")
     return PhysicalField(F.grid, vals.real)
 
 
@@ -339,14 +359,11 @@ def smoothing_constant(r: float, a_lo: float = 1e-6, a_hi: float = 1e3) -> float
     if r < 0:
         raise ValueError("smoothing order must be non-negative")
 
-    def symbol_sup(a):
-        # maximize (r/2) log(1+y) - a*y over y >= 0; critical y = r/(2a) - 1
-        y_star = max(r / (2.0 * a) - 1.0, 0.0)
-        return np.exp(0.5 * r * np.log1p(y_star) - a * y_star)
-
-    a_grid = np.logspace(np.log10(a_lo), np.log10(a_hi), 4001)
-    ratios = [symbol_sup(a) / np.sqrt(1.0 + (2.0 * a) ** (-r)) for a in a_grid]
-    return float(np.max(ratios))
+    a = np.logspace(np.log10(a_lo), np.log10(a_hi), 4001)
+    # maximize (r/2) log(1+y) - a*y over y >= 0; critical y = r/(2a) - 1
+    y_star = np.maximum(r / (2.0 * a) - 1.0, 0.0)
+    symbol_sup = np.exp(0.5 * r * np.log1p(y_star) - a * y_star)
+    return float(np.max(symbol_sup / np.sqrt(1.0 + (2.0 * a) ** (-r))))
 
 
 # ----------------------------------------------------------------------
@@ -364,51 +381,14 @@ def pseudoproduct(f: SpectralField, g: SpectralField, chi=None) -> SpectralField
     if f.grid != g.grid:
         raise SizeMismatchError("pseudoproduct factors live on different grids")
     grid = f.grid
-    n = grid.n
-    order = np.argsort(grid.mode_index)
-    j_sorted = grid.mode_index[order]          # -n/2 .. n/2-1
-    fc = f.coeffs[order]
-    gc = g.coeffs[order]
-
-    # gather g_hat(xi - xi1) with zero extension outside the band
-    g_ext = np.zeros(2 * n, dtype=complex)
-    g_ext[j_sorted + n] = gc                    # index = mode + n
-    out_modes = j_sorted                        # output band equals grid band
-    diff = out_modes[:, None] - j_sorted[None, :]
-    valid = (diff >= -n // 2) & (diff <= n // 2 - 1)
-    gather = np.where(valid, g_ext[np.clip(diff + n, 0, 2 * n - 1)], 0.0)
-
-    if chi is None:
-        weights = np.ones((n, n))
-    else:
-        xi_out = np.pi * out_modes / grid.half_length
-        xi_in = np.pi * j_sorted / grid.half_length
-        weights = np.asarray(chi(xi_out[:, None], xi_in[None, :]), dtype=complex)
-
-    conv = (gather * weights) @ fc
-    inv = np.empty(n, dtype=int)
-    inv[order] = np.arange(n)
-    return SpectralField(grid, conv[inv])
-
-
-def _pad_spectrum(F: SpectralField, n_pad: int):
-    """Embed coefficients into a larger band, returning (samples, padded grid)."""
-    grid = F.grid
-    big = Grid(grid.half_length, n_pad)
-    coeffs = np.zeros(n_pad, dtype=complex)
     j = grid.mode_index
-    keep = np.abs(j) < grid.n // 2            # drop the lone Nyquist bin
-    coeffs[j[keep] % n_pad] = F.coeffs[keep]
-    return inverse_transform(SpectralField(big, coeffs)), big
-
-
-def _truncate_spectrum(f_big: PhysicalField, grid: Grid) -> PhysicalField:
-    F_big = transform(f_big)
-    j_big = f_big.grid.mode_index
-    coeffs = np.zeros(grid.n, dtype=complex)
-    keep = np.abs(j_big) < grid.n // 2
-    coeffs[j_big[keep] % grid.n] = F_big.coeffs[keep]
-    return inverse_transform(SpectralField(grid, coeffs))
+    diff = j[:, None] - j[None, :]              # mode of g_hat(xi - xi1)
+    inside = (diff >= -(grid.n // 2)) & (diff < grid.n // 2)
+    terms = np.where(inside, g.coeffs[diff % grid.n], 0.0)
+    if chi is not None:
+        xi = np.pi * j / grid.half_length
+        terms = terms * chi(xi[:, None], xi[None, :])
+    return SpectralField(grid, terms @ f.coeffs)
 
 
 def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray,
@@ -426,38 +406,53 @@ def spectral_tail_fraction(f: PhysicalField) -> float:
     return tail_fraction_of_spectrum(f.grid, transform(f).coeffs)
 
 
-def flux_coefficients(spec: SpectralField, bg, nl, t: float,
+def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
+    """Raise UnresolvedFieldError if the tail fraction exceeds the threshold."""
+    tail = tail_fraction_of_spectrum(spec.grid, spec.coeffs)
+    if tail > tail_threshold:
+        raise UnresolvedFieldError(f"spectral tail {tail:.2e} exceeds "
+                                   f"threshold {tail_threshold:.2e}")
+
+
+@lru_cache(maxsize=32)
+def flux_grid(grid: Grid, nl, rule: str = "auto") -> Grid:
+    """Grid, one object per size, on which the flux of `nl` is evaluated:
+    under rule "auto" a polynomial flux of degree d >= 2 is padded to the
+    power of two at or above n*(d+1)/2; any other flux uses `grid`."""
+    if rule not in ("auto", "lowpass"):
+        raise ValueError(f"unknown dealias rule {rule!r}")
+    degree = nl.polynomial_degree()
+    if rule == "lowpass" or degree is None or degree < 2:
+        return grid
+    pad = 1 << int(np.ceil(np.log2(grid.n * (degree + 1) / 2.0)))
+    return Grid(grid.half_length, pad)
+
+
+def flux_coefficients(spec: SpectralField, nl, psi: np.ndarray,
+                      f_psi: np.ndarray | None = None,
                       rule: str = "auto") -> np.ndarray:
     """Spectral coefficients of the dealiased flux f(u+Psi) - f(Psi).
 
-    rule "auto" pads polynomial fluxes and low-passes transcendental ones;
-    rule "lowpass" forces the low-pass path for every nonlinearity.
+    `psi` samples Psi on ``flux_grid(spec.grid, nl, rule)``; `f_psi`, if
+    given, is nl.f(psi).  `spec` is read as a real field's spectrum, bins
+    0..n/2 only.  A padded flux drops the Nyquist bin on input and output;
+    an unpadded transcendental or "lowpass" one is cut at 2/3 of the band.
     """
-    if rule not in ("auto", "lowpass"):
-        raise ValueError(f"unknown dealias rule {rule!r}")
     grid = spec.grid
-    degree = nl.polynomial_degree()
-    if rule == "lowpass":
-        degree = None
-    if degree is not None and degree >= 2:
-        pad = 1 << int(np.ceil(np.log2(grid.n * (degree + 1) / 2.0)))
-        u_big, big = _pad_spectrum(spec, pad)
-        psi_big = bg.profile(t, big.x)
-        flux_big = PhysicalField(big, nl.f(u_big.values + psi_big) - nl.f(psi_big))
-        big_coeffs = transform(flux_big).coeffs
-        j_big = big.mode_index
-        out = np.zeros(grid.n, dtype=complex)
-        keep = np.abs(j_big) < grid.n // 2
-        out[j_big[keep] % grid.n] = big_coeffs[keep]
-        return out
-    psi = bg.profile(t, grid.x)
-    u_vals = inverse_transform(spec).values
-    raw = PhysicalField(grid, nl.f(u_vals + psi) - nl.f(psi))
-    coeffs = transform(raw).coeffs
-    if degree is None:
-        cutoff = 2.0 * grid.xi_max / 3.0
-        coeffs = coeffs * (np.abs(grid.xi) <= cutoff)
-    return coeffs
+    big = flux_grid(grid, nl, rule)
+    m = grid.n // 2
+    keep = m if big.n > grid.n else m + 1
+    half = np.zeros(big.n // 2 + 1, dtype=complex)
+    half[:keep] = spec.coeffs[:keep] * grid.sign[:keep]
+    u_big = np.fft.irfft(half, big.n, norm="forward")
+    raw = nl.f(u_big + psi) - (nl.f(psi) if f_psi is None else f_psi)
+    out = _hermitian_fill(np.fft.rfft(raw, norm="forward"), grid.n)
+    out *= grid.sign
+    if big.n > grid.n:
+        out[m] = 0.0
+    elif rule == "lowpass" or nl.polynomial_degree() is None:
+        out[np.abs(grid.xi) > 2.0 * grid.xi_max / 3.0] = 0.0
+    return out
 
 
 def nonlinear_flux(u: PhysicalField, bg, nl, t: float,
@@ -471,13 +466,10 @@ def nonlinear_flux(u: PhysicalField, bg, nl, t: float,
     on the native grid and low-passed at two thirds of the Nyquist band.
     """
     spec = transform(u)
-    tail = tail_fraction_of_spectrum(u.grid, spec.coeffs)
-    if tail > tail_threshold:
-        raise UnresolvedFieldError(
-            f"spectral tail {tail:.2e} exceeds threshold {tail_threshold:.2e}"
-        )
+    require_resolved(spec, tail_threshold)
+    psi = bg.profile(t, flux_grid(u.grid, nl, rule).x)
     return inverse_transform(
-        SpectralField(u.grid, flux_coefficients(spec, bg, nl, t, rule=rule)))
+        SpectralField(u.grid, flux_coefficients(spec, nl, psi, rule=rule)))
 
 
 # ----------------------------------------------------------------------
@@ -492,13 +484,11 @@ def trajectory_transform(traj: Trajectory):
     """
     mat = traj.values_matrix()
     nt, nx = mat.shape
-    window = traj.dt * nt
     taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj.dt)
     xis = traj.grid.xi
     coeffs = np.fft.fft2(mat) / (nt * nx)
     phase_t = np.exp(-1j * taus * traj.t0)
-    phase_x = np.exp(1j * xis * traj.grid.half_length)
-    coeffs *= phase_t[:, None] * phase_x[None, :]
+    coeffs *= phase_t[:, None] * traj.grid.sign[None, :]
     return coeffs, taus, xis
 
 
@@ -506,9 +496,8 @@ def trajectory_from_spacetime(coeffs: np.ndarray, traj_like: Trajectory) -> Traj
     """Inverse of :func:`trajectory_transform` onto the same lattice."""
     nt, nx = coeffs.shape
     taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj_like.dt)
-    xis = traj_like.grid.xi
     phase_t = np.exp(-1j * taus * traj_like.t0)
-    phase_x = np.exp(1j * xis * traj_like.grid.half_length)
-    mat = np.fft.ifft2(coeffs / (phase_t[:, None] * phase_x[None, :]) * (nt * nx))
+    mat = np.fft.ifft2(coeffs / (phase_t[:, None] * traj_like.grid.sign[None, :])
+                       * (nt * nx))
     fields = [PhysicalField(traj_like.grid, row.real) for row in mat]
     return Trajectory(traj_like.grid, traj_like.t0, traj_like.dt, fields)

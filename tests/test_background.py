@@ -13,7 +13,6 @@ from gkdvlab.background import (
     TabulatedBackground,
     ZeroBackground,
     check_hypotheses,
-    eval_jet,
     residual_S,
     resolve_cnoidal,
     zhidkov_split,
@@ -293,8 +292,3 @@ def test_tabulated_requires_static_header(tmp_path):
         fh.write("0.0 1.0\n1.0 2.0\n")
     with pytest.raises(ValueError):
         TabulatedBackground.from_file(str(path))
-
-
-def test_eval_jet_function_surface():
-    jet = eval_jet(MKdVKink(c=1.0), 0.0, np.array([0.0, 1.0]))
-    assert jet.psi.shape == (2,)

@@ -4,11 +4,13 @@ import pytest
 from gkdvlab.background import MKdVKink, SyntheticBackground, ZeroBackground
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.norms import sobolev_norm
+from gkdvlab.background import residual_S
 from gkdvlab.solver import (
     BoundaryContaminationError,
     InstabilityError,
     SimulationState,
     SolverConfig,
+    SpectralCore,
     evolve,
     phi1,
     phi2,
@@ -21,6 +23,7 @@ from gkdvlab.solver import (
 from gkdvlab.spectral import (
     Grid,
     PhysicalField,
+    SpectralField,
     airy_propagate,
     inverse_transform,
     l2_norm,
@@ -264,6 +267,88 @@ def test_ifrk4_reaches_fourth_order():
     err_coarse = np.max(np.abs(final(T / 64).values - ref.values))
     err_fine = np.max(np.abs(final(T / 128).values - ref.values))
     assert 10.0 < err_coarse / err_fine < 24.0
+
+
+# ----------------------------------------------------------------------
+# the spectral core
+
+class CountingKink(MKdVKink):
+    """mKdV kink that records the time of every jet evaluation."""
+
+    def __init__(self, c):
+        super().__init__(c=c)
+        object.__setattr__(self, "times", [])
+
+    def jet(self, t, x):
+        self.times.append(t)
+        return super().jet(t, x)
+
+
+def test_nyquist_bin_keeps_state_hermitian():
+    # the unpaired Nyquist bin has no conjugate partner; the symbol i*xi^3
+    # used to rotate it off the real axis, which no real field can follow
+    grid = Grid(50.0, 512)
+    bg = MKdVKink(c=1.0)
+    nl = AnalyticNonlinearity.mkdv_defocusing()
+    coeffs = transform(gaussian(grid, amp=0.3)).coeffs.copy()
+    coeffs[grid.n // 2] = 1e-7 * np.max(np.abs(coeffs))
+    state = SimulationState(0.0, SpectralField(grid, coeffs))
+    cfg = SolverConfig(dt=2e-4, horizon=1e-3)
+    assert state.spectrum.hermitian_defect() <= 1e-14
+    for _ in range(5):
+        state = step(state, cfg, bg, nl)
+        assert state.spectrum.hermitian_defect() <= 1e-14
+
+
+@pytest.mark.parametrize("scheme", ["etdrk4", "ifrk4"])
+def test_stage_cache_two_jets_per_step(scheme):
+    grid = Grid(50.0, 512)
+    bg = CountingKink(c=1.0)
+    nl = AnalyticNonlinearity.mkdv_defocusing()
+    cfg = SolverConfig(scheme=scheme, dt=2e-4, horizon=2e-3)
+    core = SpectralCore(grid, bg, nl)
+    state = SimulationState.from_field(gaussian(grid, amp=0.3))
+    jets = []
+    for _ in range(6):
+        before = len(bg.times)
+        state = step(state, cfg, bg, nl, core=core)
+        jets.append(len(bg.times) - before)
+    assert jets[0] == 3
+    assert all(n <= 2 for n in jets[1:])
+    # each jet is taken at a stage time not seen before
+    assert len(set(bg.times)) == len(bg.times)
+
+
+@pytest.mark.parametrize("nl", [
+    AnalyticNonlinearity.kdv(),                          # padded to 2n
+    AnalyticNonlinearity.polynomial([0.0, 0.0, 0.5, 0.0, 0.0, -0.1]),  # 4n
+    AnalyticNonlinearity.sine(),                         # unpadded
+], ids=["kdv", "quintic", "sine"])
+def test_stage_forcing_matches_residual(nl):
+    # the forcing is sampled from the flux-grid jet at x_big[::p]; it must
+    # agree with the forcing sampled on the grid itself at every stage time
+    grid = Grid(50.0, 512)
+    bg = SyntheticBackground()
+    core = SpectralCore(grid, bg, nl)
+    dt = 1e-3
+    times = sorted({k * dt / 2.0 for k in range(5)} | {0.3, 0.3 + dt / 2.0})
+    for t in times:
+        want = transform(residual_S(bg, nl, t, grid,
+                                    tail_threshold=1e-2)).coeffs
+        want[grid.n // 2] = 0.0
+        got = core.stage(t).forcing
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_core_signed_dt_rules():
+    grid = Grid(30.0, 256)
+    core = SpectralCore(grid, ZERO_BG, KDV)
+    spec = transform(gaussian(grid, amp=0.2)).coeffs
+    with pytest.raises(ValueError):
+        core.advance(spec, 0.0, -1e-3, mu=0.1)
+    # inviscid steps run both ways and retrace each other
+    back = core.advance(core.advance(spec, 0.0, 1e-3), 1e-3, -1e-3)
+    assert np.max(np.abs(back - spec)) < 1e-12 * np.max(np.abs(spec))
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,24 @@ def test_round_trip_and_parseval(grid):
     assert abs(parseval - l2_norm(f) ** 2) < 1e-10 * l2_norm(f) ** 2
 
 
+def test_exact_sign_round_trip_random_grids():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        g = Grid(rng.uniform(0.1, 100.0), 2 ** int(rng.integers(0, 11)))
+        f = PhysicalField(g, rng.uniform(-1.0, 1.0, g.n))
+        spec = transform(f)
+        assert spec.hermitian_defect() == 0.0
+        assert np.max(np.abs(inverse_transform(spec).values - f.values)) <= 1e-15
+
+
+def test_sign_is_left_end_phase():
+    for n in (1, 2, 8, 1024):
+        g = Grid(7.5, n)
+        assert set(np.unique(g.sign)) <= {-1.0, 1.0}
+        phase = np.exp(1j * g.xi * g.half_length)
+        assert np.max(np.abs(g.sign - phase)) < 1e-12
+
+
 def test_size_mismatch_rejected(grid):
     other = Grid(20.0, 256)
     with pytest.raises(SizeMismatchError):
