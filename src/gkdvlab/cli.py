@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import os
 import sys
@@ -104,7 +105,7 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
     verdicts["l2-growth-bound"] = (
         growth.holds,
         f"A={growth.forcing_level:.3e} B={growth.growth_rate:.3f} "
-        f"margin={growth.worst_margin:.3e}",
+        f"margin={growth.worst_margin:.3e} at t={growth.margin_time:.4g}",
     )
     if config.initial_kind == "zero" and exact_nl is not None \
             and exact_nl.coeffs == nl.coeffs:
@@ -267,11 +268,14 @@ def cmd_norms(args) -> int:
     ]
     grid_id = f"L{grid.half_length!r}_n{grid.n}"
     window = f"[{traj.t0!r};{traj.t0 + traj.dt * (len(traj) - 1)!r}]"
-    writer = csv.writer(sys.stdout if args.output == "-" else
-                        open(args.output, "w", newline=""))
-    writer.writerow(["name", "s", "b", "value", "grid", "window"])
-    for name, s_val, b_val, value in rows:
-        writer.writerow([name, s_val, b_val, f"{value:.16e}", grid_id, window])
+    with contextlib.ExitStack() as stack:
+        out = (sys.stdout if args.output == "-" else
+               stack.enter_context(open(args.output, "w", newline="")))
+        writer = csv.writer(out)
+        writer.writerow(["name", "s", "b", "value", "grid", "window"])
+        for name, s_val, b_val, value in rows:
+            writer.writerow([name, s_val, b_val, f"{value:.16e}", grid_id,
+                             window])
     return EXIT_OK
 
 

@@ -80,7 +80,8 @@ class GrowthVerdict:
     forcing_level: float          # A = sup_t ||S||_L2^2
     growth_rate: float            # B = 1 + M * sup |Psi_x|
     curvature_bound: float        # M over the attained range, padded
-    worst_margin: float           # min over samples of bound - ||u||^2
+    worst_margin: float           # min over t > 0 of 1 - ||u||^2 / bound
+    margin_time: float            # the sample time where it is attained
 
     def __bool__(self):
         return self.holds
@@ -117,15 +118,23 @@ def l2_growth_monitor(traj: Trajectory, bg: Background,
     A = sup_forcing_sq
 
     mass0 = l2_norm(traj.fields[0]) ** 2
-    worst = np.inf
+    worst, worst_t = np.inf, float("nan")
     holds = True
-    for t, f in zip(traj.times, traj.fields):
+    for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
         bound = (mass0 + float(t) * A) * np.exp(B * float(t))
-        margin = bound - l2_norm(f) ** 2
-        worst = min(worst, margin)
-        if margin < -1e-9 * max(bound, 1.0):
+        mass = l2_norm(f) ** 2
+        if mass - bound > 1e-9 * max(bound, 1.0):
             holds = False
-    return GrowthVerdict(holds, A, B, M, float(worst))
+        # at t = 0 the bound is met with equality, which says nothing
+        if i == 0:
+            continue
+        if bound > 0.0:
+            rel = 1.0 - mass / bound
+        else:
+            rel = 0.0 if mass == 0.0 else -np.inf
+        if rel < worst:
+            worst, worst_t = rel, float(t)
+    return GrowthVerdict(holds, A, B, M, float(worst), worst_t)
 
 
 @dataclass(frozen=True)

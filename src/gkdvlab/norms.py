@@ -9,6 +9,7 @@ the dispersive characteristic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -289,16 +290,14 @@ def _block_support(N: float, L: float, dxi: float, dtau: float):
     j_hi = int(np.ceil(2.0 * N / dxi))
     js = np.concatenate([np.arange(j_lo, j_hi + 1),
                          -np.arange(j_lo, j_hi + 1)])
-    pts_j, pts_k = [], []
     width = 2.0 if L == 1.0 else 2.0 * L
-    for j in js:
-        center = (j * dxi) ** 3
-        k_lo = int(np.floor((center - width) / dtau))
-        k_hi = int(np.ceil((center + width) / dtau))
-        for k in range(k_lo, k_hi + 1):
-            pts_j.append(j)
-            pts_k.append(k)
-    return np.asarray(pts_j, dtype=np.int64), np.asarray(pts_k, dtype=np.int64)
+    center = (js * dxi) ** 3
+    k_lo = np.floor((center - width) / dtau).astype(np.int64)
+    counts = np.ceil((center + width) / dtau).astype(np.int64) - k_lo + 1
+    # each j carries the run k_lo(j), ..., k_hi(j)
+    first = np.repeat(k_lo - np.cumsum(counts) + counts, counts)
+    return (np.repeat(js, counts).astype(np.int64),
+            first + np.arange(counts.sum(), dtype=np.int64))
 
 
 def _synthetic_coeff(j, k, N, L, dxi, dtau, phase_t, phase_x):
@@ -323,9 +322,16 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
     modulation block L_i) with an analytic spectrum supported exactly where
     the block multipliers are nonzero, and evaluates the k-linear integral
     of their product (the first pair weighted by chi) as an exact lattice
-    convolution.  Support arithmetic makes the integral vanish identically
-    whenever every achievable resonance level exceeds the combined
-    modulation budget.
+    convolution, for any k >= 3.  Support arithmetic makes the integral
+    vanish identically whenever every achievable resonance level exceeds
+    the combined modulation budget.
+
+    Each block is tabulated once on its nonzero support.  The block with
+    the largest support (lowest index on ties) is gathered from a sorted
+    key table at (-sum j, -sum k); a lattice point outside the table is an
+    exact zero.  Every other block is summed over, so the cost is one
+    integer lookup per k-tuple formed, prod_{i != largest} |supp_i| of
+    them, in chunks of at most 2e6; `n_terms` is that count.
     """
     Ns = [float(N) for N in space_blocks]
     Ls = [float(L) for L in modulation_blocks]
@@ -334,78 +340,65 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
     k_factors = len(Ns)
     dxi = np.pi / domain_half_length
     dtau = np.pi / window_half_length
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(-1.0, 1.0, size=(k_factors, 2))
+    phases = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                 size=(k_factors, 2))
 
-    supports = [_block_support(N, L, dxi, dtau) for N, L in zip(Ns, Ls)]
-
-    def coeff(i, j, k):
-        return _synthetic_coeff(j, k, Ns[i], Ls[i], dxi, dtau,
-                                phases[i, 0], phases[i, 1])
-
-    def nonzero_support(i):
-        js, ks = supports[i]
-        if js.size:
-            vals = coeff(i, js, ks)
-            keep = np.abs(vals) > 0.0
-            js, ks, vals = js[keep], ks[keep], vals[keep]
-        else:
-            vals = np.zeros(0, dtype=complex)
-        if js.size == 0:
+    js, ks, vals = [], [], []
+    for N, L, (phase_t, phase_x) in zip(Ns, Ls, phases):
+        j, k = _block_support(N, L, dxi, dtau)
+        v = _synthetic_coeff(j, k, N, L, dxi, dtau, phase_t, phase_x)
+        keep = np.abs(v) > 0.0
+        if not np.any(keep):
             raise ValueError(
-                f"block (N={Ns[i]}, L={Ls[i]}) has empty support on this "
-                f"lattice"
-            )
-        return js, ks, vals
+                f"block (N={N}, L={L}) has empty support on this lattice")
+        js.append(j[keep])
+        ks.append(k[keep])
+        vals.append(v[keep])
 
-    for i in range(k_factors):
-        nonzero_support(i)
-    j1, k1, v1 = nonzero_support(0)
-    j2, k2, v2 = nonzero_support(1)
-    if k_factors == 4:
-        j3, k3, v3_vals = nonzero_support(2)
+    # key(j, k) = j * stride + k is linear and, with |sum k| < stride / 2
+    # for every k-tuple, injective on the sums it is applied to
+    stride = 2 * sum(int(np.max(np.abs(k))) for k in ks) + 1
+    if (sum(int(np.max(np.abs(j))) for j in js) + 1) * stride >= 2 ** 62:
+        raise ValueError("lattice too large for 64-bit support keys")
+    keys = [j * stride + k for j, k in zip(js, ks)]
+
+    sizes = [v.size for v in vals]
+    g = int(np.argmax(sizes))
+    order = np.argsort(keys[g])
+    table_keys, table_vals = keys[g][order], vals[g][order]
+    free = [i for i in range(k_factors) if i != g]
+    col = max(free, key=lambda i: sizes[i])
+    rows = [i for i in free if i != col]
+    row_shape = tuple(sizes[i] for i in rows)
+    n_rows = math.prod(row_shape)
 
     total = 0.0 + 0.0j
     abs_total = 0.0
-    chunk = max(1, int(2e6 // max(j2.size, 1)))
-    for start in range(0, j1.size, chunk):
-        sl = slice(start, start + chunk)
-        ja = j1[sl][:, None]
-        ka = k1[sl][:, None]
-        va = v1[sl][:, None]
-        jb = j2[None, :]
-        kb = k2[None, :]
-        vb = v2[None, :]
-        j12 = ja + jb
-        k12 = ka + kb
-        pair = va * vb
+    chunk = max(1, int(2e6 // sizes[col]))
+    for start in range(0, n_rows, chunk):
+        row_idx = np.unravel_index(
+            np.arange(start, min(start + chunk, n_rows)), row_shape)
+        target = -(sum(keys[i][ix] for i, ix in zip(rows, row_idx))[:, None]
+                   + keys[col][None, :])
+        pos = np.minimum(np.searchsorted(table_keys, target),
+                         table_keys.size - 1)
+        r, c = np.nonzero(table_keys[pos] == target)
+        picked = {col: c, **{i: ix[r] for i, ix in zip(rows, row_idx)}}
+        term = table_vals[pos[r, c]]
+        for i in free:
+            term = term * vals[i][picked[i]]
         if chi is not None:
-            pair = pair * chi((ja + jb) * dxi, ja * dxi)
-        if k_factors == 3:
-            v3 = _synthetic_coeff(-j12, -k12, Ns[2], Ls[2], dxi, dtau,
-                                  phases[2, 0], phases[2, 1])
-            total += np.sum(pair * v3)
-            abs_total += np.sum(np.abs(pair) * np.abs(v3))
-        elif k_factors == 4:
-            for idx in range(j3.size):
-                j123 = j12 + j3[idx]
-                k123 = k12 + k3[idx]
-                rest = pair * v3_vals[idx]
-                v4 = _synthetic_coeff(-j123, -k123, Ns[3], Ls[3],
-                                      dxi, dtau, phases[3, 0], phases[3, 1])
-                total += np.sum(rest * v4)
-                abs_total += np.sum(np.abs(rest) * np.abs(v4))
-        else:
-            raise NotImplementedError(
-                "lattice integral implemented for 3 or 4 factors"
-            )
+            j_of = {i: js[i][picked[i]] for i in free}
+            j_of[g] = -sum(j_of.values())
+            term = term * chi((j_of[0] + j_of[1]) * dxi, j_of[0] * dxi)
+        total += np.sum(term)
+        abs_total += np.sum(np.abs(term))
 
     measure = (2.0 * domain_half_length) * (2.0 * window_half_length)
     magnitude = float(np.abs(total)) * measure
     scale = float(abs_total) * measure
     if scale == 0.0:
-        block_norms = [float(np.sqrt(np.sum(np.abs(nonzero_support(i)[2]) ** 2)))
-                       for i in range(k_factors)]
+        block_norms = [float(np.sqrt(np.sum(np.abs(v) ** 2))) for v in vals]
         scale = float(np.prod(block_norms)) * measure
 
     vanishing_threshold = Ns[0] * Ns[1] * Ns[2] / (2.0 ** 9 * k_factors)
@@ -414,7 +407,7 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
         scale=scale,
         vanishing_threshold=vanishing_threshold,
         vanishing_expected=max(Ls) < vanishing_threshold,
-        n_terms=int(j1.size) * int(j2.size),
+        n_terms=n_rows * sizes[col],
     )
 
 

@@ -438,11 +438,13 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
                 + np.sum(w * prop[m::-1] * integrand[:m + 1], axis=0)
                 for m, w in enumerate(weight_table)]
 
-    from .norms import sobolev_norm
+    # sup-in-time H^(s-1) distance, by Parseval on the node spectra
+    weights = (1.0 + grid.xi ** 2) ** (s - 1.0)
 
     def sup_diff(a, b):
-        return max(sobolev_norm(inverse_transform(SpectralField(grid, ca - cb)),
-                                s - 1.0) for ca, cb in zip(a, b))
+        mass = np.sum(weights * np.abs(np.asarray(a) - np.asarray(b)) ** 2,
+                      axis=1)
+        return float(np.sqrt(2.0 * grid.half_length * np.max(mass)))
 
     iterate = [np.zeros_like(u0_hat) for _ in range(n_nodes)]
     updates = []

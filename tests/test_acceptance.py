@@ -178,7 +178,8 @@ def test_criterion_06_l2_growth_bound(desk_grid):
         traj = evolve(gaussian(desk_grid, amp=0.5, width=2.0), bg, nl, cfg)
         verdict = l2_growth_monitor(traj, bg, nl)
         ok = ok and verdict.holds
-        details.append(f"{name}: margin {verdict.worst_margin:.2e}")
+        details.append(f"{name}: margin {verdict.worst_margin:.2e} at "
+                       f"t={verdict.margin_time:.3g}")
     announce(6, "exponential mass bound", ok, "; ".join(details))
 
 

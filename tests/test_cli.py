@@ -1,8 +1,10 @@
 import os
+import sys
 
 import numpy as np
 import pytest
 
+from gkdvlab import cli
 from gkdvlab.cli import main
 from gkdvlab.config import ConfigError, ScenarioConfig
 from gkdvlab.fieldio import read_snapshot, read_trajectory, write_snapshot
@@ -212,6 +214,28 @@ def test_norms_command(tmp_path):
     # the b = 0 space-time norm collapses to the time-integrated H^s norm
     assert abs(table[("bourgain", "0.0")] - table[("l2_t_sobolev", "")]) \
         <= 1e-8 * table[("l2_t_sobolev", "")]
+
+
+def test_norms_output_file_is_closed(tmp_path, monkeypatch, capsys):
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "src"))
+    assert main(["run", "--config", write_cfg(tmp_path, text), "--quiet"]) == 0
+    opened = []
+
+    def spy_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    args = ["norms", "--trajectory", str(tmp_path / "src" / "trajectory"),
+            "--s", "1.0", "--b", "1.0", "--output"]
+    assert main(args + [str(tmp_path / "norms.csv")]) == 0
+    assert len(opened) == 1 and opened[0].closed
+    # "-" writes to stdout and leaves it open
+    capsys.readouterr()
+    assert main(args + ["-"]) == 0
+    assert len(opened) == 1 and not sys.stdout.closed
+    assert capsys.readouterr().out.startswith("name,s,b,value")
 
 
 def test_study_temporal(tmp_path):

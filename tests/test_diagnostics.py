@@ -173,6 +173,20 @@ def test_growth_bound_synthetic_background():
     assert verdict.forcing_level > 1.0  # genuinely forced
 
 
+def test_growth_margin_excludes_t0_on_desk_kink():
+    # at t = 0 the bound holds with equality; the reported margin is the
+    # smallest relative slack after it
+    grid = Grid(50.0, 1024)
+    bg = MKdVKink(c=2.0)
+    nl = AnalyticNonlinearity.mkdv_defocusing()
+    cfg = SolverConfig(dt=2e-4, horizon=0.02, cadence=25)
+    traj = evolve(gaussian(grid, amp=0.5), bg, nl, cfg)
+    verdict = l2_growth_monitor(traj, bg, nl)
+    assert verdict.holds
+    assert 0.0 < verdict.worst_margin < 1.0
+    assert verdict.margin_time in [float(t) for t in traj.times[1:]]
+
+
 # ----------------------------------------------------------------------
 # flow separation experiment
 

@@ -1,10 +1,16 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gkdvlab.norms import (
     ResonanceCheck,
     WeightSequence,
+    _block_support,
+    _synthetic_coeff,
     bourgain_norm,
     enveloped_norm,
     extend_trajectory,
@@ -336,6 +342,145 @@ def test_resonance_zero_factor():
     # a block with no lattice support is a configuration error
     with pytest.raises(ValueError):
         resonance_vanishing_check([32, 32, 0.001], [1, 1, 1])
+
+
+def _chi(xi12, xi1):
+    return np.cos(xi12) + 0.5 * xi1
+
+
+def _nonzero_supports(Ns, Ls, dxi, dtau, phases):
+    out = []
+    for N, L, (phase_t, phase_x) in zip(Ns, Ls, phases):
+        js, ks = _block_support(N, L, dxi, dtau)
+        vals = _synthetic_coeff(js, ks, N, L, dxi, dtau, phase_t, phase_x)
+        keep = np.abs(vals) > 0.0
+        out.append((js[keep], ks[keep], vals[keep]))
+    return out
+
+
+def brute_force_resonance(Ns, Ls, chi=None, domain_half_length=8.0 * np.pi,
+                          window_half_length=np.pi, seed=0):
+    """The lattice sum by its definition: every (k-1)-tuple of the nonzero
+    supports of the first k-1 blocks, the last factor in closed form at
+    minus their sum.  Returns (magnitude, scale)."""
+    k = len(Ns)
+    dxi = np.pi / domain_half_length
+    dtau = np.pi / window_half_length
+    phases = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(k, 2))
+    J, K, V, j_first = 0, 0, 1.0, []
+    for i, (js, ks, vals) in enumerate(
+            _nonzero_supports(Ns[:-1], Ls[:-1], dxi, dtau, phases)):
+        shape = [1] * (k - 1)
+        shape[i] = -1
+        J = J + js.reshape(shape)
+        K = K + ks.reshape(shape)
+        V = V * vals.reshape(shape)
+        j_first.append(js.reshape(shape))
+    terms = V * _synthetic_coeff(-J, -K, Ns[-1], Ls[-1], dxi, dtau,
+                                 phases[-1, 0], phases[-1, 1])
+    if chi is not None:
+        terms = terms * chi((j_first[0] + j_first[1]) * dxi, j_first[0] * dxi)
+    measure = (2.0 * domain_half_length) * (2.0 * window_half_length)
+    return (float(np.abs(np.sum(terms))) * measure,
+            float(np.sum(np.abs(terms))) * measure)
+
+
+# witnesses: the gathered (largest) block sits first, second or last
+WITNESSES = [
+    ([2, 2, 1], [1, 1, 8], 2.0 * np.pi, np.pi),
+    ([1, 2, 2], [8, 1, 1], 2.0 * np.pi, np.pi),
+    ([2, 1, 2], [1, 8, 1], 2.0 * np.pi, np.pi),
+    ([4, 4, 2, 1], [1, 1, 1, 1], 2.0 * np.pi, np.pi / 2.0),
+    ([2, 1, 1, 1], [2, 2, 4, 8], 2.0 * np.pi, np.pi),
+    ([4, 4, 2, 1, 1], [1, 1, 1, 1, 1], 2.0 * np.pi, np.pi / 2.0),
+    ([1, 1, 1, 1, 1], [2, 2, 2, 4, 8], 2.0 * np.pi, np.pi),
+]
+
+
+@pytest.mark.parametrize("chi", [None, _chi], ids=["plain", "chi"])
+@pytest.mark.parametrize("Ns, Ls, D, W", WITNESSES,
+                         ids=[f"k{len(w[0])}-{i}" for i, w in
+                              enumerate(WITNESSES)])
+def test_resonance_matches_brute_force(Ns, Ls, D, W, chi):
+    chk = resonance_vanishing_check(Ns, Ls, chi=chi, domain_half_length=D,
+                                    window_half_length=W, seed=3)
+    magnitude, scale = brute_force_resonance(
+        Ns, Ls, chi=chi, domain_half_length=D, window_half_length=W, seed=3)
+    assert magnitude > 1e-4 * scale  # a witness, not a vanishing sum
+    assert abs(chk.magnitude - magnitude) <= 1e-13 * magnitude
+    assert abs(chk.scale - scale) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("Ns, Ls, expected", [
+    ([16, 16, 8], [1, 1, 1], True),
+    ([16, 16, 8, 1], [1, 1, 1, 1], False),
+    ([16, 16, 16, 1, 1], [1, 1, 1, 1, 1], True),
+])
+def test_resonance_vanishing_is_exact_zero(Ns, Ls, expected):
+    kw = dict(domain_half_length=2.0 * np.pi, window_half_length=np.pi / 2.0)
+    for chi in (None, _chi):
+        chk = resonance_vanishing_check(Ns, Ls, chi=chi, **kw)
+        assert chk.magnitude == 0.0
+        assert chk.scale > 0.0
+        assert chk.vanishing_expected == expected
+    if len(Ns) < 5:
+        assert brute_force_resonance(Ns, Ls, **kw)[0] == 0.0
+
+
+def test_resonance_n_terms_counts_formed_tuples():
+    Ns, Ls, D, W = [2, 2, 2, 1], [1, 1, 8, 1], 2.0 * np.pi, np.pi
+    phases = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 2))
+    sizes = [js.size for js, _, _ in
+             _nonzero_supports(Ns, Ls, np.pi / D, np.pi / W, phases)]
+    chk = resonance_vanishing_check(Ns, Ls, domain_half_length=D,
+                                    window_half_length=W)
+    # every block but the largest (the third) is summed over
+    assert sizes == [36, 36, 232, 14]
+    assert chk.n_terms == math.prod(sizes) // max(sizes) == 36 * 36 * 14
+
+
+class _FixedPhases:
+    """Stands in for the phase generator: hands out the given phases."""
+
+    def __init__(self, phases):
+        self.phases = phases
+
+    def uniform(self, low, high, size):
+        assert self.phases.shape == size
+        return self.phases
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(WITNESSES[3:]), data=st.data(),
+       seed=st.integers(0, 2 ** 16))
+def test_resonance_permutation_invariant(case, data, seed):
+    # without chi the integral is symmetric in its factors: permuting the
+    # blocks together with their fields leaves it unchanged
+    Ns, Ls, D, W = case
+    perm = data.draw(st.permutations(range(len(Ns))))
+    phases = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                 size=(len(Ns), 2))
+    kw = dict(domain_half_length=D, window_half_length=W)
+    with mock.patch.object(np.random, "default_rng",
+                           lambda seed: _FixedPhases(phases)):
+        ref = resonance_vanishing_check(Ns, Ls, **kw)
+    with mock.patch.object(np.random, "default_rng",
+                           lambda seed: _FixedPhases(phases[perm])):
+        got = resonance_vanishing_check([Ns[i] for i in perm],
+                                        [Ls[i] for i in perm], **kw)
+    assert abs(got.magnitude - ref.magnitude) <= 1e-13 * ref.magnitude
+    assert abs(got.scale - ref.scale) <= 1e-13 * ref.scale
+    assert got.n_terms == ref.n_terms
+
+
+@pytest.mark.parametrize("Ns, Ls", [
+    ([0.001, 32, 32], [1, 1, 1]),
+    ([16, 16, 8, 0.001], [1, 1, 1, 1]),
+    ([4, 4, 0.001, 1, 1], [1, 1, 1, 1, 1]),
+])
+def test_resonance_empty_block_rejected(Ns, Ls):
+    with pytest.raises(ValueError, match="empty support"):
+        resonance_vanishing_check(Ns, Ls)
 
 
 def test_norm_values_regression_fixture():

@@ -10,6 +10,7 @@ from gkdvlab.solver import (
     InstabilityError,
     SimulationState,
     SolverConfig,
+    SolverError,
     SpectralCore,
     evolve,
     phi1,
@@ -390,6 +391,40 @@ def test_picard_contracts_and_matches_evolve():
     worst = max(sobolev_norm(a - b, 0.0)
                 for a, b in zip(traj.fields, other.fields))
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_picard_updates_match_field_norm(monkeypatch, s):
+    # each sweep's update is the sup-in-time H^(s-1) distance of successive
+    # iterates; the solver takes it from the node spectra, the reference
+    # goes through the field and sobolev_norm
+    grid = Grid(50.0, 512)
+    u0 = gaussian(grid)
+    kw = dict(mu=0.1, t_small=0.05, n_nodes=17, s=s)
+    _, report = picard_solve(u0, ZERO_BG, KDV, **kw)
+    seen = []
+    n_hat = SpectralCore.n_hat
+
+    def spy(self, spec, stage):
+        seen.append(spec.copy())
+        return n_hat(self, spec, stage)
+
+    monkeypatch.setattr(SpectralCore, "n_hat", spy)
+    # one sweep more with tol = 0: the spy sees every iterate the report
+    # compares, the last one included
+    with pytest.raises(SolverError):
+        picard_solve(u0, ZERO_BG, KDV, tol=0.0,
+                     max_iter=report.iterations + 1, **kw)
+    iterates = [seen[i:i + 17] for i in range(0, len(seen), 17)]
+    updates = [max(sobolev_norm(inverse_transform(SpectralField(grid, a - b)),
+                                s - 1.0) for a, b in zip(new, old))
+               for old, new in zip(iterates, iterates[1:])]
+    assert len(updates) == report.iterations
+    assert all(u > 1e-10 for u in updates[:-1]) and updates[-1] <= 1e-10
+    assert abs(report.final_update - updates[-1]) <= 1e-12 * updates[-1]
+    assert len(report.contraction_factors) == len(updates) - 1
+    for got, a, b in zip(report.contraction_factors, updates, updates[1:]):
+        assert abs(got - b / a) <= 1e-12 * (b / a)
 
 
 def test_picard_requires_positive_viscosity():
