@@ -182,8 +182,8 @@ def _traveling_residual(profile_fn, dprofile_fn, d3profile_fn, nl, c, ys):
     return -c * qp + qppp + nl.fp(q) * qp
 
 
-def _cn2_derivatives(y, kappa):
-    s, c_, d = jacobi_sn_cn_dn(y, kappa)
+def _cn2_derivatives(s, c_, d, kappa):
+    """cn^2 and its first three derivatives from the triple (sn, cn, dn)."""
     scd = s * c_ * d
     cn2 = c_ * c_
     d1 = -2.0 * scd
@@ -192,13 +192,39 @@ def _cn2_derivatives(y, kappa):
     return cn2, d1, d2, d3
 
 
-def _dn_derivatives(y, kappa):
-    s, c_, d = jacobi_sn_cn_dn(y, kappa)
+def _dn_derivatives(s, c_, d, kappa):
+    """dn and its first three derivatives from the triple (sn, cn, dn)."""
     k2 = kappa ** 2
     d1 = -k2 * s * c_
     d2 = -k2 * d * (c_ ** 2 - s ** 2)
     d3 = k2 * s * c_ * (k2 * (c_ ** 2 - s ** 2) + 4.0 * d ** 2)
     return d, d1, d2, d3
+
+
+def _wave_triple(bg, t, x):
+    """(sn, cn, dn) at gamma*(x - c*t) for a KdVCnoidal or MKdVDnoidal bg.
+
+    The triple at gamma*x is evaluated once per sample array and kept on
+    bg, keyed by a copy of the array's content, so a new array or one
+    changed in place is evaluated afresh.  Each time t then costs one
+    scalar triple at v = -gamma*c*t and the addition theorem (DLMF
+    22.8.1-22.8.3), whose denominator 1 - kappa^2 sn^2(gamma*x) sn^2(v) is
+    at least 1 - kappa^2 > 0.
+    """
+    x = np.asarray(x, dtype=float)
+    gamma, kappa = bg.parameters.gamma, bg.kappa
+    cached = getattr(bg, "_grid_triple", None)
+    if cached is None or not np.array_equal(cached[0], x):
+        s, c_, d = jacobi_sn_cn_dn(gamma * x, kappa)
+        cached = (x.copy(), s, c_, d, c_ * d, s * d, s * c_, s * s)
+        object.__setattr__(bg, "_grid_triple", cached)
+    _, s1, c1, d1, cd1, sd1, sc1, ss1 = cached
+    s2, c2, d2 = jacobi_sn_cn_dn(-gamma * bg.c * t, kappa)
+    k2s2 = kappa * kappa * s2
+    den = 1.0 / (1.0 - (k2s2 * s2) * ss1)
+    return ((s1 * (c2 * d2) + cd1 * s2) * den,
+            (c1 * c2 - sd1 * (s2 * d2)) * den,
+            (d1 * d2 - sc1 * (k2s2 * c2)) * den)
 
 
 def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
@@ -233,7 +259,8 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
 
         def resid(params):
             alpha, beta = params
-            cn2, d1, _, d3 = _cn2_derivatives(gamma * ys, kappa)
+            cn2, d1, _, d3 = _cn2_derivatives(
+                *jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
             q = alpha + beta * cn2
             qp = beta * gamma * d1
             qppp = beta * gamma ** 3 * d3
@@ -246,7 +273,7 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
         alpha, beta = best.x
         params = CnoidalParameters(float(alpha), float(beta), float(gamma))
         scale = float(np.sqrt(np.mean(
-            (alpha + beta * _cn2_derivatives(gamma * ys, kappa)[0]) ** 2)))
+            (alpha + beta * jacobi_sn_cn_dn(gamma * ys, kappa)[1] ** 2) ** 2)))
     elif is_focusing_cubic:
         cubic = coeffs[3]
 
@@ -254,7 +281,8 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
             beta, gamma = params
             period = 2.0 * complete_elliptic_k(kappa) / abs(gamma)
             ys = np.linspace(0.0, period, 257)
-            d0, d1, _, d3 = _dn_derivatives(gamma * ys, kappa)
+            d0, d1, _, d3 = _dn_derivatives(
+                *jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
             q = beta * d0
             qp = beta * gamma * d1
             qppp = beta * gamma ** 3 * d3
@@ -268,8 +296,8 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
         params = CnoidalParameters(0.0, float(beta), float(abs(gamma)))
         period = 2.0 * complete_elliptic_k(kappa) / params.gamma
         ys = np.linspace(0.0, period, 257)
-        scale = float(np.sqrt(np.mean((beta * _dn_derivatives(
-            params.gamma * ys, kappa)[0]) ** 2)))
+        scale = float(np.sqrt(np.mean((beta * jacobi_sn_cn_dn(
+            params.gamma * ys, kappa)[2]) ** 2)))
     else:
         raise ParameterResolutionError(
             "periodic profiles are implemented for the quadratic and the "
@@ -307,8 +335,8 @@ class KdVCnoidal(Background):
 
     def jet(self, t, x):
         alpha, beta, gamma = self._params
-        y = gamma * (np.asarray(x, dtype=float) - self.c * t)
-        cn2, d1, d2, d3 = _cn2_derivatives(y, self.kappa)
+        cn2, d1, d2, d3 = _cn2_derivatives(*_wave_triple(self, t, x),
+                                           self.kappa)
         psi = alpha + beta * cn2
         psi_x = beta * gamma * d1
         psi_xx = beta * gamma ** 2 * d2
@@ -343,8 +371,8 @@ class MKdVDnoidal(Background):
 
     def jet(self, t, x):
         _, beta, gamma = self._params
-        y = gamma * (np.asarray(x, dtype=float) - self.c * t)
-        d0, d1, d2, d3 = _dn_derivatives(y, self.kappa)
+        d0, d1, d2, d3 = _dn_derivatives(*_wave_triple(self, t, x),
+                                         self.kappa)
         psi = beta * d0
         psi_x = beta * gamma * d1
         psi_xx = beta * gamma ** 2 * d2
@@ -415,8 +443,12 @@ class TabulatedBackground(Background):
 
     def _check_range(self, x):
         x = np.asarray(x, dtype=float)
-        if np.min(x) < self._x[0] or np.max(x) > self._x[-1]:
-            raise ValueError("query outside the tabulated sample range")
+        lo, hi = np.min(x), np.max(x)
+        if lo < self._x[0] or hi > self._x[-1]:
+            raise ValueError(
+                f"query [{lo:.10g}, {hi:.10g}] outside the tabulated sample "
+                f"range [{self._x[0]:.10g}, {self._x[-1]:.10g}]; a padded "
+                "flux samples up to x = L, so the table must reach it")
         return x
 
     def jet(self, t, x):

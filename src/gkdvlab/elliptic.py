@@ -5,13 +5,19 @@ ladder a_{m+1} = (a_m + b_m)/2, b_{m+1} = sqrt(a_m b_m), c_{m+1} =
 (a_m - b_m)/2 from (1, kp, k), seed phi_M = 2^M a_M u at the top, descend
 with phi_{m-1} = (phi_m + asin(c_m/a_m * sin phi_m)) / 2, and read off
 
-    sn = sin(phi_0),  cn = cos(phi_0),  dn = cos(phi_0)/cos(phi_1 - phi_0).
+    sn = sin(phi_0),  cn = cos(phi_0),  dn = sqrt(1 - kappa^2 sn^2).
+
+The descent needs no clipping: |c_m/a_m sin phi_m| <= c_m/a_m < 1.  The
+ladder depends on the modulus only and is kept per modulus.  dn is not
+taken as cos(phi_0)/cos(phi_1 - phi_0), which is 0/0 where cn vanishes.
 
 The complete elliptic integral of the first kind is K = pi / (2 AGM(1, kp)).
 Valid for modulus kappa in [0, 1); the degenerate ends are special-cased.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +27,7 @@ _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 32
 
 
+@lru_cache(maxsize=64)
 def _agm_ladder(kappa: float):
     a = [1.0]
     b = [np.sqrt(1.0 - kappa * kappa)]
@@ -32,7 +39,7 @@ def _agm_ladder(kappa: float):
         a.append(a_next)
         b.append(b_next)
         c.append(c_next)
-    return a, b, c
+    return tuple(a), tuple(b), tuple(c)
 
 
 def complete_elliptic_k(kappa: float) -> float:
@@ -57,14 +64,11 @@ def jacobi_sn_cn_dn(u, kappa: float):
     a, _, c = _agm_ladder(kappa)
     m_top = len(a) - 1
     phi = (2.0 ** m_top) * a[m_top] * u
-    phi_prev = phi
     for m in range(m_top, 0, -1):
-        phi_prev = phi
-        ratio = np.clip(c[m] / a[m] * np.sin(phi), -1.0, 1.0)
-        phi = 0.5 * (phi + np.arcsin(ratio))
+        phi = 0.5 * (phi + np.arcsin(c[m] / a[m] * np.sin(phi)))
     sn = np.sin(phi)
     cn = np.cos(phi)
-    dn = cn / np.cos(phi_prev - phi)
+    dn = np.sqrt(1.0 - kappa * kappa * (sn * sn))
     return sn, cn, dn
 
 

@@ -219,9 +219,14 @@ class SpectralCore:
         self._tables: dict[tuple, tuple] = {}
 
     def check_background(self, t: float, tail_threshold: float = 1e-10):
-        """Raise UnresolvedFieldError unless the grid resolves Psi(t)."""
+        """Raise UnresolvedFieldError unless the grid resolves Psi(t).
+
+        The stage at t is sampled here too, so a background that cannot
+        be sampled on the flux grid fails before any step.
+        """
         residual_S(self.bg, self.nl, t, self.grid,
                    tail_threshold=max(tail_threshold, 1e-10))
+        self.stage(t)
 
     def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
         """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
@@ -424,9 +429,10 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     weight_table = [_prefix_weights(m, h)[:, None] for m in range(n_nodes)]
     u0_hat = transform(u0).coeffs
     # node times are fixed across sweeps: check and sample Psi once per node
+    stages = []
     for m in range(n_nodes):
         core.check_background(m * h)
-    stages = [core.stage(m * h) for m in range(n_nodes)]
+        stages.append(core.stage(m * h))
 
     def duhamel_map(iterate: list[np.ndarray]) -> list[np.ndarray]:
         for spec in iterate:

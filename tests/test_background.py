@@ -12,11 +12,14 @@ from gkdvlab.background import (
     SyntheticBackground,
     TabulatedBackground,
     ZeroBackground,
+    _cn2_derivatives,
+    _dn_derivatives,
     check_hypotheses,
     residual_S,
     resolve_cnoidal,
     zhidkov_split,
 )
+from gkdvlab.elliptic import jacobi_sn_cn_dn
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.spectral import (
     Grid,
@@ -95,6 +98,53 @@ def test_traveling_wave_identity(bg):
         rhs = -bg.wave_speed * jet.psi_x
         scale = max(np.max(np.abs(rhs)), 1e-30)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
+
+
+def _direct_jet(bg, t, x):
+    """Jet components of a cnoidal or dnoidal wave, Jacobi functions taken
+    at gamma*(x - c*t) directly."""
+    alpha, beta, gamma = bg.parameters
+    triple = jacobi_sn_cn_dn(gamma * (x - bg.c * t), bg.kappa)
+    if isinstance(bg, KdVCnoidal):
+        q, d1, d2, d3 = _cn2_derivatives(*triple, bg.kappa)
+    else:
+        q, d1, d2, d3 = _dn_derivatives(*triple, bg.kappa)
+    psi_x = beta * gamma * d1
+    return (alpha + beta * q, -bg.c * psi_x, psi_x, beta * gamma ** 2 * d2,
+            beta * gamma ** 3 * d3)
+
+
+def _assert_jet_is_direct(bg, t, x, rel=1e-12):
+    jet = bg.jet(t, x)
+    for got, want in zip(jet, _direct_jet(bg, t, x)):
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("cls", [KdVCnoidal, MKdVDnoidal])
+@pytest.mark.parametrize("kappa", [0.3, 0.8, 0.99])
+def test_periodic_jet_matches_direct_evaluation(cls, kappa):
+    # the jet shifts one cached grid triple by the addition theorem; it
+    # must agree with the Jacobi functions at gamma*(x - c*t) themselves
+    bg = cls(c=1.0, kappa=kappa)
+    x = Grid(50.0, 2048).x
+    for t in (0.0, 1e-4, 0.37, 5.0, 123.4):
+        _assert_jet_is_direct(bg, t, x)
+
+
+@pytest.mark.parametrize("cls", [KdVCnoidal, MKdVDnoidal])
+def test_periodic_jet_cache_is_never_stale(cls):
+    bg = cls(c=1.0, kappa=0.8)
+    x = Grid(20.0, 256).x.copy()
+    _assert_jet_is_direct(bg, 0.5, x)
+    # another array of the same size, then a shorter one
+    _assert_jet_is_direct(bg, 0.5, x + 0.3)
+    _assert_jet_is_direct(bg, 0.5, x[:100])
+    # the cached array itself, changed in place
+    _assert_jet_is_direct(bg, 0.7, x)
+    x[::3] += 1.25
+    _assert_jet_is_direct(bg, 0.7, x)
+    x[:] = x[::-1]
+    _assert_jet_is_direct(bg, 0.7, x)
 
 
 # ----------------------------------------------------------------------

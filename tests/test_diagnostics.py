@@ -208,6 +208,25 @@ def test_lipschitz_linear_flow_is_isometric():
         assert abs(r - 1.0) < 1e-9
 
 
+def test_lipschitz_series_excludes_t0():
+    # the sup ratio is pinned at 1 by t = 0; the series and its growth
+    # exponent are taken over t > 0 only, from the same norms
+    grid = Grid(30.0, 256)
+    zero_nl = AnalyticNonlinearity.polynomial([0.0])
+    cfg = SolverConfig(dt=1e-3, horizon=0.1, cadence=20)
+    table = flow_lipschitz_experiment(gaussian(grid), ZeroBackground(),
+                                      zero_nl, cfg, [1e-2, 1e-3], s=1.0)
+    assert table.times == pytest.approx((0.02, 0.04, 0.06, 0.08, 0.1),
+                                        abs=1e-15)
+    assert len(table.series) == len(table.growth_exponents) == 2
+    for series, ratio, exponent in zip(table.series, table.ratios,
+                                       table.growth_exponents):
+        assert len(series) == len(table.times)
+        assert max(series) <= ratio
+        assert all(abs(r - 1.0) < 1e-9 for r in series)
+        assert abs(exponent) <= 1e-9
+
+
 def test_lipschitz_bounded_on_cnoidal():
     grid = Grid(50.0, 512)
     bg = KdVCnoidal(1.0, 0.8)

@@ -74,3 +74,52 @@ def test_modulus_out_of_range():
         jacobi_cn_dn(1.0, 1.5)
     with pytest.raises(ValueError):
         jacobi_cn_dn(1.0, -0.1)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.5, 0.8, 0.999])
+def test_against_mpmath_oracle(kappa):
+    # dn taken as cn/cos(phi_1 - phi_0) is 0/0 where cn vanishes and was
+    # off by up to 6e-13 here; sqrt(1 - kappa^2 sn^2) has no such point
+    import mpmath
+
+    us = np.linspace(-25.0, 25.0, 201)
+    sn, cn, dn = jacobi_sn_cn_dn(us, kappa)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(kappa) ** 2
+        ref = np.array([[float(mpmath.ellipfun(name, mpmath.mpf(u), m=m))
+                         for u in us] for name in ("sn", "cn", "dn")])
+    assert np.max(np.abs(dn - ref[2])) <= 2e-14
+    # sn and cn carry the argument's rounding, |u| * eps, amplified near
+    # kappa = 1 by the descent
+    assert np.max(np.abs(sn - ref[0])) <= 5e-14
+    assert np.max(np.abs(cn - ref[1])) <= 5e-14
+
+
+def _reference_sn_cn(u, kappa):
+    """The descent with a fresh ladder and the arcsin argument clipped."""
+    a, c = [1.0], [kappa]
+    b = np.sqrt(1.0 - kappa * kappa)
+    while c[-1] > 1e-15 and len(a) < 32:
+        a_prev = a[-1]
+        a.append(0.5 * (a_prev + b))
+        c.append(0.5 * (a_prev - b))
+        b = np.sqrt(a_prev * b)
+    phi = (2.0 ** (len(a) - 1)) * a[-1] * np.asarray(u, dtype=float)
+    for m in range(len(a) - 1, 0, -1):
+        ratio = np.clip(c[m] / a[m] * np.sin(phi), -1.0, 1.0)
+        phi = 0.5 * (phi + np.arcsin(ratio))
+    return np.sin(phi), np.cos(phi)
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.3, 0.8, 0.99, 0.999999])
+def test_sn_cn_bitwise_equal_to_clipped_descent(kappa):
+    # the clip never acts (|c_m/a_m sin phi| <= c_m/a_m < 1) and the
+    # cached ladder, which serves every call after the first, is the same
+    # ladder: sn and cn must not move at all
+    rng = np.random.default_rng(7)
+    us = rng.uniform(-60.0, 60.0, size=257)
+    for u in (us, us[0], float(us[1]), us.reshape(1, -1)):
+        sn, cn, _ = jacobi_sn_cn_dn(u, kappa)
+        want_sn, want_cn = _reference_sn_cn(u, kappa)
+        assert np.array_equal(sn, want_sn)
+        assert np.array_equal(cn, want_cn)

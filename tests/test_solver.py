@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from gkdvlab.background import MKdVKink, SyntheticBackground, ZeroBackground
+from gkdvlab import background, solver
+from gkdvlab.background import (
+    KdVCnoidal,
+    MKdVKink,
+    SyntheticBackground,
+    TabulatedBackground,
+    ZeroBackground,
+)
+from gkdvlab.elliptic import jacobi_sn_cn_dn
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.norms import sobolev_norm
 from gkdvlab.background import residual_S
@@ -318,6 +326,58 @@ def test_stage_cache_two_jets_per_step(scheme):
     assert all(n <= 2 for n in jets[1:])
     # each jet is taken at a stage time not seen before
     assert len(set(bg.times)) == len(bg.times)
+
+
+def test_cnoidal_steps_take_no_grid_jacobi_after_the_first(monkeypatch):
+    # a cnoidal jet shifts the grid triple kept on the background, so a
+    # step after the first evaluates one scalar triple per new stage time
+    grid = Grid(50.0, 512)
+    bg = KdVCnoidal(c=1.0, kappa=0.8)
+    sizes = []
+
+    def counting(u, kappa):
+        sizes.append(np.size(u))
+        return jacobi_sn_cn_dn(u, kappa)
+
+    monkeypatch.setattr(background, "jacobi_sn_cn_dn", counting)
+    cfg = SolverConfig(dt=2e-4, horizon=2e-3, boundary_threshold=0.05)
+    core = SpectralCore(grid, bg, KDV)
+    state = SimulationState.from_field(gaussian(grid, amp=0.5, width=1.5))
+    calls = []
+    for _ in range(6):
+        before = len(sizes)
+        state = step(state, cfg, bg, KDV, core=core)
+        calls.append(sizes[before:])
+    assert core.flux_grid.n in calls[0]
+    assert all(c == [1, 1] for c in calls[1:])
+
+
+def test_tabulated_on_run_grid_fails_before_any_step(monkeypatch):
+    # the padded flux samples up to L - dx/2, past the last grid point
+    grid = Grid(20.0, 256)
+    bg = TabulatedBackground(grid.x, 0.1 * np.tanh(grid.x))
+    steps = []
+    real_step = solver.step
+    monkeypatch.setattr(solver, "step",
+                        lambda *a, **k: steps.append(1) or real_step(*a, **k))
+    cfg = SolverConfig(dt=1e-3, horizon=1e-2)
+    intervals = (r"query \[-20, 19\.92187\d*\] outside the tabulated sample "
+                 r"range \[-20, 19\.84375\]")
+    with pytest.raises(ValueError, match=intervals):
+        SpectralCore(grid, bg, KDV).check_background(0.0, cfg.tail_threshold)
+    with pytest.raises(ValueError, match=intervals):
+        evolve(gaussian(grid, amp=0.1), bg, KDV, cfg)
+    assert steps == []
+
+
+def test_tabulated_reaching_the_boundary_runs():
+    grid = Grid(20.0, 256)
+    xs = np.linspace(-20.0, 20.0, 513)
+    bg = TabulatedBackground(xs, 0.1 * np.tanh(xs))
+    cfg = SolverConfig(dt=1e-3, horizon=1e-2)
+    traj = evolve(gaussian(grid, amp=0.1), bg, KDV, cfg)
+    assert traj.completed and len(traj) == 11
+    assert np.all(np.isfinite(traj.fields[-1].values))
 
 
 @pytest.mark.parametrize("nl", [
