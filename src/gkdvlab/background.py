@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import least_squares
 
 from .elliptic import complete_elliptic_k, jacobi_sn_cn_dn
 from .nonlinearity import AnalyticNonlinearity
@@ -174,14 +172,6 @@ class CnoidalParameters(NamedTuple):
     gamma: float
 
 
-def _traveling_residual(profile_fn, dprofile_fn, d3profile_fn, nl, c, ys):
-    """Pointwise residual of -c q' + q''' + f'(q) q' on the sample ys."""
-    q = profile_fn(ys)
-    qp = dprofile_fn(ys)
-    qppp = d3profile_fn(ys)
-    return -c * qp + qppp + nl.fp(q) * qp
-
-
 def _cn2_derivatives(s, c_, d, kappa):
     """cn^2 and its first three derivatives from the triple (sn, cn, dn)."""
     scd = s * c_ * d
@@ -243,6 +233,7 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
         raise ValueError("modulus must lie strictly inside (0, 1)")
     if c <= 0:
         raise ValueError("speed must be positive")
+    from scipy.optimize import least_squares    # slow import, fits only
 
     coeffs = nl.coeffs + (0.0,) * (4 - len(nl.coeffs))
     is_kdv = nl.polynomial_degree() == 2
@@ -417,6 +408,7 @@ class TabulatedBackground(Background):
     variant = "tabulated"
 
     def __init__(self, x_samples, psi_samples):
+        from scipy.interpolate import CubicSpline
         x_samples = np.asarray(x_samples, dtype=float)
         psi_samples = np.asarray(psi_samples, dtype=float)
         if x_samples.ndim != 1 or x_samples.shape != psi_samples.shape:

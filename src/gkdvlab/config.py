@@ -2,7 +2,7 @@
 
 A run is its config file, so everything a scenario needs (grid, background,
 nonlinearity, solver settings, initial data, diagnostics cadence, output
-directory, seed) lives in one INI-style document with nested sections.
+directory) lives in one INI-style document with nested sections.
 Serialization round-trips: parse(serialize(cfg)) is semantically identical.
 """
 
@@ -68,7 +68,6 @@ class ScenarioConfig:
     omega_eps: float = 0.0
 
     output_directory: str = "out"
-    seed: int = 0
 
     # -- semantic construction -------------------------------------------
 
@@ -244,7 +243,6 @@ class ScenarioConfig:
         cfg.omega_eps = get("diagnostics", "omega_eps", float, 0.0)
 
         cfg.output_directory = get("output", "directory", str, "out")
-        cfg.seed = get("output", "seed", int, 0)
         return cfg
 
     @classmethod
@@ -289,10 +287,7 @@ class ScenarioConfig:
             "s": repr(self.diagnostics_s),
             "omega_eps": repr(self.omega_eps),
         }
-        parser["output"] = {
-            "directory": self.output_directory,
-            "seed": str(self.seed),
-        }
+        parser["output"] = {"directory": self.output_directory}
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()

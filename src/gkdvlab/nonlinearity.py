@@ -156,6 +156,17 @@ class AnalyticNonlinearity:
         ddcoeffs = [k * (k - 1) * a for k, a in enumerate(self.coeffs)][2:] or [0.0]
         return _checked(_horner(ddcoeffs, x))
 
+    def taylor(self, x) -> list:
+        """[c_1(x), ..., c_d(x)] with f(x + u) - f(x) = sum_k c_k(x) u^k, of
+        the polynomial kind: c_k = f^(k)/k! = sum_j C(j, k) a_j x^(j-k)."""
+        a, d, out = self.coeffs, self.order, []
+        for k in range(1, d + 1):
+            out.append(np.full(np.shape(x), math.comb(d, k) * a[d]))
+            for j in range(d - 1, k - 1, -1):
+                out[-1] *= x
+                out[-1] += math.comb(j, k) * a[j]
+        return out
+
     def F(self, x):
         """Primitive with F(0) = 0."""
         if self.kind == "exponential":

@@ -14,12 +14,12 @@ formulas, which lose up to ten digits to cancellation near the origin
 
 Every path through the equation (`evolve` and `step`, `rhs`, the Picard
 construction, signed-`dt` integration) evaluates its nonlinear term in one
-:class:`SpectralCore`, which computes run constants once and stage-time
-data once per time: one background jet on the flux grid gives Psi and
-f(Psi) to the flux and, through its samples x_big[::p] = x, the forcing.
+:class:`SpectralCore` on the real half spectrum, bins 0..n/2.  It computes
+run constants once and stage-time data once per time: one background jet
+on the flux grid gives the flux tables (Taylor coefficients f^(k)(Psi)/k!
+of a polynomial f) and, through its samples x_big[::p] = x, the forcing.
 A step has two new stage times, t + dt/2 and t + dt, so two jets.  The
-unpaired Nyquist bin is zeroed in the linear symbol, the derivative and
-the forcing, so a real field's spectrum stays Hermitian along a run.
+Nyquist bin is zeroed in the linear symbol, the derivative and the forcing.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .background import Background, residual_S
-from .nonlinearity import AnalyticNonlinearity
+from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError
 from .spectral import (
     Grid,
     PhysicalField,
@@ -38,6 +38,7 @@ from .spectral import (
     Trajectory,
     flux_coefficients,
     flux_grid,
+    flux_tables,
     inverse_transform,
     require_resolved,
     tail_fraction_of_spectrum,
@@ -192,29 +193,29 @@ def phi3(z):
 class Stage(NamedTuple):
     """Background data of one stage time."""
 
-    psi: np.ndarray         # Psi on the flux grid
-    f_psi: np.ndarray       # f(Psi) on the flux grid
-    forcing: np.ndarray     # spectrum of S on the grid, Nyquist bin zeroed
+    tables: list            # flux_tables of Psi on the flux grid
+    forcing: np.ndarray     # half spectrum of S, Nyquist bin zeroed
 
 
 def _without_nyquist(symbol: np.ndarray) -> np.ndarray:
-    symbol[len(symbol) // 2] = 0.0
+    symbol[-1] = 0.0
     return symbol
 
 
 class SpectralCore:
     """Nonlinear term -d/dx(f(u+Psi) - f(Psi)) - S of one (grid, bg, nl, dealias).
 
-    Spectra are complex coefficient arrays in FFT ordering.  Stage data
-    are kept for the last three stage times: the distinct times of a step,
-    the last of which opens the next step.
+    Spectra are half spectra: bins 0..n/2 of ``SpectralField.coeffs``.
+    Stage data are kept for the last three stage times: the distinct times
+    of a step, the last of which opens the next step.
     """
 
     def __init__(self, grid: Grid, bg: Background, nl: AnalyticNonlinearity,
                  dealias: str = "auto"):
         self.grid, self.bg, self.nl, self.dealias = grid, bg, nl, dealias
         self.flux_grid = flux_grid(grid, nl, dealias)
-        self._derivative = _without_nyquist(-1j * grid.xi)
+        self.xi = grid.xi[:grid.n // 2 + 1]
+        self._derivative = _without_nyquist(-1j * self.xi)
         self._stages: dict[float, Stage] = {}
         self._tables: dict[tuple, tuple] = {}
 
@@ -230,7 +231,7 @@ class SpectralCore:
 
     def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
         """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
-        xi = self.grid.xi
+        xi = self.xi
         return _without_nyquist(1j * xi ** 3 - mu * xi ** 2)
 
     def stage(self, t: float) -> Stage:
@@ -238,21 +239,21 @@ class SpectralCore:
         if t not in self._stages:
             jet = self.bg.jet(t, self.flux_grid.x)
             p = self.flux_grid.n // self.grid.n
-            psi = jet.psi[::p]
-            forcing = (jet.psi_t[::p] + jet.psi_xxx[::p]
-                       + self.nl.fp(psi) * jet.psi_x[::p])
+            tables = flux_tables(self.nl, jet.psi)
+            fp = (tables[1][::p] if self.nl.polynomial_degree()
+                  else self.nl.fp(jet.psi[::p]))
+            forcing = jet.psi_t[::p] + jet.psi_xxx[::p] + fp * jet.psi_x[::p]
             forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
             if len(self._stages) == 3:
                 del self._stages[next(iter(self._stages))]
-            self._stages[t] = Stage(jet.psi, self.nl.f(jet.psi),
-                                    _without_nyquist(forcing_hat))
+            self._stages[t] = Stage(tables, _without_nyquist(
+                forcing_hat[:self.grid.n // 2 + 1]))
         return self._stages[t]
 
     def flux_term(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
         """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectrum `spec`."""
         return self._derivative * flux_coefficients(
-            SpectralField(self.grid, spec), self.nl, stage.psi, stage.f_psi,
-            rule=self.dealias)
+            spec, self.nl, stage.tables, self.dealias)
 
     def n_hat(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
         """Spectrum of the nonlinear term for the spectrum `spec`."""
@@ -309,9 +310,10 @@ def rhs(u: PhysicalField, bg: Background, nl: AnalyticNonlinearity, t: float,
     forcing = residual_S(bg, nl, t, u.grid,
                          tail_threshold=max(tail_threshold, 1e-10))
     core = SpectralCore(u.grid, bg, nl)
-    coeffs = (core.linear_symbol(mu) * spec.coeffs
-              + core.flux_term(spec.coeffs, core.stage(t)))
-    values = inverse_transform(SpectralField(u.grid, coeffs)).values - forcing.values
+    half = spec.coeffs[:u.grid.n // 2 + 1]
+    coeffs = core.linear_symbol(mu) * half + core.flux_term(half, core.stage(t))
+    values = (inverse_transform(SpectralField.from_half(u.grid, coeffs)).values
+              - forcing.values)
     if not np.all(np.isfinite(values)):
         raise InstabilityError(-1, "non-finite right-hand side")
     return PhysicalField(u.grid, values)
@@ -330,15 +332,19 @@ def step(state: SimulationState, config: SolverConfig, bg: Background,
         core = SpectralCore(grid, bg, nl, config.dealias)
         core.check_background(state.t, config.tail_threshold)
     tail = tail_fraction_of_spectrum(grid, state.spectrum.coeffs)
-    if tail > config.tail_threshold:
+    if not tail <= config.tail_threshold:
         raise InstabilityError(state.step_index, (
             f"spectral tail {tail:.2e} exceeds threshold "
             f"{config.tail_threshold:.2e} at step {state.step_index}"))
-    coeffs = core.advance(state.spectrum.coeffs, state.t, config.dt,
-                          config.scheme, config.mu)
+    try:
+        coeffs = core.advance(state.spectrum.coeffs[:grid.n // 2 + 1],
+                              state.t, config.dt, config.scheme, config.mu)
+    except NonFiniteResultError as err:
+        raise InstabilityError(state.step_index + 1) from err
     if not np.all(np.isfinite(coeffs)):
         raise InstabilityError(state.step_index + 1)
-    new = SimulationState(state.t + config.dt, SpectralField(grid, coeffs),
+    new = SimulationState(state.t + config.dt,
+                          SpectralField.from_half(grid, coeffs),
                           state.step_index + 1)
     frac = boundary_mass_fraction(new.u, config.boundary_buffer)
     if frac > config.boundary_threshold:
@@ -427,7 +433,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     symbol = core.linear_symbol(mu)
     prop = np.array([np.exp(symbol * (g * h)) for g in range(n_nodes)])
     weight_table = [_prefix_weights(m, h)[:, None] for m in range(n_nodes)]
-    u0_hat = transform(u0).coeffs
+    u0_hat = transform(u0).coeffs[:grid.n // 2 + 1]
     # node times are fixed across sweeps: check and sample Psi once per node
     stages = []
     for m in range(n_nodes):
@@ -436,7 +442,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
 
     def duhamel_map(iterate: list[np.ndarray]) -> list[np.ndarray]:
         for spec in iterate:
-            require_resolved(SpectralField(grid, spec), 1e-6)
+            require_resolved(SpectralField.from_half(grid, spec), 1e-6)
         integrand = np.array([core.n_hat(spec, stage)
                               for spec, stage in zip(iterate, stages)])
         # node m sums w_l * W(t_m - t_l) N(t_l) over the nodes l <= m
@@ -444,8 +450,9 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
                 + np.sum(w * prop[m::-1] * integrand[:m + 1], axis=0)
                 for m, w in enumerate(weight_table)]
 
-    # sup-in-time H^(s-1) distance, by Parseval on the node spectra
-    weights = (1.0 + grid.xi ** 2) ** (s - 1.0)
+    # sup-in-time H^(s-1) distance by Parseval; interior bins count twice
+    weights = (1.0 + core.xi ** 2) ** (s - 1.0)
+    weights[1:-1] *= 2.0
 
     def sup_diff(a, b):
         mass = np.sum(weights * np.abs(np.asarray(a) - np.asarray(b)) ** 2,
@@ -470,7 +477,8 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         updates[i + 1] / updates[i] for i in range(len(updates) - 1)
         if updates[i] > 0
     )
-    fields = [inverse_transform(SpectralField(grid, c)) for c in iterate]
+    fields = [inverse_transform(SpectralField.from_half(grid, c))
+              for c in iterate]
     return (Trajectory(grid, 0.0, h, fields),
             PicardReport(len(updates), factors, updates[-1]))
 

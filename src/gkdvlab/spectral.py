@@ -11,15 +11,15 @@ in bin j, and the discrete Parseval identity reads
     ||u||_{L^2}^2 = dx * sum |u_m|^2 = 2L * sum_j |u_hat[j]|^2.
 
 The left end x_0 = -L contributes the phase exp(i*xi_j*L) = (-1)^j, which
-the transforms apply as the exact sign vector ``Grid.sign``, cached per
-grid.  The forward transform completes the real half spectrum by
+the transforms apply exactly: as ``Grid.sign``, cached per grid, or by
+negating odd bins.  The forward transform completes the real half spectrum by
 conjugation, so a real field's spectrum is exactly Hermitian; odd
 multipliers zero the unpaired Nyquist bin so that real fields stay real.
 
 All operators in this module are Fourier multipliers except the
 pseudoproduct and the nonlinear flux, which are genuinely bilinear or
-pointwise and are dealiased; polynomial fluxes run on the real half
-spectrum (rfft/irfft) of a zero-padded grid, see :func:`flux_grid`.
+pointwise and are dealiased; polynomial fluxes run in Taylor form on the
+real half spectrum (rfft/irfft) of a zero-padded grid, see :func:`flux_grid`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .nonlinearity import NonFiniteResultError
 
 __all__ = [
     "Grid",
@@ -54,6 +56,7 @@ __all__ = [
     "pseudoproduct",
     "nonlinear_flux",
     "flux_grid",
+    "flux_tables",
     "flux_coefficients",
     "require_resolved",
     "spectral_tail_fraction",
@@ -186,6 +189,12 @@ class SpectralField:
     def apply_multiplier(self, symbol: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * symbol)
 
+    @classmethod
+    def from_half(cls, grid: Grid, half: np.ndarray) -> "SpectralField":
+        """The real field's spectrum whose bins 0..n/2 are `half`, the
+        inverse of ``coeffs[:n // 2 + 1]``: the rest are their conjugates."""
+        return cls(grid, np.concatenate([half, np.conj(half[-2:0:-1])]))
+
 
 @dataclass
 class Trajectory:
@@ -224,20 +233,11 @@ class Trajectory:
 # ----------------------------------------------------------------------
 # transforms
 
-def _hermitian_fill(half: np.ndarray, n: int) -> np.ndarray:
-    """FFT-ordered spectrum of n bins from bins 0..n/2 of a real field's."""
-    m = n // 2 + 1
-    out = np.empty(n, dtype=complex)
-    out[:m] = half[:m]
-    np.conjugate(half[n - m:0:-1], out=out[m:])
-    return out
-
-
 def transform(f: PhysicalField) -> SpectralField:
     """Forward transform to plane-wave coefficients (exactly Hermitian)."""
-    coeffs = _hermitian_fill(np.fft.rfft(f.values, norm="forward"), f.grid.n)
-    coeffs *= f.grid.sign
-    return SpectralField(f.grid, coeffs)
+    half = np.fft.rfft(f.values, norm="forward")
+    half[1::2] *= -1.0                          # the phase (-1)^j of -L
+    return SpectralField.from_half(f.grid, half)
 
 
 def inverse_transform(F: SpectralField) -> PhysicalField:
@@ -407,9 +407,9 @@ def spectral_tail_fraction(f: PhysicalField) -> float:
 
 
 def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
-    """Raise UnresolvedFieldError if the tail fraction exceeds the threshold."""
+    """Raise UnresolvedFieldError unless tail fraction <= threshold (not NaN)."""
     tail = tail_fraction_of_spectrum(spec.grid, spec.coeffs)
-    if tail > tail_threshold:
+    if not tail <= tail_threshold:
         raise UnresolvedFieldError(f"spectral tail {tail:.2e} exceeds "
                                    f"threshold {tail_threshold:.2e}")
 
@@ -428,30 +428,43 @@ def flux_grid(grid: Grid, nl, rule: str = "auto") -> Grid:
     return Grid(grid.half_length, pad)
 
 
-def flux_coefficients(spec: SpectralField, nl, psi: np.ndarray,
-                      f_psi: np.ndarray | None = None,
-                      rule: str = "auto") -> np.ndarray:
-    """Spectral coefficients of the dealiased flux f(u+Psi) - f(Psi).
+def flux_tables(nl, psi: np.ndarray) -> list:
+    """What :func:`flux_coefficients` needs of Psi: Psi, then f(Psi) or,
+    for a polynomial f, its Taylor coefficients f^(k)(Psi)/k!, k >= 1."""
+    return ([psi, nl.f(psi)] if nl.polynomial_degree() is None
+            else [psi] + nl.taylor(psi))
 
-    `psi` samples Psi on ``flux_grid(spec.grid, nl, rule)``; `f_psi`, if
-    given, is nl.f(psi).  `spec` is read as a real field's spectrum, bins
-    0..n/2 only.  A padded flux drops the Nyquist bin on input and output;
-    an unpadded transcendental or "lowpass" one is cut at 2/3 of the band.
+
+def flux_coefficients(half: np.ndarray, nl, tables: list,
+                      rule: str = "auto") -> np.ndarray:
+    """Half spectrum of the dealiased flux f(u+Psi) - f(Psi).
+
+    `half` holds bins 0..n/2 of a real field's spectrum; `tables` are
+    ``flux_tables(nl, psi)`` for Psi sampled on ``flux_grid(grid, nl,
+    rule)``.  A polynomial flux is sum_k c_k u^k by Horner in u, free of
+    the cancellation in f(u+Psi) - f(Psi).  A padded flux drops the Nyquist
+    bin on input and output; an unpadded transcendental or "lowpass" one is
+    cut at 2/3 of the band.  A non-finite flux raises NonFiniteResultError.
     """
-    grid = spec.grid
-    big = flux_grid(grid, nl, rule)
-    m = grid.n // 2
-    keep = m if big.n > grid.n else m + 1
-    half = np.zeros(big.n // 2 + 1, dtype=complex)
-    half[:keep] = spec.coeffs[:keep] * grid.sign[:keep]
-    u_big = np.fft.irfft(half, big.n, norm="forward")
-    raw = nl.f(u_big + psi) - (nl.f(psi) if f_psi is None else f_psi)
-    out = _hermitian_fill(np.fft.rfft(raw, norm="forward"), grid.n)
-    out *= grid.sign
-    if big.n > grid.n:
+    m, n_big = len(half) - 1, len(tables[0])
+    signed = half[:m if n_big > 2 * m else m + 1].copy()
+    signed[1::2] *= -1.0
+    u = np.fft.irfft(signed, n_big, norm="forward")    # zero-padded
+    if nl.polynomial_degree() is None:
+        raw = nl.f(u + tables[0]) - tables[1]
+    else:
+        raw = u * tables[-1] if len(tables) > 1 else np.zeros_like(u)
+        for c in tables[-2:0:-1]:
+            raw += c
+            raw *= u
+    if not np.all(np.isfinite(raw)):
+        raise NonFiniteResultError("non-finite nonlinear flux")
+    out = np.fft.rfft(raw, norm="forward")[:m + 1]
+    out[1::2] *= -1.0
+    if n_big > 2 * m:
         out[m] = 0.0
     elif rule == "lowpass" or nl.polynomial_degree() is None:
-        out[np.abs(grid.xi) > 2.0 * grid.xi_max / 3.0] = 0.0
+        out[2 * m // 3 + 1:] = 0.0
     return out
 
 
@@ -468,8 +481,9 @@ def nonlinear_flux(u: PhysicalField, bg, nl, t: float,
     spec = transform(u)
     require_resolved(spec, tail_threshold)
     psi = bg.profile(t, flux_grid(u.grid, nl, rule).x)
-    return inverse_transform(
-        SpectralField(u.grid, flux_coefficients(spec, nl, psi, rule=rule)))
+    half = flux_coefficients(spec.coeffs[:u.grid.n // 2 + 1], nl,
+                             flux_tables(nl, psi), rule)
+    return inverse_transform(SpectralField.from_half(u.grid, half))
 
 
 # ----------------------------------------------------------------------

@@ -342,3 +342,17 @@ def test_tabulated_requires_static_header(tmp_path):
         fh.write("0.0 1.0\n1.0 2.0\n")
     with pytest.raises(ValueError):
         TabulatedBackground.from_file(str(path))
+
+
+def test_import_leaves_scipy_fitting_unloaded():
+    # scipy.interpolate and scipy.optimize are imported where a tabulated
+    # background or a cnoidal fit needs them, not by `import gkdvlab`
+    import subprocess
+    import sys
+
+    code = ("import sys, gkdvlab; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "[]"

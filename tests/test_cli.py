@@ -58,6 +58,14 @@ def test_config_round_trip_idempotent(tmp_path):
     assert again.solver.dt == 1e-3
 
 
+def test_config_with_retired_seed_parses():
+    # [output] seed was never read; configs that still carry it must load
+    text = BASE_CFG.replace("PLACEHOLDER", "out") + "seed = 7\n"
+    cfg = ScenarioConfig.parse(text)
+    assert cfg.output_directory == "out"
+    assert "seed" not in cfg.serialize()
+
+
 def test_config_rejects_unknown_variant():
     with pytest.raises(ConfigError):
         ScenarioConfig.parse("[background]\nvariant = wavelet\n")
@@ -141,6 +149,15 @@ kind = zero
 directory = OUT
 """
     text = text.replace("OUT", str(tmp_path / "bad"))
+    status = main(["run", "--config", write_cfg(tmp_path, text), "--quiet"])
+    assert status == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_run_overflow_exits_instability(tmp_path):
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    text = text.replace("amplitude = 0.5", "amplitude = 1e160")
+    text = text.replace("cadence = 10", "cadence = 10\ntail_threshold = 1.0")
     status = main(["run", "--config", write_cfg(tmp_path, text), "--quiet"])
     assert status == 3
 

@@ -127,3 +127,18 @@ def test_series_tail_proxy_satisfied_for_catalog():
         a_top = abs(nl.coeffs[-1])
         if a_top > 0:
             assert a_top ** (1.0 / nl.order) <= 0.1
+
+
+def test_taylor_coefficients_integer_exact():
+    # c_k(x) = f^(k)(x)/k! = sum_j C(j, k) a_j x^(j-k), exact on integers
+    from math import comb
+
+    coeffs = [1, -2, 3, 5, -1]
+    nl = AnalyticNonlinearity.polynomial(coeffs)
+    x = np.arange(-3.0, 4.0)
+    got = nl.taylor(x)
+    assert len(got) == 4
+    for k, c in enumerate(got, start=1):
+        want = [sum(comb(j, k) * a * int(v) ** (j - k)
+                    for j, a in enumerate(coeffs) if j >= k) for v in x]
+        assert np.array_equal(c, want)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gkdvlab.background import MKdVKink, ZeroBackground
+from gkdvlab.background import GardnerKink, MKdVKink, ZeroBackground
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.spectral import (
     Grid,
@@ -14,6 +14,9 @@ from gkdvlab.spectral import (
     dissipative_propagate,
     dyadic_band,
     dyadic_bump,
+    flux_coefficients,
+    flux_grid,
+    flux_tables,
     inverse_transform,
     l2_norm,
     lp_low_block,
@@ -21,6 +24,7 @@ from gkdvlab.spectral import (
     lp_project_below,
     nonlinear_flux,
     pseudoproduct,
+    require_resolved,
     riesz_potential,
     smooth_cutoff,
     smoothing_constant,
@@ -370,6 +374,15 @@ def test_flux_kink_expansion():
     assert np.max(np.abs(out.values - exact)) < 1e-10
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_non_finite_tail_is_unresolved(grid):
+    # an overflowed tail fraction is NaN, which no threshold may pass
+    spec = transform(PhysicalField(grid, 1e160 * np.cos(
+        grid.xi_max * 0.9 * grid.x)))
+    with pytest.raises(UnresolvedFieldError, match="nan"):
+        require_resolved(spec, 1.0)
+
+
 def test_flux_rejects_unresolved_field(grid):
     bg = ZeroBackground()
     nl = AnalyticNonlinearity.kdv()
@@ -390,6 +403,37 @@ def test_flux_transcendental_lowpass(grid):
     assert np.max(np.abs(spec[np.abs(grid.xi) > cutoff])) < 1e-15
     inner = np.sin(f.values)
     assert np.max(np.abs(out.values - inner)) < 1e-5
+
+
+@pytest.mark.parametrize("bg, nl", [
+    (MKdVKink(c=1.0), AnalyticNonlinearity.mkdv_defocusing()),
+    (GardnerKink(c=1.0, beta=1.0), AnalyticNonlinearity.gardner(1.0)),
+], ids=["mkdv_kink", "gardner_pedestal"])
+def test_flux_free_of_cancellation(bg, nl):
+    # at |u| ~ 1e-8 on an O(1) background, f(u+Psi) - f(Psi) formed as a
+    # difference keeps about eight digits; the oracle is that difference
+    # at 40 digits on the same padded samples of u and Psi
+    mpmath = pytest.importorskip("mpmath")
+    grid = Grid(50.0, 256)
+    m = grid.n // 2
+    u = PhysicalField.sample(grid, lambda x: 1e-8 * np.exp(-x ** 2))
+    half = transform(u).coeffs[:m + 1]
+    big = flux_grid(grid, nl)
+    psi = bg.profile(0.3, big.x)
+    got = flux_coefficients(half, nl, flux_tables(nl, psi))
+    padded = np.zeros(big.n // 2 + 1, dtype=complex)
+    padded[:m] = half[:m]
+    u_big = inverse_transform(SpectralField.from_half(big, padded)).values
+
+    def f(v):
+        return sum(mpmath.mpf(a) * v ** k for k, a in enumerate(nl.coeffs))
+
+    with mpmath.workdps(40):
+        exact = [float(f(mpmath.mpf(a) + mpmath.mpf(p)) - f(mpmath.mpf(p)))
+                 for a, p in zip(u_big, psi)]
+    want = transform(PhysicalField(big, np.array(exact))).coeffs[:m + 1]
+    want[m] = 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ----------------------------------------------------------------------
