@@ -22,11 +22,11 @@ from .nonlinearity import AnalyticNonlinearity
 from .spectral import (
     Grid,
     PhysicalField,
-    SpectralField,
     UnresolvedFieldError,
     bessel_potential,
     inverse_transform,
     l2_norm,
+    tail_fraction_of_spectrum,
     transform,
 )
 
@@ -474,10 +474,8 @@ def smooth_window(grid: Grid) -> np.ndarray:
 
 
 def _windowed_tail(values: np.ndarray, grid: Grid) -> float:
-    from .spectral import spectral_tail_fraction
-
     windowed = PhysicalField(grid, values * smooth_window(grid))
-    return spectral_tail_fraction(windowed)
+    return tail_fraction_of_spectrum(grid, transform(windowed).coeffs)
 
 
 def residual_S(bg: Background, nl: AnalyticNonlinearity, t: float,
@@ -558,8 +556,7 @@ def zhidkov_split(phi: PhysicalField):
     exp(-xi^2); the remainder carries the multiplier 1 - exp(-xi^2).  The
     two parts sum back to the input exactly.
     """
-    spec = transform(phi)
-    smooth_spec = SpectralField(phi.grid, spec.coeffs * np.exp(-phi.grid.xi ** 2))
-    psi0 = inverse_transform(smooth_spec)
+    psi0 = inverse_transform(
+        transform(phi).apply_multiplier(np.exp(-phi.grid.xi ** 2)))
     u0 = PhysicalField(phi.grid, phi.values - psi0.values)
     return psi0, u0

@@ -32,19 +32,24 @@ def write_snapshot(path: str, field: PhysicalField, t: float):
 
 
 def read_snapshot(path: str):
+    """The field and time stored at `path`; a malformed snapshot raises
+    ValueError naming the file."""
     meta = {}
     with open(path + _SIDECAR_SUFFIX) as fh:
         for line in fh:
             if "=" in line:
                 key, _, value = line.partition("=")
                 meta[key.strip()] = value.strip()
-    grid = Grid(float(meta["L"]), int(meta["n"]))
-    values = np.fromfile(path, dtype="<f8")
-    if values.size != grid.n:
-        raise ValueError(
-            f"snapshot {path} holds {values.size} samples, sidecar says {grid.n}"
-        )
-    return PhysicalField(grid, values), float(meta["t"])
+    try:
+        grid, t = Grid(float(meta["L"]), int(meta["n"])), float(meta["t"])
+        values = np.fromfile(path, dtype="<f8")
+        if values.size != grid.n:
+            raise ValueError(
+                f"holds {values.size} samples, sidecar says {grid.n}")
+        return PhysicalField(grid, values), t
+    except (KeyError, ValueError) as err:
+        what = f"sidecar has no {err} entry" if isinstance(err, KeyError) else err
+        raise ValueError(f"snapshot {path}: {what}") from None
 
 
 def write_trajectory(directory: str, traj: Trajectory, prefix: str = "snap"):
@@ -63,12 +68,14 @@ def write_trajectory(directory: str, traj: Trajectory, prefix: str = "snap"):
 
 
 def read_trajectory(directory: str) -> Trajectory:
+    """The trajectory stored in `directory`; malformed input raises
+    ValueError naming the manifest line or the snapshot at fault."""
     manifest = os.path.join(directory, "trajectory.txt")
     entries = []
     completed = True
     reason = None
     with open(manifest) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line.startswith("# completed"):
                 completed = line.split("=")[1].strip() == "True"
@@ -78,8 +85,12 @@ def read_trajectory(directory: str) -> Trajectory:
                 continue
             if not line or line.startswith("#"):
                 continue
-            idx, t, name = line.split()
-            entries.append((int(idx), float(t), name))
+            try:
+                idx, t, name = line.split()
+                entries.append((int(idx), float(t), name))
+            except ValueError:
+                raise ValueError(f"{manifest}, line {lineno}: expected "
+                                 f"'index time file', got {line!r}") from None
     entries.sort()
     fields, times = [], []
     for _, t, name in entries:
@@ -89,9 +100,10 @@ def read_trajectory(directory: str) -> Trajectory:
         fields.append(f)
         times.append(t)
     if len(fields) < 2:
-        raise ValueError("trajectory needs at least two snapshots")
+        raise ValueError(f"{manifest}: a trajectory needs at least two "
+                         f"snapshots, found {len(fields)}")
     dts = np.diff(times)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-15):
-        raise ValueError("trajectory sampling is not uniform")
+        raise ValueError(f"{manifest}: sampling is not uniform")
     return Trajectory(fields[0].grid, times[0], float(dts[0]), fields,
                       completed=completed, abort_reason=reason)

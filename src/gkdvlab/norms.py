@@ -60,7 +60,7 @@ __all__ = [
 def sobolev_norm(f: PhysicalField, s: float) -> float:
     """H^s norm via the Bessel multiplier and discrete Parseval."""
     coeffs = transform(f).coeffs
-    weights = (1.0 + f.grid.xi ** 2) ** s
+    weights = (1.0 + f.grid.xi ** 2) ** s * f.grid.multiplicity
     return float(np.sqrt(2.0 * f.grid.half_length *
                          np.sum(weights * np.abs(coeffs) ** 2)))
 
@@ -142,12 +142,13 @@ def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
     Weights each space-time Fourier coefficient by
     (1 + |tau - xi^3|)^(2b) <xi>^(2s); b = 0 collapses to the L^2_t H^s
     norm of the stored window.  The temporal lattice must reach beyond
-    max |xi|^3 for b > 0 to be meaningful.
+    max |xi|^3 for b > 0 to be meaningful.  Each interior spatial bin
+    stands for +-xi, whose weights agree under (tau, xi) -> (-tau, -xi).
     """
     _check_decaying_ends(traj)
-    coeffs, taus, xis = trajectory_transform(traj)
-    modulation = 1.0 + np.abs(taus[:, None] - xis[None, :] ** 3)
-    spatial = (1.0 + xis ** 2) ** s
+    coeffs, _, xis = trajectory_transform(traj)
+    modulation = 1.0 + np.abs(_modulation(traj))
+    spatial = (1.0 + xis ** 2) ** s * traj.grid.multiplicity
     window = traj.dt * len(traj)
     mass = np.sum(modulation ** (2.0 * b) * spatial[None, :] *
                   np.abs(coeffs) ** 2)
@@ -173,24 +174,21 @@ def trajectory_l2_linf(traj: Trajectory) -> float:
 # ----------------------------------------------------------------------
 # modulation projectors
 
+def _modulation(traj: Trajectory) -> np.ndarray:
+    """tau - xi^3 on the space-time lattice of :func:`trajectory_transform`."""
+    taus = 2.0 * np.pi * np.fft.fftfreq(len(traj), d=traj.dt)
+    return taus[:, None] - traj.grid.xi[None, :] ** 3
+
+
 def modulation_band(traj: Trajectory) -> np.ndarray:
     """Nonhomogeneous dyadic blocks 1, 2, 4, ... covering the lattice."""
-    _, taus, xis = trajectory_transform_shapes(traj)
-    m_max = np.max(np.abs(taus[:, None] - xis[None, :] ** 3))
+    m_max = np.max(np.abs(_modulation(traj)))
     l_hi = max(int(np.ceil(np.log2(max(m_max, 2.0)))), 1)
     return 2.0 ** np.arange(0, l_hi + 1)
 
 
-def trajectory_transform_shapes(traj: Trajectory):
-    nt = len(traj)
-    taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj.dt)
-    xis = traj.grid.xi
-    return nt, taus, xis
-
-
 def _modulation_symbol(traj: Trajectory, L: float) -> np.ndarray:
-    _, taus, xis = trajectory_transform_shapes(traj)
-    m = taus[:, None] - xis[None, :] ** 3
+    m = _modulation(traj)
     if L == 1.0:
         return smooth_cutoff(m)
     return dyadic_bump(m / L)
@@ -279,7 +277,6 @@ def resonance(frequencies, factorized: bool = False):
 class ResonanceCheck(NamedTuple):
     magnitude: float
     scale: float
-    vanishing_threshold: float
     vanishing_expected: bool
     n_terms: int
 
@@ -324,7 +321,8 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
     of their product (the first pair weighted by chi) as an exact lattice
     convolution, for any k >= 3.  Support arithmetic makes the integral
     vanish identically whenever every achievable resonance level exceeds
-    the combined modulation budget.
+    the combined modulation budget: then no k-tuple of support points sums
+    to zero in space and time, which `vanishing_expected` reports.
 
     Each block is tabulated once on its nonzero support.  The block with
     the largest support (lowest index on ties) is gathered from a sorted
@@ -374,6 +372,7 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
 
     total = 0.0 + 0.0j
     abs_total = 0.0
+    closed = 0
     chunk = max(1, int(2e6 // sizes[col]))
     for start in range(0, n_rows, chunk):
         row_idx = np.unravel_index(
@@ -383,6 +382,7 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
         pos = np.minimum(np.searchsorted(table_keys, target),
                          table_keys.size - 1)
         r, c = np.nonzero(table_keys[pos] == target)
+        closed += r.size
         picked = {col: c, **{i: ix[r] for i, ix in zip(rows, row_idx)}}
         term = table_vals[pos[r, c]]
         for i in free:
@@ -401,12 +401,10 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
         block_norms = [float(np.sqrt(np.sum(np.abs(v) ** 2))) for v in vals]
         scale = float(np.prod(block_norms)) * measure
 
-    vanishing_threshold = Ns[0] * Ns[1] * Ns[2] / (2.0 ** 9 * k_factors)
     return ResonanceCheck(
         magnitude=magnitude,
         scale=scale,
-        vanishing_threshold=vanishing_threshold,
-        vanishing_expected=max(Ls) < vanishing_threshold,
+        vanishing_expected=closed == 0,
         n_terms=n_rows * sizes[col],
     )
 
@@ -424,10 +422,6 @@ class StrichartzCertificate(NamedTuple):
         if denom == 0.0:
             return 0.0
         return self.lhs / denom
-
-
-def _bessel_applied(f: PhysicalField, s: float) -> PhysicalField:
-    return inverse_transform(bessel_potential(transform(f), s))
 
 
 def strichartz_certificate(traj: Trajectory, forcing: Trajectory,
@@ -474,7 +468,7 @@ def strichartz_certificate(traj: Trajectory, forcing: Trajectory,
     s_state = -(1.0 - delta) / 4.0 + theta
     s_forcing = -(1.0 + 3.0 * delta) / 4.0 + theta
     rhs_state = T ** kappa * max(
-        l2_norm(_bessel_applied(f, s_state)) for f in traj.fields)
+        sobolev_norm(f, s_state) for f in traj.fields)
     rhs_forcing = T ** kappa * float(np.sqrt(traj.dt * np.sum(
-        [l2_norm(_bessel_applied(f, s_forcing)) ** 2 for f in forcing.fields])))
+        [sobolev_norm(f, s_forcing) ** 2 for f in forcing.fields])))
     return StrichartzCertificate(float(lhs), float(rhs_state), float(rhs_forcing))

@@ -14,7 +14,7 @@ formulas, which lose up to ten digits to cancellation near the origin
 
 Every path through the equation (`evolve` and `step`, `rhs`, the Picard
 construction, signed-`dt` integration) evaluates its nonlinear term in one
-:class:`SpectralCore` on the real half spectrum, bins 0..n/2.  It computes
+:class:`SpectralCore` on the spectrum ``SpectralField.coeffs``.  It computes
 run constants once and stage-time data once per time: one background jet
 on the flux grid gives the flux tables (Taylor coefficients f^(k)(Psi)/k!
 of a polynomial f) and, through its samples x_big[::p] = x, the forcing.
@@ -205,17 +205,16 @@ def _without_nyquist(symbol: np.ndarray) -> np.ndarray:
 class SpectralCore:
     """Nonlinear term -d/dx(f(u+Psi) - f(Psi)) - S of one (grid, bg, nl, dealias).
 
-    Spectra are half spectra: bins 0..n/2 of ``SpectralField.coeffs``.
-    Stage data are kept for the last three stage times: the distinct times
-    of a step, the last of which opens the next step.
+    Spectra are ``SpectralField.coeffs`` arrays, bins 0..n/2.  Stage data
+    are kept for the last three stage times: the distinct times of a step,
+    the last of which opens the next step.
     """
 
     def __init__(self, grid: Grid, bg: Background, nl: AnalyticNonlinearity,
                  dealias: str = "auto"):
         self.grid, self.bg, self.nl, self.dealias = grid, bg, nl, dealias
         self.flux_grid = flux_grid(grid, nl, dealias)
-        self.xi = grid.xi[:grid.n // 2 + 1]
-        self._derivative = _without_nyquist(-1j * self.xi)
+        self._derivative = _without_nyquist(-1j * grid.xi)
         self._stages: dict[float, Stage] = {}
         self._tables: dict[tuple, tuple] = {}
 
@@ -231,7 +230,7 @@ class SpectralCore:
 
     def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
         """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
-        xi = self.xi
+        xi = self.grid.xi
         return _without_nyquist(1j * xi ** 3 - mu * xi ** 2)
 
     def stage(self, t: float) -> Stage:
@@ -246,14 +245,17 @@ class SpectralCore:
             forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
             if len(self._stages) == 3:
                 del self._stages[next(iter(self._stages))]
-            self._stages[t] = Stage(tables, _without_nyquist(
-                forcing_hat[:self.grid.n // 2 + 1]))
+            self._stages[t] = Stage(tables, _without_nyquist(forcing_hat))
         return self._stages[t]
 
     def flux_term(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
-        """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectrum `spec`."""
-        return self._derivative * flux_coefficients(
-            spec, self.nl, stage.tables, self.dealias)
+        """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectrum `spec`;
+        a non-finite flux is an InstabilityError."""
+        try:
+            return self._derivative * flux_coefficients(
+                spec, self.nl, stage.tables, self.dealias)
+        except NonFiniteResultError as err:
+            raise InstabilityError(-1, "non-finite nonlinear flux") from err
 
     def n_hat(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
         """Spectrum of the nonlinear term for the spectrum `spec`."""
@@ -310,13 +312,12 @@ def rhs(u: PhysicalField, bg: Background, nl: AnalyticNonlinearity, t: float,
     forcing = residual_S(bg, nl, t, u.grid,
                          tail_threshold=max(tail_threshold, 1e-10))
     core = SpectralCore(u.grid, bg, nl)
-    half = spec.coeffs[:u.grid.n // 2 + 1]
-    coeffs = core.linear_symbol(mu) * half + core.flux_term(half, core.stage(t))
-    values = (inverse_transform(SpectralField.from_half(u.grid, coeffs)).values
-              - forcing.values)
-    if not np.all(np.isfinite(values)):
+    coeffs = (core.linear_symbol(mu) * spec.coeffs
+              + core.flux_term(spec.coeffs, core.stage(t)))
+    if not np.all(np.isfinite(coeffs)):
         raise InstabilityError(-1, "non-finite right-hand side")
-    return PhysicalField(u.grid, values)
+    return PhysicalField(u.grid, inverse_transform(
+        SpectralField(u.grid, coeffs)).values - forcing.values)
 
 
 def step(state: SimulationState, config: SolverConfig, bg: Background,
@@ -337,14 +338,13 @@ def step(state: SimulationState, config: SolverConfig, bg: Background,
             f"spectral tail {tail:.2e} exceeds threshold "
             f"{config.tail_threshold:.2e} at step {state.step_index}"))
     try:
-        coeffs = core.advance(state.spectrum.coeffs[:grid.n // 2 + 1],
-                              state.t, config.dt, config.scheme, config.mu)
-    except NonFiniteResultError as err:
+        coeffs = core.advance(state.spectrum.coeffs, state.t, config.dt,
+                              config.scheme, config.mu)
+    except InstabilityError as err:
         raise InstabilityError(state.step_index + 1) from err
     if not np.all(np.isfinite(coeffs)):
         raise InstabilityError(state.step_index + 1)
-    new = SimulationState(state.t + config.dt,
-                          SpectralField.from_half(grid, coeffs),
+    new = SimulationState(state.t + config.dt, SpectralField(grid, coeffs),
                           state.step_index + 1)
     frac = boundary_mass_fraction(new.u, config.boundary_buffer)
     if frac > config.boundary_threshold:
@@ -433,7 +433,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     symbol = core.linear_symbol(mu)
     prop = np.array([np.exp(symbol * (g * h)) for g in range(n_nodes)])
     weight_table = [_prefix_weights(m, h)[:, None] for m in range(n_nodes)]
-    u0_hat = transform(u0).coeffs[:grid.n // 2 + 1]
+    u0_hat = transform(u0).coeffs
     # node times are fixed across sweeps: check and sample Psi once per node
     stages = []
     for m in range(n_nodes):
@@ -442,7 +442,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
 
     def duhamel_map(iterate: list[np.ndarray]) -> list[np.ndarray]:
         for spec in iterate:
-            require_resolved(SpectralField.from_half(grid, spec), 1e-6)
+            require_resolved(SpectralField(grid, spec), 1e-6)
         integrand = np.array([core.n_hat(spec, stage)
                               for spec, stage in zip(iterate, stages)])
         # node m sums w_l * W(t_m - t_l) N(t_l) over the nodes l <= m
@@ -451,8 +451,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
                 for m, w in enumerate(weight_table)]
 
     # sup-in-time H^(s-1) distance by Parseval; interior bins count twice
-    weights = (1.0 + core.xi ** 2) ** (s - 1.0)
-    weights[1:-1] *= 2.0
+    weights = (1.0 + grid.xi ** 2) ** (s - 1.0) * grid.multiplicity
 
     def sup_diff(a, b):
         mass = np.sum(weights * np.abs(np.asarray(a) - np.asarray(b)) ** 2,
@@ -477,8 +476,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         updates[i + 1] / updates[i] for i in range(len(updates) - 1)
         if updates[i] > 0
     )
-    fields = [inverse_transform(SpectralField.from_half(grid, c))
-              for c in iterate]
+    fields = [inverse_transform(SpectralField(grid, c)) for c in iterate]
     return (Trajectory(grid, 0.0, h, fields),
             PicardReport(len(updates), factors, updates[-1]))
 

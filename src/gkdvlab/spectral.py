@@ -6,20 +6,20 @@ The domain is the symmetric interval [-L, L) sampled at n equispaced points
     u(x) = sum_j  u_hat[j] * exp(i * xi_j * x),      xi_j = pi * j / L,
 
 so a unit-amplitude plane wave exp(i*xi_j*x) carries coefficient exactly 1
-in bin j, and the discrete Parseval identity reads
+in bin j.  Fields are real, so u_hat[-j] = conj(u_hat[j]), and a spectrum
+holds only the bins j = 0..n/2 of ``numpy.fft.rfft``.  Parseval counts the
+interior bins, which stand for +-j, twice (``Grid.multiplicity``):
 
-    ||u||_{L^2}^2 = dx * sum |u_m|^2 = 2L * sum_j |u_hat[j]|^2.
+    ||u||_{L^2}^2 = dx * sum |u_m|^2 = 2L * sum_j mult_j |u_hat[j]|^2.
 
 The left end x_0 = -L contributes the phase exp(i*xi_j*L) = (-1)^j, which
-the transforms apply exactly: as ``Grid.sign``, cached per grid, or by
-negating odd bins.  The forward transform completes the real half spectrum by
-conjugation, so a real field's spectrum is exactly Hermitian; odd
-multipliers zero the unpaired Nyquist bin so that real fields stay real.
+the transforms apply exactly by negating the odd bins.  Only the real part
+of the Nyquist bin, which stands for both modes +-n/2, reaches a field.
 
 All operators in this module are Fourier multipliers except the
 pseudoproduct and the nonlinear flux, which are genuinely bilinear or
-pointwise and are dealiased; polynomial fluxes run in Taylor form on the
-real half spectrum (rfft/irfft) of a zero-padded grid, see :func:`flux_grid`.
+pointwise and are dealiased; polynomial fluxes run in Taylor form on a
+zero-padded grid, see :func:`flux_grid`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "flux_tables",
     "flux_coefficients",
     "require_resolved",
-    "spectral_tail_fraction",
     "tail_fraction_of_spectrum",
     "trajectory_transform",
     "trajectory_from_spacetime",
@@ -97,19 +96,18 @@ class Grid:
 
     @cached_property
     def xi(self) -> np.ndarray:
-        """Wavenumbers pi*j/L in FFT (wrap-around) ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+        """Wavenumbers pi*j/L of the bins j = 0..n/2.  The Nyquist bin
+        also stands for -xi_max: even symbols agree there, odd ones zero it
+        where realness matters, and a field sees only its real part."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
 
     @cached_property
-    def mode_index(self) -> np.ndarray:
-        """Signed integer mode index j in FFT ordering."""
-        return np.rint(self.xi * self.half_length / np.pi).astype(int)
-
-    @cached_property
-    def sign(self) -> np.ndarray:
-        """(-1)^j in FFT ordering: exactly the phase exp(i*xi_j*L) of -L."""
-        # mode j at FFT index k is k or k - n, and n is even
-        return np.where(np.arange(self.n) % 2, -1.0, 1.0)
+    def multiplicity(self) -> np.ndarray:
+        """Modes per bin in a Parseval sum: 1 for bins 0 and n/2, 2 for the
+        interior bins, which stand for +-j."""
+        mult = np.full_like(self.xi, 2.0)
+        mult[0] = mult[-1] = 1.0
+        return mult
 
     @property
     def xi_max(self) -> float:
@@ -164,36 +162,29 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex plane-wave coefficients per wavenumber bin (FFT ordering)."""
+    """Plane-wave coefficients of a real field, bins 0..n/2 (``Grid.xi``)."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.grid.n,):
+        if c.shape != self.grid.xi.shape:
             raise SizeMismatchError(
-                f"coefficient shape {c.shape} does not match grid size {self.grid.n}"
-            )
+                f"coefficient shape {c.shape} does not match grid size "
+                f"{self.grid.n}, which has {self.grid.xi.size} bins")
         object.__setattr__(self, "coeffs", c)
 
     def hermitian_defect(self) -> float:
-        """Max deviation from u_hat(-xi) == conj(u_hat(xi)), relative."""
+        """Largest imaginary part of bins 0 and n/2, which are their own
+        conjugate partners in a real field's spectrum, relative."""
         c = self.coeffs
-        n = self.grid.n
-        idx = (-np.arange(n)) % n
-        defect = np.max(np.abs(c[idx] - np.conj(c)))
+        defect = max(abs(c[0].imag), abs(c[-1].imag))
         scale = max(np.max(np.abs(c)), 1e-300)
         return float(defect / scale)
 
     def apply_multiplier(self, symbol: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * symbol)
-
-    @classmethod
-    def from_half(cls, grid: Grid, half: np.ndarray) -> "SpectralField":
-        """The real field's spectrum whose bins 0..n/2 are `half`, the
-        inverse of ``coeffs[:n // 2 + 1]``: the rest are their conjugates."""
-        return cls(grid, np.concatenate([half, np.conj(half[-2:0:-1])]))
 
 
 @dataclass
@@ -233,17 +224,23 @@ class Trajectory:
 # ----------------------------------------------------------------------
 # transforms
 
+def _left_end_phase(c: np.ndarray) -> np.ndarray:
+    """Multiply bin j of the last axis by (-1)^j, the phase of -L, in place."""
+    c[..., 1::2] *= -1.0
+    return c
+
+
 def transform(f: PhysicalField) -> SpectralField:
-    """Forward transform to plane-wave coefficients (exactly Hermitian)."""
-    half = np.fft.rfft(f.values, norm="forward")
-    half[1::2] *= -1.0                          # the phase (-1)^j of -L
-    return SpectralField.from_half(f.grid, half)
+    """Forward transform to the plane-wave coefficients of bins 0..n/2."""
+    return SpectralField(f.grid, _left_end_phase(
+        np.fft.rfft(f.values, norm="forward")))
 
 
 def inverse_transform(F: SpectralField) -> PhysicalField:
-    """Inverse of :func:`transform`; imaginary residue is discarded."""
-    vals = np.fft.ifft(F.coeffs * F.grid.sign, norm="forward")
-    return PhysicalField(F.grid, vals.real)
+    """Inverse of :func:`transform`; the imaginary parts of bins 0 and
+    n/2 are discarded."""
+    return PhysicalField(F.grid, np.fft.irfft(
+        _left_end_phase(F.coeffs.copy()), F.grid.n, norm="forward"))
 
 
 def l2_norm(f: PhysicalField) -> float:
@@ -256,15 +253,14 @@ def l2_norm(f: PhysicalField) -> float:
 def spatial_derivative(F: SpectralField, order: int) -> SpectralField:
     """d^k/dx^k as the multiplier (i*xi)^k, k in {1,2,3}.
 
-    The Nyquist bin of odd derivatives is zeroed; it has no conjugate
-    partner on an even grid so keeping it breaks realness.
+    The Nyquist bin of odd derivatives is zeroed: it stands for both
+    modes +-n/2, whose odd symbols differ, so keeping it breaks realness.
     """
     if order not in (1, 2, 3):
         raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     symbol = (1j * F.grid.xi) ** order
     if order % 2 == 1:
-        symbol = symbol.copy()
-        symbol[F.grid.n // 2] = 0.0
+        symbol[-1] = 0.0
     return F.apply_multiplier(symbol)
 
 
@@ -276,7 +272,7 @@ def bessel_potential(F: SpectralField, s: float) -> SpectralField:
 def riesz_potential(F: SpectralField, s: float) -> SpectralField:
     """Multiplier |xi|^s; the zero mode is annihilated for every s."""
     xi = F.grid.xi
-    symbol = np.zeros(F.grid.n)
+    symbol = np.zeros_like(xi)
     nz = xi != 0
     symbol[nz] = np.abs(xi[nz]) ** s
     return F.apply_multiplier(symbol)
@@ -308,11 +304,12 @@ def dyadic_band(grid: Grid) -> np.ndarray:
     The band runs from the smallest power of two at or above the
     fundamental wavenumber pi/L up to the smallest one at or above the
     Nyquist wavenumber, so that the blocks plus one residual low block
-    partition unity exactly on every grid frequency.
+    partition unity exactly on every grid frequency.  A one-point grid,
+    whose only frequency is 0, gets the lowest block alone.
     """
     xi_min = np.pi / grid.half_length
     l_lo = int(np.ceil(np.log2(xi_min) - 1e-12))
-    l_hi = int(np.ceil(np.log2(grid.xi_max) - 1e-12))
+    l_hi = int(np.ceil(np.log2(max(grid.xi_max, xi_min)) - 1e-12))
     return 2.0 ** np.arange(l_lo, l_hi + 1)
 
 
@@ -374,36 +371,38 @@ def pseudoproduct(f: SpectralField, g: SpectralField, chi=None) -> SpectralField
 
     Output bin xi holds sum_{xi1} f_hat(xi1) g_hat(xi - xi1) chi(xi, xi1),
     the plane-wave coefficient convolution of the defining integral.  The
-    sum runs over true (unwrapped) frequencies, so the result is free of
-    aliasing; contributions beyond the grid band are dropped.  With
-    chi identically 1 this is the dealiased pointwise product f*g.
+    sum runs over the true (unwrapped) modes -n/2..n/2-1, so the result is
+    free of aliasing; contributions beyond the grid band are dropped.  The
+    Nyquist bin is computed as the mode -n/2.  With chi identically 1 this
+    is the dealiased pointwise product f*g.
     """
     if f.grid != g.grid:
         raise SizeMismatchError("pseudoproduct factors live on different grids")
     grid = f.grid
-    j = grid.mode_index
-    diff = j[:, None] - j[None, :]              # mode of g_hat(xi - xi1)
-    inside = (diff >= -(grid.n // 2)) & (diff < grid.n // 2)
-    terms = np.where(inside, g.coeffs[diff % grid.n], 0.0)
+    h = grid.n // 2
+    modes = np.arange(-h, grid.n - h)           # xi1
+    out = np.append(np.arange(h), -h)           # xi, one per bin
+
+    def signed(c, m):
+        # a real field's coefficient of mode m: a negative one is conjugate
+        v = c[np.minimum(np.abs(m), h)]
+        return np.where(m < 0, np.conj(v), v)
+
+    diff = out[:, None] - modes[None, :]        # mode of g_hat(xi - xi1)
+    terms = np.where((diff >= -h) & (diff < h), signed(g.coeffs, diff), 0.0)
     if chi is not None:
-        xi = np.pi * j / grid.half_length
-        terms = terms * chi(xi[:, None], xi[None, :])
-    return SpectralField(grid, terms @ f.coeffs)
+        terms = terms * chi(np.pi * out[:, None] / grid.half_length,
+                            np.pi * modes[None, :] / grid.half_length)
+    return SpectralField(grid, terms @ signed(f.coeffs, modes))
 
 
 def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray,
                               floor: float = 1e-20) -> float:
     # fields below amplitude ~sqrt(floor) are roundoff noise and count as
     # resolved; a genuine resolution breach happens at O(1) amplitudes
-    j = np.abs(grid.mode_index)
-    total = np.sum(np.abs(coeffs) ** 2)
-    tail = np.sum(np.abs(coeffs[j >= (3 * (grid.n // 2)) // 4]) ** 2)
-    return float(np.sqrt(tail / max(total, floor)))
-
-
-def spectral_tail_fraction(f: PhysicalField) -> float:
-    """Fraction of spectral l2 mass in the top quarter of the band."""
-    return tail_fraction_of_spectrum(f.grid, transform(f).coeffs)
+    mass = grid.multiplicity * np.abs(coeffs) ** 2
+    tail = np.sum(mass[(3 * (grid.n // 2)) // 4:])
+    return float(np.sqrt(tail / max(np.sum(mass), floor)))
 
 
 def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
@@ -447,9 +446,8 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
     cut at 2/3 of the band.  A non-finite flux raises NonFiniteResultError.
     """
     m, n_big = len(half) - 1, len(tables[0])
-    signed = half[:m if n_big > 2 * m else m + 1].copy()
-    signed[1::2] *= -1.0
-    u = np.fft.irfft(signed, n_big, norm="forward")    # zero-padded
+    kept = half[:m if n_big > 2 * m else m + 1].copy()
+    u = np.fft.irfft(_left_end_phase(kept), n_big, norm="forward")  # padded
     if nl.polynomial_degree() is None:
         raw = nl.f(u + tables[0]) - tables[1]
     else:
@@ -459,8 +457,7 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
             raw *= u
     if not np.all(np.isfinite(raw)):
         raise NonFiniteResultError("non-finite nonlinear flux")
-    out = np.fft.rfft(raw, norm="forward")[:m + 1]
-    out[1::2] *= -1.0
+    out = _left_end_phase(np.fft.rfft(raw, norm="forward")[:m + 1])
     if n_big > 2 * m:
         out[m] = 0.0
     elif rule == "lowpass" or nl.polynomial_degree() is None:
@@ -481,9 +478,8 @@ def nonlinear_flux(u: PhysicalField, bg, nl, t: float,
     spec = transform(u)
     require_resolved(spec, tail_threshold)
     psi = bg.profile(t, flux_grid(u.grid, nl, rule).x)
-    half = flux_coefficients(spec.coeffs[:u.grid.n // 2 + 1], nl,
-                             flux_tables(nl, psi), rule)
-    return inverse_transform(SpectralField.from_half(u.grid, half))
+    half = flux_coefficients(spec.coeffs, nl, flux_tables(nl, psi), rule)
+    return inverse_transform(SpectralField(u.grid, half))
 
 
 # ----------------------------------------------------------------------
@@ -494,24 +490,23 @@ def trajectory_transform(traj: Trajectory):
 
     The stored window is treated as one temporal period of length
     W = dt * n_times.  Returns (coeffs, taus, xis) with coeffs indexed
-    as [temporal bin, spatial bin] in FFT ordering on both axes.
+    as [temporal bin, spatial bin]: FFT ordering in time and the half
+    spectrum, bins 0..n/2, in space.
     """
     mat = traj.values_matrix()
     nt, nx = mat.shape
     taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj.dt)
-    xis = traj.grid.xi
-    coeffs = np.fft.fft2(mat) / (nt * nx)
-    phase_t = np.exp(-1j * taus * traj.t0)
-    coeffs *= phase_t[:, None] * traj.grid.sign[None, :]
-    return coeffs, taus, xis
+    coeffs = _left_end_phase(np.fft.rfft2(mat) / (nt * nx))
+    coeffs *= np.exp(-1j * taus * traj.t0)[:, None]
+    return coeffs, taus, traj.grid.xi
 
 
 def trajectory_from_spacetime(coeffs: np.ndarray, traj_like: Trajectory) -> Trajectory:
     """Inverse of :func:`trajectory_transform` onto the same lattice."""
-    nt, nx = coeffs.shape
+    nt, nx = coeffs.shape[0], traj_like.grid.n
     taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj_like.dt)
-    phase_t = np.exp(-1j * taus * traj_like.t0)
-    mat = np.fft.ifft2(coeffs / (phase_t[:, None] * traj_like.grid.sign[None, :])
-                       * (nt * nx))
-    fields = [PhysicalField(traj_like.grid, row.real) for row in mat]
+    mat = np.fft.irfft2(_left_end_phase(
+        coeffs / np.exp(-1j * taus * traj_like.t0)[:, None] * (nt * nx)),
+        s=(nt, nx))
+    fields = [PhysicalField(traj_like.grid, row) for row in mat]
     return Trajectory(traj_like.grid, traj_like.t0, traj_like.dt, fields)

@@ -7,8 +7,9 @@ import pytest
 from gkdvlab import cli
 from gkdvlab.cli import main
 from gkdvlab.config import ConfigError, ScenarioConfig
-from gkdvlab.fieldio import read_snapshot, read_trajectory, write_snapshot
-from gkdvlab.spectral import Grid, PhysicalField
+from gkdvlab.fieldio import (read_snapshot, read_trajectory, write_snapshot,
+                             write_trajectory)
+from gkdvlab.spectral import Grid, PhysicalField, Trajectory
 
 
 BASE_CFG = """
@@ -253,6 +254,80 @@ def test_norms_output_file_is_closed(tmp_path, monkeypatch, capsys):
     assert main(args + ["-"]) == 0
     assert len(opened) == 1 and not sys.stdout.closed
     assert capsys.readouterr().out.startswith("name,s,b,value")
+
+
+# ----------------------------------------------------------------------
+# malformed stored trajectories: exit 2 with one stderr line
+
+
+def _edit(path, old, new):
+    with open(path) as fh:
+        text = fh.read()
+    assert old in text
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+
+
+def _truncate(d):
+    with open(os.path.join(d, "snap_000001.f64"), "r+b") as fh:
+        fh.truncate(100)
+
+
+def _nan_sample(d):
+    path = os.path.join(d, "snap_000001.f64")
+    values = np.fromfile(path, dtype="<f8")
+    values[7] = np.nan
+    values.astype("<f8").tofile(path)
+
+
+def _non_uniform(d):
+    _edit(os.path.join(d, "trajectory.txt"), "2 0.2 ", "2 0.25 ")
+    _edit(os.path.join(d, "snap_000002.f64.meta"), "t = 0.2", "t = 0.25")
+
+
+MALFORMED = {
+    "truncated_f64": (_truncate, "holds 12 samples, sidecar says 64"),
+    "missing_sidecar": (
+        lambda d: os.remove(os.path.join(d, "snap_000001.f64.meta")),
+        "snap_000001.f64.meta"),
+    "empty_manifest": (
+        lambda d: open(os.path.join(d, "trajectory.txt"), "w").close(),
+        "trajectory.txt: a trajectory needs at least two snapshots, found 0"),
+    "non_uniform": (_non_uniform, "trajectory.txt: sampling is not uniform"),
+    "time_mismatch": (
+        lambda d: _edit(os.path.join(d, "trajectory.txt"), "1 0.1 ", "1 0.15 "),
+        "disagree on time for snap_000001.f64"),
+    "n_not_power_of_two": (
+        lambda d: _edit(os.path.join(d, "snap_000000.f64.meta"), "n = 64",
+                        "n = 48"),
+        "snap_000000.f64: grid size must be a power of two, got 48"),
+    "nan_samples": (_nan_sample,
+                    "snap_000001.f64: field contains non-finite samples"),
+    "garbage_line": (
+        lambda d: _edit(os.path.join(d, "trajectory.txt"), "1 0.1 ",
+                        "garbage\n1 0.1 "),
+        "trajectory.txt, line 4: expected 'index time file', got 'garbage'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_norms_malformed_trajectory_exits_2(tmp_path, capsys, case):
+    grid = Grid(20.0, 64)
+    # zero at both window ends, so the norms need no extension
+    fields = [PhysicalField.sample(grid, lambda x: k * (2 - k) * np.exp(-x ** 2))
+              for k in range(3)]
+    directory = str(tmp_path / "traj")
+    write_trajectory(directory, Trajectory(grid, 0.0, 0.1, fields))
+    args = ["norms", "--trajectory", directory, "--output",
+            str(tmp_path / "norms.csv")]
+    assert main(args) == 0
+    capsys.readouterr()
+    damage, message = MALFORMED[case]
+    damage(directory)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: ") and message in err
 
 
 def test_study_temporal(tmp_path):

@@ -413,7 +413,7 @@ def test_resonance_matches_brute_force(Ns, Ls, D, W, chi):
 
 @pytest.mark.parametrize("Ns, Ls, expected", [
     ([16, 16, 8], [1, 1, 1], True),
-    ([16, 16, 8, 1], [1, 1, 1, 1], False),
+    ([16, 16, 8, 1], [1, 1, 1, 1], True),
     ([16, 16, 16, 1, 1], [1, 1, 1, 1, 1], True),
 ])
 def test_resonance_vanishing_is_exact_zero(Ns, Ls, expected):
@@ -425,6 +425,23 @@ def test_resonance_vanishing_is_exact_zero(Ns, Ls, expected):
         assert chk.vanishing_expected == expected
     if len(Ns) < 5:
         assert brute_force_resonance(Ns, Ls, **kw)[0] == 0.0
+
+
+def test_resonance_flag_reads_every_block():
+    # with sum xi = 0 the four-factor resonance is 3s(xi1 xi2 - xi3 xi4),
+    # s = xi3 + xi4, and |xi1 xi2| >= 64 > 32 >= |xi3 xi4| on these blocks:
+    # no level reaches the modulation budget, on any lattice.  A flag read
+    # from the first three blocks alone said otherwise.
+    for D in (2.0 * np.pi, 4.0 * np.pi):
+        kw = dict(domain_half_length=D, window_half_length=np.pi / 2.0)
+        chk = resonance_vanishing_check([16, 16, 8, 1], [1, 1, 1, 1], **kw)
+        assert chk.vanishing_expected and chk.magnitude == 0.0
+        assert brute_force_resonance([16, 16, 8, 1], [1, 1, 1, 1], **kw)[0] == 0.0
+    # every witness closes some k-tuple, so none is expected to vanish
+    for Ns, Ls, D, W in WITNESSES:
+        assert not resonance_vanishing_check(
+            Ns, Ls, domain_half_length=D,
+            window_half_length=W).vanishing_expected
 
 
 def test_resonance_n_terms_counts_formed_tuples():
@@ -487,10 +504,8 @@ def test_norm_values_regression_fixture():
     # deterministic fixture pinned at first release; values must be stable
     grid = Grid(20.0, 128)
     rng = np.random.default_rng(42)
-    c = np.zeros(grid.n, dtype=complex)
-    amps = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-    c[1:16] = amps
-    c[-15:] = np.conj(amps[::-1])
+    c = np.zeros(grid.xi.size, dtype=complex)
+    c[1:16] = rng.standard_normal(15) + 1j * rng.standard_normal(15)
     c[0] = 0.5
     u0 = inverse_transform(SpectralField(grid, c))
     spec = transform(u0)
