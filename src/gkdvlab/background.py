@@ -60,7 +60,7 @@ class Jet(NamedTuple):
 
 
 class ParameterResolutionError(RuntimeError):
-    """No admissible traveling-wave parameters; carries the best residual."""
+    """No admissible traveling-wave parameters."""
 
 
 def _tanh_jet(x, t, amplitude, steepness, drift, offset):
@@ -219,89 +219,58 @@ def _wave_triple(bg, t, x):
 
 def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
                     tolerance: float = 1e-8) -> CnoidalParameters:
-    """Fit traveling-wave parameters for the periodic catalog profiles.
+    """Closed-form traveling-wave parameters for the periodic catalog profiles.
 
-    For the quadratic nonlinearity the ansatz is alpha + beta*cn^2(gamma y),
-    with the steepness normalized to gamma = sqrt(c)/2 so that kappa -> 1
-    recovers the classical sech^2 solitary wave on a zero pedestal.  For the
-    focusing cubic nonlinearity the ansatz is beta*dn(gamma y) and both
-    remaining parameters are fitted.  Parameters come from a least-squares
-    solve of the pointwise traveling-wave residual over one period; the fit
-    is accepted only if the relative residual meets the tolerance.
+    With f = a0 + a1 u + a2 u^2 + a3 u^3, a profile q(x - c t) solves
+    q'' = (c - a1) q - a2 q^2 - a3 q^3 + const.  The quadratic flux takes
+    alpha + beta*cn^2(gamma y) with gamma = sqrt(c)/2, so that kappa -> 1
+    recovers the sech^2 solitary wave on a zero pedestal; matching powers
+    of cn^2 gives beta = 6 kappa^2 gamma^2 / a2 and
+    alpha = (c - a1 - 4 gamma^2 (2 kappa^2 - 1)) / (2 a2).  The focusing
+    cubic takes beta*dn(gamma y), and dn'' = (2 - kappa^2) dn - 2 dn^3
+    (DLMF 22.13) gives gamma = sqrt((c - a1)/(2 - kappa^2)) and
+    beta = gamma sqrt(2/a3).  The parameters are accepted only if the
+    pointwise traveling-wave residual over one period meets the relative
+    tolerance.
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError("modulus must lie strictly inside (0, 1)")
     if c <= 0:
         raise ValueError("speed must be positive")
-    from scipy.optimize import least_squares    # slow import, fits only
-
-    coeffs = nl.coeffs + (0.0,) * (4 - len(nl.coeffs))
-    is_kdv = nl.polynomial_degree() == 2
-    is_focusing_cubic = (
-        nl.polynomial_degree() == 3
-        and coeffs[3] > 0
-        and coeffs[2] == 0.0
-    )
-
-    if is_kdv:
+    a1, a2, a3 = (nl.coeffs + (0.0,) * 3)[1:4]
+    k2 = kappa ** 2
+    if nl.polynomial_degree() == 2:
         gamma = np.sqrt(c) / 2.0
-        period = 2.0 * complete_elliptic_k(kappa) / gamma
-        ys = np.linspace(0.0, period, 257)
-
-        def resid(params):
-            alpha, beta = params
-            cn2, d1, _, d3 = _cn2_derivatives(
-                *jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
-            q = alpha + beta * cn2
-            qp = beta * gamma * d1
-            qppp = beta * gamma ** 3 * d3
-            return -c * qp + qppp + nl.fp(q) * qp
-
-        best = least_squares(resid, x0=[0.5 * c, c], method="lm",
-                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        best = least_squares(resid, x0=best.x, method="lm",
-                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        alpha, beta = best.x
-        params = CnoidalParameters(float(alpha), float(beta), float(gamma))
-        scale = float(np.sqrt(np.mean(
-            (alpha + beta * jacobi_sn_cn_dn(gamma * ys, kappa)[1] ** 2) ** 2)))
-    elif is_focusing_cubic:
-        cubic = coeffs[3]
-
-        def resid(params):
-            beta, gamma = params
-            period = 2.0 * complete_elliptic_k(kappa) / abs(gamma)
-            ys = np.linspace(0.0, period, 257)
-            d0, d1, _, d3 = _dn_derivatives(
-                *jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
-            q = beta * d0
-            qp = beta * gamma * d1
-            qppp = beta * gamma ** 3 * d3
-            return -c * qp + qppp + nl.fp(q) * qp
-
-        best = least_squares(resid, x0=[np.sqrt(2.0 * c / cubic), np.sqrt(c)],
-                             method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        best = least_squares(resid, x0=best.x, method="lm",
-                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        beta, gamma = best.x
-        params = CnoidalParameters(0.0, float(beta), float(abs(gamma)))
-        period = 2.0 * complete_elliptic_k(kappa) / params.gamma
-        ys = np.linspace(0.0, period, 257)
-        scale = float(np.sqrt(np.mean((beta * jacobi_sn_cn_dn(
-            params.gamma * ys, kappa)[2]) ** 2)))
+        beta = 6.0 * k2 * gamma ** 2 / a2
+        alpha = (c - a1 - 4.0 * gamma ** 2 * (2.0 * k2 - 1.0)) / (2.0 * a2)
+        derivatives = _cn2_derivatives
+    elif nl.polynomial_degree() == 3 and a3 > 0 and a2 == 0.0:
+        if c <= a1:
+            raise ParameterResolutionError(
+                f"no dnoidal wave for c={c}, kappa={kappa}: the speed must "
+                f"exceed the linear flux coefficient {a1}")
+        gamma = np.sqrt((c - a1) / (2.0 - k2))
+        alpha, beta = 0.0, gamma * np.sqrt(2.0 / a3)
+        derivatives = _dn_derivatives
     else:
         raise ParameterResolutionError(
             "periodic profiles are implemented for the quadratic and the "
             "focusing cubic nonlinearity only"
         )
 
-    achieved = float(np.max(np.abs(best.fun)))
-    if not best.success or achieved > tolerance * max(scale, 1e-300):
+    ys = np.linspace(0.0, 2.0 * complete_elliptic_k(kappa) / gamma, 257)
+    p0, p1, _, p3 = derivatives(*jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
+    q = alpha + beta * p0
+    qp = beta * gamma * p1
+    residual = -c * qp + beta * gamma ** 3 * p3 + nl.fp(q) * qp
+    achieved = float(np.max(np.abs(residual)))
+    scale = float(np.sqrt(np.mean(q ** 2)))
+    if achieved > tolerance * max(scale, 1e-300):
         raise ParameterResolutionError(
             f"no admissible parameters for c={c}, kappa={kappa}; "
-            f"best residual {achieved:.3e} (scale {scale:.3e})"
+            f"residual {achieved:.3e} (scale {scale:.3e})"
         )
-    return params
+    return CnoidalParameters(float(alpha), float(beta), float(gamma))
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,11 @@ def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
         raise ValueError("extension requires a window duration in (0, 2)")
     if abs(traj.t0) > 1e-14:
         raise ValueError("extension expects a trajectory starting at t = 0")
+    # a coarse dt leaves the last sample where the cutoff is not yet
+    # negligible; grow the window to the level _check_decaying_ends uses
     k_half = int(np.ceil(window_half / traj.dt))
+    while smooth_cutoff(np.array([(k_half - 1) * traj.dt]))[0] > 1e-10:
+        k_half += 1
     ks = np.arange(-k_half, k_half)
     fields = []
     spec_first = transform(traj.fields[0])

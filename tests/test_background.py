@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gkdvlab.background import (
+    CnoidalParameters,
     GardnerKink,
     KdVCnoidal,
     MKdVDnoidal,
@@ -19,7 +20,7 @@ from gkdvlab.background import (
     resolve_cnoidal,
     zhidkov_split,
 )
-from gkdvlab.elliptic import jacobi_sn_cn_dn
+from gkdvlab.elliptic import complete_elliptic_k, jacobi_sn_cn_dn
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.spectral import (
     Grid,
@@ -316,6 +317,78 @@ def test_resolve_rejects_wrong_nonlinearity():
         resolve_cnoidal(1.0, 0.5, AnalyticNonlinearity.exponential())
 
 
+@pytest.mark.parametrize("nl", [AnalyticNonlinearity.kdv(),
+                                AnalyticNonlinearity.mkdv_focusing()],
+                         ids=lambda nl: nl.label)
+def test_resolve_residual_check_can_fail(nl):
+    # the closed-form parameters still pass through the residual check,
+    # and a tolerance below rounding makes that check reject them
+    with pytest.raises(ParameterResolutionError, match="residual"):
+        resolve_cnoidal(1.0, 0.8, nl, tolerance=1e-30)
+
+
+@pytest.mark.parametrize("a1", [1.0, 2.5])
+def test_resolve_dnoidal_needs_speed_above_linear_flux(a1):
+    nl = AnalyticNonlinearity.polynomial([0.0, a1, 0.0, 1.0])
+    with pytest.raises(ParameterResolutionError, match=r"c=1\.0, kappa=0\.5"):
+        resolve_cnoidal(1.0, 0.5, nl)
+
+
+def _lm_fit(resid, x0):
+    from scipy.optimize import least_squares
+
+    best = least_squares(resid, x0=x0, method="lm",
+                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    best = least_squares(resid, x0=best.x, method="lm",
+                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert best.success
+    return best.x
+
+
+def fitted_cnoidal(c, kappa):
+    """Least-squares oracle: alpha + beta*cn^2(gamma y) at gamma = sqrt(c)/2."""
+    nl = AnalyticNonlinearity.kdv()
+    gamma = np.sqrt(c) / 2.0
+    ys = np.linspace(0.0, 2.0 * complete_elliptic_k(kappa) / gamma, 257)
+
+    def resid(params):
+        alpha, beta = params
+        cn2, d1, _, d3 = _cn2_derivatives(
+            *jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
+        qp = beta * gamma * d1
+        return -c * qp + beta * gamma ** 3 * d3 + nl.fp(alpha + beta * cn2) * qp
+
+    alpha, beta = _lm_fit(resid, [0.5 * c, c])
+    return CnoidalParameters(alpha, beta, gamma)
+
+
+def fitted_dnoidal(c, kappa):
+    """Least-squares oracle: beta*dn(gamma y) with beta and gamma fitted."""
+    nl = AnalyticNonlinearity.mkdv_focusing()
+
+    def resid(params):
+        beta, gamma = params
+        ys = np.linspace(0.0, 2.0 * complete_elliptic_k(kappa) / abs(gamma),
+                         257)
+        d0, d1, _, d3 = _dn_derivatives(
+            *jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
+        qp = beta * gamma * d1
+        return -c * qp + beta * gamma ** 3 * d3 + nl.fp(beta * d0) * qp
+
+    beta, gamma = _lm_fit(resid, [np.sqrt(2.0 * c), np.sqrt(c)])
+    return CnoidalParameters(0.0, beta, abs(gamma))
+
+
+@pytest.mark.parametrize("kappa", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.999])
+@pytest.mark.parametrize("nl, fitted", [
+    (AnalyticNonlinearity.kdv(), fitted_cnoidal),
+    (AnalyticNonlinearity.mkdv_focusing(), fitted_dnoidal),
+], ids=["cnoidal", "dnoidal"])
+def test_closed_form_matches_least_squares_fit(nl, fitted, kappa):
+    np.testing.assert_allclose(resolve_cnoidal(1.0, kappa, nl),
+                               fitted(1.0, kappa), rtol=1e-13, atol=0.0)
+
+
 # ----------------------------------------------------------------------
 # tabulated backgrounds
 
@@ -345,14 +418,21 @@ def test_tabulated_requires_static_header(tmp_path):
 
 
 def test_import_leaves_scipy_fitting_unloaded():
-    # scipy.interpolate and scipy.optimize are imported where a tabulated
-    # background or a cnoidal fit needs them, not by `import gkdvlab`
+    # scipy.interpolate is imported where a tabulated background needs it,
+    # not by `import gkdvlab`; the periodic backgrounds need no scipy.optimize
     import subprocess
     import sys
 
-    code = ("import sys, gkdvlab; print(sorted(m for m in sys.modules if "
-            "m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+    periodic = ("from gkdvlab.config import ScenarioConfig; "
+                "gkdvlab.KdVCnoidal(1.0, 0.8); gkdvlab.MKdVDnoidal(1.0, 0.5); "
+                "ScenarioConfig.parse('[background]\\nvariant = kdv_cnoidal')"
+                ".background(); ")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
-    assert done.stdout.strip() == "[]"
+    for build in ("", periodic):
+        code = ("import sys, gkdvlab; " + build +
+                "print(sorted(m for m in sys.modules if "
+                "m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True,
+                              env=env)
+        assert done.stdout.strip() == "[]", build

@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -154,13 +155,18 @@ directory = OUT
     assert status == 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_run_overflow_exits_instability(tmp_path):
+def test_run_overflow_exits_instability(tmp_path, capfd):
+    # a fresh process, whose numpy warnings would reach stderr unfiltered:
+    # the overflow is reported by exit status 3 alone
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
     text = text.replace("amplitude = 0.5", "amplitude = 1e160")
     text = text.replace("cadence = 10", "cadence = 10\ntail_threshold = 1.0")
-    status = main(["run", "--config", write_cfg(tmp_path, text), "--quiet"])
-    assert status == 3
+    code = "import sys; from gkdvlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code, "run", "--config",
+                           write_cfg(tmp_path, text), "--quiet"], env=env)
+    assert done.returncode == 3
+    assert "RuntimeWarning" not in capfd.readouterr().err
 
 
 def test_run_config_error_exit_code(tmp_path):
@@ -254,6 +260,24 @@ def test_norms_output_file_is_closed(tmp_path, monkeypatch, capsys):
     assert main(args + ["-"]) == 0
     assert len(opened) == 1 and not sys.stdout.closed
     assert capsys.readouterr().out.startswith("name,s,b,value")
+
+
+@pytest.mark.parametrize("dt", [0.04, 0.1])
+def test_norms_extends_coarse_trajectory(tmp_path, dt):
+    # the stored window does not decay at its ends, and at a coarse dt the
+    # cutoff is not negligible at t = 2 - dt: the extension must reach
+    # further so that the space-time norms accept it
+    grid = Grid(20.0, 64)
+    fields = [PhysicalField.sample(grid, lambda x: (1 + k) * np.exp(-x ** 2))
+              for k in range(3)]
+    directory = str(tmp_path / "traj")
+    write_trajectory(directory, Trajectory(grid, 0.0, dt, fields))
+    out_csv = str(tmp_path / "norms.csv")
+    assert main(["norms", "--trajectory", directory, "--output", out_csv]) == 0
+    with open(out_csv) as fh:
+        rows = fh.read().splitlines()[1:]
+    assert len(rows) == 5
+    assert all(np.isfinite(float(row.split(",")[3])) for row in rows)
 
 
 # ----------------------------------------------------------------------

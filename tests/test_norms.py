@@ -149,6 +149,16 @@ def test_bourgain_b0_collapse():
                - trajectory_l2_sobolev(traj, 1.0)) < 1e-8
 
 
+@pytest.mark.parametrize("T, m, samples", [(0.5, 256, 2048), (0.02, 2, 400)])
+def test_extension_keeps_fine_lattice(T, m, samples):
+    # dt = 1/512 and dt = 0.01 put the cutoff below 1e-10 at t = 2 - dt
+    # already, so the window stays [-2, 2) with its exact sample count
+    grid = Grid(20.0, 64)
+    u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
+    traj = extend_trajectory(free_trajectory(grid, u0, T, m))
+    assert len(traj) == samples and traj.t0 == -2.0
+
+
 def test_bourgain_plane_wave_on_characteristic():
     # a single space-time plane wave with tau = xi^3 carries modulation
     # weight one: its X^{s,b} norm is b-independent
