@@ -31,6 +31,7 @@ from .fieldio import read_snapshot, read_trajectory, write_snapshot, \
 from .norms import (
     WeightSequence,
     bourgain_norm,
+    decays_at_ends,
     enveloped_norm,
     extend_trajectory,
     sobolev_norm,
@@ -248,23 +249,19 @@ def cmd_norms(args) -> int:
              if args.omega_eps > 0 else WeightSequence.ones(grid))
     s, b = args.s, args.b
 
-    mat = traj.values_matrix()
-    peak = np.max(np.abs(mat))
-    decaying = peak == 0.0 or max(np.max(np.abs(mat[0])),
-                                  np.max(np.abs(mat[-1]))) <= 1e-10 * peak
+    decaying = decays_at_ends(traj)
     work = traj if decaying else extend_trajectory(traj)
 
     # at b = 0 the modulation weight drops out and the restricted norm
     # collapses to the time-integrated H^s norm of the stored window
-    b0_value = (bourgain_norm(work, s, 0.0) if decaying
-                else trajectory_l2_sobolev(traj, s))
+    l2_t = trajectory_l2_sobolev(traj, s)
     rows = [
         ("sup_t_sobolev", s, "", trajectory_sup_sobolev(traj, s)),
-        ("l2_t_sobolev", s, "", trajectory_l2_sobolev(traj, s)),
+        ("l2_t_sobolev", s, "", l2_t),
         ("sup_t_enveloped", s, "",
          max(enveloped_norm(f, s, omega) for f in traj.fields)),
         ("bourgain", s, b, bourgain_norm(work, s, b)),
-        ("bourgain", s, 0.0, b0_value),
+        ("bourgain", s, 0.0, bourgain_norm(work, s, 0.0) if decaying else l2_t),
     ]
     grid_id = f"L{grid.half_length!r}_n{grid.n}"
     window = f"[{traj.t0!r};{traj.t0 + traj.dt * (len(traj) - 1)!r}]"

@@ -2,8 +2,9 @@
 
 A run is its config file, so everything a scenario needs (grid, background,
 nonlinearity, solver settings, initial data, diagnostics cadence, output
-directory) lives in one INI-style document with nested sections.
-Serialization round-trips: parse(serialize(cfg)) is semantically identical.
+directory) lives in one INI-style document with nested sections.  Values
+are literal (whole-line comments, no `%` interpolation), and serialization
+round-trips: parse(serialize(cfg)) is semantically identical.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class ScenarioConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as err:
@@ -254,7 +255,7 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read config {path}: {err}") from err
 
     def serialize(self) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         parser["grid"] = {
             "half_length": repr(self.grid_half_length),
             "points": str(self.grid_points),

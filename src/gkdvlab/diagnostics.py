@@ -14,7 +14,7 @@ import numpy as np
 
 from .background import Background, residual_S
 from .nonlinearity import AnalyticNonlinearity
-from .norms import WeightSequence, enveloped_norm, sobolev_norm
+from .norms import WeightSequence, _block_masses, enveloped_norm, sobolev_norm
 from .solver import SolverConfig, boundary_mass_fraction, evolve
 from .spectral import (
     Grid,
@@ -22,7 +22,6 @@ from .spectral import (
     Trajectory,
     inverse_transform,
     l2_norm,
-    lp_project,
     spatial_derivative,
     transform,
 )
@@ -208,21 +207,15 @@ def envelope_tail_monitor(traj: Trajectory, s: float, omega: WeightSequence):
     """
     if not all(a < b for a, b in zip(omega.weights, omega.weights[1:])):
         raise ValueError("tail monitoring needs strictly increasing weights")
+    # by Parseval, (fields x bins) |u_hat|^2 times a (blocks x bins) table
+    # gives every block mass of every field; a tail sums the blocks above
     blocks = np.asarray(omega.blocks)
-    tails = {float(nstar): 0.0 for nstar in blocks}
-    for f in traj.fields:
-        spec = transform(f)
-        masses = []
-        for block, weight in zip(omega.blocks, omega.weights):
-            piece = lp_project(spec, block)
-            mass = (weight ** 2 * (1.0 + block ** 2) ** s *
-                    l2_norm(inverse_transform(piece)) ** 2)
-            masses.append(mass)
-        cum = np.cumsum(masses[::-1])[::-1]
-        for i, nstar in enumerate(blocks):
-            tail = float(cum[i + 1]) if i + 1 < len(cum) else 0.0
-            tails[float(nstar)] = max(tails[float(nstar)], tail)
-    return tails
+    table = ((np.asarray(omega.weights) ** 2 * (1.0 + blocks ** 2) ** s)
+             [:, None] * _block_masses(traj.grid, omega.blocks))
+    power = np.abs([transform(f).coeffs for f in traj.fields]) ** 2
+    above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
+    tails = np.append(np.max(above, axis=0)[1:], 0.0)
+    return dict(zip(blocks.tolist(), tails.tolist()))
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -18,16 +19,10 @@ import numpy as np
 from .spectral import (
     Grid,
     PhysicalField,
-    SpectralField,
     Trajectory,
-    airy_propagate,
-    bessel_potential,
+    _left_end_phase,
     dyadic_band,
     dyadic_bump,
-    inverse_transform,
-    l2_norm,
-    lp_low_block,
-    lp_project,
     smooth_cutoff,
     trajectory_from_spacetime,
     trajectory_transform,
@@ -39,6 +34,7 @@ __all__ = [
     "sobolev_norm",
     "enveloped_norm",
     "bourgain_norm",
+    "decays_at_ends",
     "modulation_band",
     "modulation_project",
     "modulation_partition_defect",
@@ -109,31 +105,56 @@ class WeightSequence:
         return cls(tuple(blocks), tuple(weights), eps=eps)
 
 
+@lru_cache(maxsize=32)
+def _block_masses(grid: Grid, blocks: tuple) -> np.ndarray:
+    """Read-only (blocks x bins) table 2L mult_j phi(xi_j/N)^2: by Parseval
+    a row dotted with |u_hat|^2 is ||P_N u||_L2^2."""
+    band = dyadic_band(grid)
+    for N in blocks:
+        if not np.any(np.isclose(band, N)):
+            raise ValueError(f"block {N} outside resolvable band {band[0]}..{band[-1]}")
+    table = (2.0 * grid.half_length * grid.multiplicity *
+             dyadic_bump(grid.xi / np.asarray(blocks)[:, None]) ** 2)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def _envelope_weight(grid: Grid, s: float, omega: WeightSequence) -> np.ndarray:
+    """Read-only Parseval weight of :func:`enveloped_norm` per bin."""
+    low = smooth_cutoff(2.0 * grid.xi / dyadic_band(grid)[0]) ** 2
+    dyadic = np.asarray(omega.weights) ** 2 @ _block_masses(grid, omega.blocks)
+    weight = (1.0 + grid.xi ** 2) ** s * (
+        2.0 * grid.half_length * grid.multiplicity * low + dyadic)
+    weight.flags.writeable = False
+    return weight
+
+
 def enveloped_norm(f: PhysicalField, s: float, omega: WeightSequence) -> float:
-    """Dyadic-block weighted H^s norm; the residual low block has weight 1."""
-    spec = transform(f)
-    total = l2_norm(inverse_transform(bessel_potential(lp_low_block(spec), s))) ** 2
-    for block, weight in zip(omega.blocks, omega.weights):
-        piece = l2_norm(inverse_transform(
-            bessel_potential(lp_project(spec, block), s)))
-        total += weight ** 2 * piece ** 2
-    return float(np.sqrt(total))
+    """Dyadic-block weighted H^s norm; the residual low block has weight 1.
+
+    Every block is a Fourier multiplier, so by Parseval the norm squared
+    is  2L sum_j mult_j <xi_j>^2s [eta(2 xi_j/N_min)^2 + sum_N w_N^2
+    phi(xi_j/N)^2] |u_hat_j|^2,  one sum against a weight built once per
+    (grid, s, omega).  A block outside ``dyadic_band(grid)`` raises
+    ValueError."""
+    power = np.abs(transform(f).coeffs) ** 2
+    return float(np.sqrt(np.sum(_envelope_weight(f.grid, s, omega) * power)))
 
 
 # ----------------------------------------------------------------------
 # trajectory norms
 
-def _check_decaying_ends(traj: Trajectory, rel: float = 1e-10):
-    mat = traj.values_matrix()
-    peak = np.max(np.abs(mat))
-    if peak == 0.0:
-        return
-    ends = max(np.max(np.abs(mat[0])), np.max(np.abs(mat[-1])))
-    if ends > rel * peak:
-        raise ValueError(
-            "trajectory does not decay at its window ends; "
-            "extend it compactly before taking space-time norms"
-        )
+def decays_at_ends(traj: Trajectory) -> bool:
+    """Whether both end samples are at most 1e-10 times the peak."""
+    mat = np.abs(traj.values_matrix())
+    return bool(max(np.max(mat[0]), np.max(mat[-1])) <= 1e-10 * np.max(mat))
+
+
+def _check_decaying_ends(traj: Trajectory):
+    if not decays_at_ends(traj):
+        raise ValueError("trajectory does not decay at its window ends; "
+                         "extend it compactly before taking space-time norms")
 
 
 def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
@@ -187,11 +208,9 @@ def modulation_band(traj: Trajectory) -> np.ndarray:
     return 2.0 ** np.arange(0, l_hi + 1)
 
 
-def _modulation_symbol(traj: Trajectory, L: float) -> np.ndarray:
-    m = _modulation(traj)
-    if L == 1.0:
-        return smooth_cutoff(m)
-    return dyadic_bump(m / L)
+def _modulation_cut(m: np.ndarray, L: float) -> np.ndarray:
+    """Symbol of the modulation block L: eta(m) for L = 1, else phi(m/L)."""
+    return smooth_cutoff(m) if L == 1.0 else dyadic_bump(m / L)
 
 
 def modulation_project(traj: Trajectory, L: float) -> Trajectory:
@@ -201,13 +220,15 @@ def modulation_project(traj: Trajectory, L: float) -> Trajectory:
     if not np.any(np.isclose(band, L)):
         raise ValueError(f"modulation block {L} outside lattice band")
     coeffs, _, _ = trajectory_transform(traj)
-    return trajectory_from_spacetime(coeffs * _modulation_symbol(traj, L), traj)
+    return trajectory_from_spacetime(
+        coeffs * _modulation_cut(_modulation(traj), L), traj)
 
 
 def modulation_partition_defect(traj: Trajectory) -> float:
     """Max deviation of the summed modulation symbols from 1 on the lattice."""
     band = modulation_band(traj)
-    total = sum(_modulation_symbol(traj, L) for L in band)
+    m = _modulation(traj)
+    total = sum(_modulation_cut(m, L) for L in band)
     return float(np.max(np.abs(total - 1.0)))
 
 
@@ -229,33 +250,27 @@ def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
     if abs(traj.t0) > 1e-14:
         raise ValueError("extension expects a trajectory starting at t = 0")
     # a coarse dt leaves the last sample where the cutoff is not yet
-    # negligible; grow the window to the level _check_decaying_ends uses
+    # negligible; grow the window to the level decays_at_ends uses
     k_half = int(np.ceil(window_half / traj.dt))
     while smooth_cutoff(np.array([(k_half - 1) * traj.dt]))[0] > 1e-10:
         k_half += 1
-    ks = np.arange(-k_half, k_half)
-    fields = []
-    spec_first = transform(traj.fields[0])
-    spec_last = transform(traj.fields[-1])
-    n_in = len(traj) - 1
-    for k in ks:
-        t = k * traj.dt
-        cut = float(smooth_cutoff(np.array([t]))[0])
-        if cut == 0.0:
-            fields.append(PhysicalField.zero(traj.grid))
-            continue
-        if k < 0:
-            prop = airy_propagate(spec_first, t)
-            fields.append(PhysicalField(traj.grid,
-                                        cut * inverse_transform(prop).values))
-        elif k > n_in:
-            prop = airy_propagate(spec_last, t - T)
-            fields.append(PhysicalField(traj.grid,
-                                        cut * inverse_transform(prop).values))
-        else:
-            fields.append(PhysicalField(traj.grid,
-                                        cut * traj.fields[k].values))
-    return Trajectory(traj.grid, -k_half * traj.dt, traj.dt, fields)
+    grid, n_in = traj.grid, len(traj) - 1
+    k = np.arange(-k_half, k_half)
+    times = k * traj.dt
+    cut = smooth_cutoff(times)
+    mat = np.zeros((times.size, grid.n))
+    inside = slice(k_half, k_half + n_in + 1)
+    mat[inside] = cut[inside, None] * traj.values_matrix()
+    # the first and the last field propagate freely to every outside time
+    # where the cutoff has not yet vanished, one spectrum row per time
+    for rows, end, shift in (((k < 0) & (cut > 0.0), traj.fields[0], 0.0),
+                             ((k > n_in) & (cut > 0.0), traj.fields[-1], T)):
+        prop = transform(end).coeffs * np.exp(
+            1j * (times[rows] - shift)[:, None] * grid.xi ** 3)
+        mat[rows] = cut[rows, None] * np.fft.irfft(
+            _left_end_phase(prop), grid.n, norm="forward")
+    return Trajectory(grid, -k_half * traj.dt, traj.dt,
+                      [PhysicalField(grid, row) for row in mat])
 
 
 # ----------------------------------------------------------------------
@@ -305,12 +320,8 @@ def _synthetic_coeff(j, k, N, L, dxi, dtau, phase_t, phase_x):
     """Closed-form spectrum of a real field on the prescribed block."""
     xi = j * dxi
     tau = k * dtau
-    m = tau - xi ** 3
-    if L == 1.0:
-        mod = smooth_cutoff(m)
-    else:
-        mod = dyadic_bump(m / L)
-    return dyadic_bump(xi / N) * mod * np.exp(1j * (phase_t * tau + phase_x * xi))
+    return (dyadic_bump(xi / N) * _modulation_cut(tau - xi ** 3, L) *
+            np.exp(1j * (phase_t * tau + phase_x * xi)))
 
 
 def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
@@ -447,19 +458,15 @@ def strichartz_certificate(traj: Trajectory, forcing: Trajectory,
     if len(traj) != len(forcing) or abs(traj.dt - forcing.dt) > 1e-15:
         raise ValueError("state and forcing trajectories must share a lattice")
 
-    peak = max(np.max(np.abs(traj.values_matrix())), 1e-300)
-    worst = 0.0
-    for m in range(len(traj) - 1):
-        u0 = transform(traj.fields[m])
-        u1 = traj.fields[m + 1].values
-        f0 = transform(forcing.fields[m])
-        f1 = transform(forcing.fields[m + 1])
-        h = traj.dt
-        free = airy_propagate(u0, h)
-        duhamel = 0.5 * h * (airy_propagate(f0, h).coeffs + f1.coeffs)
-        predicted = inverse_transform(
-            SpectralField(traj.grid, free.coeffs + duhamel)).values
-        worst = max(worst, float(np.max(np.abs(predicted - u1))))
+    # U(h) (u_m + h/2 F_m) + h/2 F_{m+1} predicts u_{m+1}, all m at once
+    h, mat = traj.dt, traj.values_matrix()
+    u_hat = np.array([transform(f).coeffs for f in traj.fields])
+    half_f = 0.5 * h * np.array([transform(f).coeffs for f in forcing.fields])
+    step = np.exp(1j * h * traj.grid.xi ** 3) * (u_hat[:-1] + half_f[:-1])
+    predicted = np.fft.irfft(_left_end_phase(step + half_f[1:]), traj.grid.n,
+                             norm="forward")
+    worst = float(np.max(np.abs(predicted - mat[1:]), initial=0.0))
+    peak = max(np.max(np.abs(mat)), 1e-300)
     if worst > residual_tol * peak:
         raise ValueError(
             f"trajectory does not solve the forced dispersive equation: "
@@ -471,8 +478,6 @@ def strichartz_certificate(traj: Trajectory, forcing: Trajectory,
     lhs = trajectory_l2_linf(traj)
     s_state = -(1.0 - delta) / 4.0 + theta
     s_forcing = -(1.0 + 3.0 * delta) / 4.0 + theta
-    rhs_state = T ** kappa * max(
-        sobolev_norm(f, s_state) for f in traj.fields)
-    rhs_forcing = T ** kappa * float(np.sqrt(traj.dt * np.sum(
-        [sobolev_norm(f, s_forcing) ** 2 for f in forcing.fields])))
+    rhs_state = T ** kappa * trajectory_sup_sobolev(traj, s_state)
+    rhs_forcing = T ** kappa * trajectory_l2_sobolev(forcing, s_forcing)
     return StrichartzCertificate(float(lhs), float(rhs_state), float(rhs_forcing))

@@ -299,6 +299,7 @@ class SpectralCore:
             e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is an instability
 def rhs(u: PhysicalField, bg: Background, nl: AnalyticNonlinearity, t: float,
         mu: float = 0.0, tail_threshold: float = 1e-6) -> PhysicalField:
     """Full right side, including the dispersive and viscous linear part.
@@ -417,6 +418,7 @@ def _prefix_weights(m: int, h: float) -> np.ndarray:
     return weights
 
 
+@np.errstate(over="ignore", invalid="ignore")      # as rhs
 def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
                  mu: float, t_small: float, n_nodes: int = 65, s: float = 1.0,
                  tol: float = 1e-10, max_iter: int = 50):

@@ -22,6 +22,8 @@ from gkdvlab.spectral import (
     Trajectory,
     airy_propagate,
     inverse_transform,
+    l2_norm,
+    lp_project,
     transform,
 )
 
@@ -284,6 +286,45 @@ def test_envelope_tail_refinement_consistency():
         a, b = tails[512][nstar], tails[1024][nstar]
         if max(a, b) > 1e-12:
             assert abs(a - b) <= 0.05 * max(a, b)
+
+
+def block_loop_tails(traj, s, omega):
+    """The tail monitor field by field and block by block: project,
+    transform back and take the L^2 norm of every block."""
+    blocks = np.asarray(omega.blocks)
+    tails = {float(nstar): 0.0 for nstar in blocks}
+    for f in traj.fields:
+        spec = transform(f)
+        masses = [weight ** 2 * (1.0 + block ** 2) ** s *
+                  l2_norm(inverse_transform(lp_project(spec, block))) ** 2
+                  for block, weight in zip(omega.blocks, omega.weights)]
+        cum = np.cumsum(masses[::-1])[::-1]
+        for i, nstar in enumerate(blocks):
+            tail = float(cum[i + 1]) if i + 1 < len(cum) else 0.0
+            tails[float(nstar)] = max(tails[float(nstar)], tail)
+    return tails
+
+
+@pytest.mark.parametrize("scenario", ["band_limited", "gaussian_run"])
+def test_envelope_tail_matches_block_loop(scenario):
+    # the scenarios of the two tests above
+    if scenario == "band_limited":
+        grid = Grid(20.0, 256)
+        xi1 = np.pi * 5 / grid.half_length
+        spec = transform(PhysicalField(grid, np.cos(xi1 * grid.x)))
+        traj = Trajectory(grid, 0.0, 0.01, [
+            inverse_transform(airy_propagate(spec, 0.01 * k))
+            for k in range(17)])
+    else:
+        grid = Grid(50.0, 512)
+        cfg = SolverConfig(dt=5e-4, horizon=0.25, cadence=100)
+        traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
+    ws = WeightSequence.bracket_power(grid, 0.2)
+    got = envelope_tail_monitor(traj, 1.0, ws)
+    want = block_loop_tails(traj, 1.0, ws)
+    assert list(got) == list(want)
+    for nstar, value in want.items():
+        assert abs(got[nstar] - value) <= 1e-13 * value
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from gkdvlab.norms import (
     ResonanceCheck,
     WeightSequence,
     _block_support,
+    _envelope_weight,
     _synthetic_coeff,
     bourgain_norm,
     enveloped_norm,
@@ -30,9 +31,13 @@ from gkdvlab.spectral import (
     SpectralField,
     Trajectory,
     airy_propagate,
+    bessel_potential,
     dyadic_band,
     inverse_transform,
     l2_norm,
+    lp_low_block,
+    lp_project,
+    smooth_cutoff,
     transform,
 )
 
@@ -136,6 +141,54 @@ def test_enveloped_single_mode_structure():
     expected = ws[N] * (1.0 + xi1 ** 2) ** 0.5 * np.sqrt(grid.half_length)
     # the mode sits at a block center where only one block contributes
     assert abs(enveloped_norm(f, 1.0, ws) - expected) < 1e-8 * expected
+
+
+def block_loop_enveloped_norm(f, s, omega):
+    """The definition block by block: project, apply the Bessel potential,
+    transform back and take the L^2 norm, once per block."""
+    spec = transform(f)
+    total = l2_norm(inverse_transform(
+        bessel_potential(lp_low_block(spec), s))) ** 2
+    for block, weight in zip(omega.blocks, omega.weights):
+        piece = l2_norm(inverse_transform(
+            bessel_potential(lp_project(spec, block), s)))
+        total += weight ** 2 * piece ** 2
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3], ids=["ones", "bracket"])
+@pytest.mark.parametrize("s", [0.0, 0.8, 1.0, 2.0])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_enveloped_matches_block_loop(n, s, eps):
+    grid = Grid(20.0, n)
+    omega = (WeightSequence.bracket_power(grid, eps) if eps
+             else WeightSequence.ones(grid))
+    rng = np.random.default_rng(n)
+    fields = [PhysicalField(grid, rng.standard_normal(n)),
+              PhysicalField.sample(grid,
+                                   lambda x: np.exp(-x ** 2) * np.cos(3 * x))]
+    for f in fields:
+        want = block_loop_enveloped_norm(f, s, omega)
+        assert abs(enveloped_norm(f, s, omega) - want) <= 1e-13 * want
+
+
+def test_enveloped_rejects_block_outside_band():
+    grid = Grid(20.0, 256)
+    band = tuple(dyadic_band(grid))
+    omega = WeightSequence(band + (2.0 * band[-1],), (1.0,) * (len(band) + 1),
+                           eps=0.0)
+    f = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
+    for _ in range(2):      # a rejected weight is not cached
+        with pytest.raises(ValueError, match="outside resolvable band"):
+            enveloped_norm(f, 1.0, omega)
+
+
+def test_enveloped_weight_is_cached_read_only():
+    grid = Grid(20.0, 256)
+    omega = WeightSequence.bracket_power(grid, 0.3)
+    weight = _envelope_weight(grid, 1.0, omega)
+    assert _envelope_weight(Grid(20.0, 256), 1.0, omega) is weight
+    assert not weight.flags.writeable
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +342,40 @@ def test_extension_of_free_solution_is_windowed_free_solution():
         w = float(smooth_cutoff(np.array([t]))[0])
         expected = w * inverse_transform(airy_propagate(spec, float(t))).values
         assert np.max(np.abs(f.values - expected)) < 1e-12
+
+
+def per_sample_extension(traj, window_half=2.0):
+    """The extension one sample at a time: a scalar cutoff, a free
+    propagation and an inverse transform per outside time."""
+    T = traj.duration
+    k_half = int(np.ceil(window_half / traj.dt))
+    while smooth_cutoff(np.array([(k_half - 1) * traj.dt]))[0] > 1e-10:
+        k_half += 1
+    first, last = transform(traj.fields[0]), transform(traj.fields[-1])
+    rows = []
+    for k in range(-k_half, k_half):
+        t = k * traj.dt
+        cut = float(smooth_cutoff(np.array([t]))[0])
+        if cut == 0.0:
+            rows.append(np.zeros(traj.grid.n))
+        elif k < 0:
+            rows.append(cut * inverse_transform(airy_propagate(first, t)).values)
+        elif k > len(traj) - 1:
+            rows.append(cut * inverse_transform(
+                airy_propagate(last, t - T)).values)
+        else:
+            rows.append(cut * traj.fields[k].values)
+    return -k_half * traj.dt, np.array(rows)
+
+
+@pytest.mark.parametrize("T, m", [(0.5, 256), (0.5, 64), (0.08, 2), (1.5, 30)])
+def test_extension_matches_per_sample_loop(T, m):
+    grid = Grid(20.0, 128)
+    u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2) * np.cos(x))
+    ext = extend_trajectory(free_trajectory(grid, u0, T, m))
+    t0, rows = per_sample_extension(free_trajectory(grid, u0, T, m))
+    assert ext.t0 == t0 and len(ext) == len(rows)
+    assert np.max(np.abs(ext.values_matrix() - rows)) <= 1e-15
 
 
 def test_extension_rejects_long_windows():

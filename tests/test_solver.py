@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,20 @@ def test_overflowing_flux_outside_step_is_an_instability():
         rhs(u0, ZERO_BG, KDV, 0.0, tail_threshold=1.0)
     with pytest.raises(InstabilityError, match="non-finite"):
         picard_solve(u0, ZERO_BG, KDV, mu=0.1, t_small=0.01, n_nodes=5)
+
+
+def test_overflow_outside_step_raises_without_warnings():
+    # like evolve, rhs and picard_solve report an overflow as an
+    # instability only, without numpy RuntimeWarnings on the way
+    grid = Grid(20.0, 128)
+    u0 = gaussian(grid, amp=1e160)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(InstabilityError):
+            rhs(u0, ZERO_BG, KDV, 0.0, tail_threshold=1.0)
+        with pytest.raises(InstabilityError):
+            picard_solve(u0, ZERO_BG, KDV, mu=0.1, t_small=0.01, n_nodes=5)
+    assert [str(w.message) for w in seen] == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
