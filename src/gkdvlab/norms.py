@@ -269,8 +269,7 @@ def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
             1j * (times[rows] - shift)[:, None] * grid.xi ** 3)
         mat[rows] = cut[rows, None] * np.fft.irfft(
             _left_end_phase(prop), grid.n, norm="forward")
-    return Trajectory(grid, -k_half * traj.dt, traj.dt,
-                      [PhysicalField(grid, row) for row in mat])
+    return Trajectory.from_matrix(grid, -k_half * traj.dt, traj.dt, mat)
 
 
 # ----------------------------------------------------------------------

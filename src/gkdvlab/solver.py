@@ -36,6 +36,7 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     Trajectory,
+    _left_end_phase,
     flux_coefficients,
     flux_grid,
     flux_tables,
@@ -191,7 +192,9 @@ def phi3(z):
 # the spectral core
 
 class Stage(NamedTuple):
-    """Background data of one stage time."""
+    """Background data of one stage time, or of several stacked row by row
+    (tables (times, n_big), forcing (times, n/2+1)) for spectra that carry
+    the same leading axis."""
 
     tables: list            # flux_tables of Psi on the flux grid
     forcing: np.ndarray     # half spectrum of S, Nyquist bin zeroed
@@ -205,9 +208,10 @@ def _without_nyquist(symbol: np.ndarray) -> np.ndarray:
 class SpectralCore:
     """Nonlinear term -d/dx(f(u+Psi) - f(Psi)) - S of one (grid, bg, nl, dealias).
 
-    Spectra are ``SpectralField.coeffs`` arrays, bins 0..n/2.  Stage data
-    are kept for the last three stage times: the distinct times of a step,
-    the last of which opens the next step.
+    Spectra are ``SpectralField.coeffs`` arrays, bins 0..n/2 on the last
+    axis; a leading axis is a batch of spectra, each row evaluated as alone.
+    Stage data are kept for the last three stage times: the distinct times
+    of a step, the last of which opens the next step.
     """
 
     def __init__(self, grid: Grid, bg: Background, nl: AnalyticNonlinearity,
@@ -218,15 +222,16 @@ class SpectralCore:
         self._stages: dict[float, Stage] = {}
         self._tables: dict[tuple, tuple] = {}
 
-    def check_background(self, t: float, tail_threshold: float = 1e-10):
+    def check_background(self, t: float,
+                         tail_threshold: float = 1e-10) -> Stage:
         """Raise UnresolvedFieldError unless the grid resolves Psi(t).
 
-        The stage at t is sampled here too, so a background that cannot
-        be sampled on the flux grid fails before any step.
+        Returns the stage at t, so a background that cannot be sampled on
+        the flux grid fails before any step.
         """
         residual_S(self.bg, self.nl, t, self.grid,
                    tail_threshold=max(tail_threshold, 1e-10))
-        self.stage(t)
+        return self.stage(t)
 
     def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
         """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
@@ -249,8 +254,8 @@ class SpectralCore:
         return self._stages[t]
 
     def flux_term(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
-        """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectrum `spec`;
-        a non-finite flux is an InstabilityError."""
+        """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectra `spec`,
+        (..., n/2+1); a non-finite flux is an InstabilityError."""
         try:
             return self._derivative * flux_coefficients(
                 spec, self.nl, stage.tables, self.dealias)
@@ -258,7 +263,7 @@ class SpectralCore:
             raise InstabilityError(-1, "non-finite nonlinear flux") from err
 
     def n_hat(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
-        """Spectrum of the nonlinear term for the spectrum `spec`."""
+        """Spectrum of the nonlinear term for the spectra `spec`."""
         return self.flux_term(spec, stage) - stage.forcing
 
     def advance(self, spec: np.ndarray, t: float, dt: float,
@@ -397,25 +402,31 @@ class PicardReport(NamedTuple):
     final_update: float
 
 
-def _prefix_weights(m: int, h: float) -> np.ndarray:
-    """Closed Newton-Cotes weights for the integral over [t_0, t_m].
+def _duhamel_quadrature(integrand: np.ndarray, E: np.ndarray,
+                        h: float) -> np.ndarray:
+    """Prefix integrals int_0^{t_m} W(t_m - t') N(t') dt' on a uniform
+    lattice t_m = m h, from the (nodes, bins) samples N(t_m) and the
+    one-step propagator E = W(h).
 
-    Composite Simpson pairs, with a 3/8 block leading odd prefixes; the
-    two-node prefix falls back to the trapezoid, whose local O(h^3) error
-    is negligible at the lattice spacings used here.
+    The rule is closed Newton-Cotes per prefix: composite Simpson panels,
+    a leading 3/8 block on odd prefixes, and on [t_0, t_1] the trapezoid,
+    whose local O(h^3) error is negligible at the lattice spacings used
+    here.  Prefix m >= 2 (m != 3) is prefix m-2 carried forward by E^2 =
+    W(2h) plus the Simpson panel on [t_{m-2}, t_m], which in exact
+    arithmetic is that rule, at one panel per node.
     """
-    weights = np.zeros(m + 1)
-    if m == 0:
-        return weights
-    if m == 1:
-        weights[:2] = h / 2.0
-        return weights
-    start = 3 if m % 2 == 1 else 0
-    if start:
-        weights[:4] += np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
-    for seg in range(start, m, 2):
-        weights[seg:seg + 3] += np.array([1.0, 4.0, 1.0]) * h / 3.0
-    return weights
+    N, E2 = integrand, E * E
+    out = np.empty_like(N)
+    out[0] = 0.0
+    out[1] = h / 2.0 * (E * N[0] + N[1])
+    if len(N) > 3:
+        out[3] = 3.0 * h / 8.0 * (E2 * E * N[0] + 3.0 * E2 * N[1]
+                                  + 3.0 * E * N[2] + N[3])
+    panels = h / 3.0 * (E2 * N[:-2] + 4.0 * E * N[1:-1] + N[2:])
+    for m in range(2, len(N)):
+        if m != 3:
+            out[m] = E2 * out[m - 2] + panels[m - 2]
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")      # as rhs
@@ -429,60 +440,58 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     prefix quadrature, until successive iterates differ by at most `tol` in
     sup-in-time H^(s-1).  Returns the fixed-point trajectory and the
     per-iteration contraction report.
+
+    The iterate is one (n_nodes, n/2+1) array of half spectra.  A sweep
+    checks the tails of all nodes at once, makes one
+    :meth:`SpectralCore.n_hat` call on the lattice against the node
+    stages stacked row by row, and sums the quadrature panel by panel
+    (:func:`_duhamel_quadrature`, the prefix rule in exact arithmetic).
     """
-    if mu <= 0:
-        raise ValueError("the regularized construction requires mu > 0")
+    if not (np.isfinite(mu) and mu > 0):
+        raise ValueError(f"the regularized construction requires finite "
+                         f"mu > 0, got mu = {mu}")
+    if not (np.isfinite(t_small) and t_small > 0):
+        raise ValueError(f"t_small must be positive and finite, got {t_small}")
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 2:
+        raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes!r}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     grid = u0.grid
     h = t_small / (n_nodes - 1)
     core = SpectralCore(grid, bg, nl)
     symbol = core.linear_symbol(mu)
-    prop = np.array([np.exp(symbol * (g * h)) for g in range(n_nodes)])
-    weight_table = [_prefix_weights(m, h)[:, None] for m in range(n_nodes)]
-    u0_hat = transform(u0).coeffs
-    # node times are fixed across sweeps: check and sample Psi once per node
-    stages = []
-    for m in range(n_nodes):
-        core.check_background(m * h)
-        stages.append(core.stage(m * h))
-
-    def duhamel_map(iterate: list[np.ndarray]) -> list[np.ndarray]:
-        for spec in iterate:
-            require_resolved(SpectralField(grid, spec), 1e-6)
-        integrand = np.array([core.n_hat(spec, stage)
-                              for spec, stage in zip(iterate, stages)])
-        # node m sums w_l * W(t_m - t_l) N(t_l) over the nodes l <= m
-        return [prop[m] * u0_hat
-                + np.sum(w * prop[m::-1] * integrand[:m + 1], axis=0)
-                for m, w in enumerate(weight_table)]
+    E = np.exp(symbol * h)
+    times = h * np.arange(n_nodes)
+    free = np.exp(symbol * times[:, None]) * transform(u0).coeffs  # W(t) u0
+    # node times are fixed across sweeps: check and sample Psi once per
+    # node, then stack the node stages into one lattice stage
+    stages = [core.check_background(m * h) for m in range(n_nodes)]
+    lattice = Stage([np.array(rows) for rows in zip(*(st.tables
+                                                      for st in stages))],
+                    np.array([st.forcing for st in stages]))
 
     # sup-in-time H^(s-1) distance by Parseval; interior bins count twice
     weights = (1.0 + grid.xi ** 2) ** (s - 1.0) * grid.multiplicity
-
-    def sup_diff(a, b):
-        mass = np.sum(weights * np.abs(np.asarray(a) - np.asarray(b)) ** 2,
-                      axis=1)
-        return float(np.sqrt(2.0 * grid.half_length * np.max(mass)))
-
-    iterate = [np.zeros_like(u0_hat) for _ in range(n_nodes)]
-    updates = []
+    iterate, updates = np.zeros_like(free), []
     for _ in range(max_iter):
-        new = duhamel_map(iterate)
-        upd = sup_diff(new, iterate)
-        updates.append(upd)
+        tails = tail_fraction_of_spectrum(grid, iterate)
+        if not np.all(tails <= 1e-6):   # the first node in breach raises
+            require_resolved(SpectralField(
+                grid, iterate[np.argmin(tails <= 1e-6)]), 1e-6)
+        new = free + _duhamel_quadrature(core.n_hat(iterate, lattice), E, h)
+        mass = np.sum(weights * np.abs(new - iterate) ** 2, axis=1)
+        updates.append(float(np.sqrt(2.0 * grid.half_length * np.max(mass))))
         iterate = new
-        if upd <= tol:
+        if updates[-1] <= tol:
             break
     else:
         raise SolverError(
             f"no contraction within {max_iter} iterations; the window is "
             f"too long for this viscosity (last update {updates[-1]:.3e})"
         )
-    factors = tuple(
-        updates[i + 1] / updates[i] for i in range(len(updates) - 1)
-        if updates[i] > 0
-    )
-    fields = [inverse_transform(SpectralField(grid, c)) for c in iterate]
-    return (Trajectory(grid, 0.0, h, fields),
+    factors = tuple(b / a for a, b in zip(updates, updates[1:]) if a > 0)
+    samples = np.fft.irfft(_left_end_phase(iterate), grid.n, norm="forward")
+    return (Trajectory.from_matrix(grid, 0.0, h, samples),
             PicardReport(len(updates), factors, updates[-1]))
 
 

@@ -24,7 +24,7 @@ zero-padded grid, see :func:`flux_grid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -197,6 +197,7 @@ class Trajectory:
     fields: list
     completed: bool = True
     abort_reason: str | None = None
+    _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -204,6 +205,25 @@ class Trajectory:
         for f in self.fields:
             if f.grid != self.grid:
                 raise SizeMismatchError("trajectory fields live on different grids")
+
+    @classmethod
+    def from_matrix(cls, grid: Grid, t0: float, dt: float,
+                    values: np.ndarray) -> "Trajectory":
+        """Trajectory of the rows of a (n_times, n) sample matrix, checked
+        once; ``values_matrix`` returns the matrix, read-only."""
+        mat = np.asarray(values, dtype=float).view()
+        if mat.ndim != 2 or mat.shape[1] != grid.n:
+            raise SizeMismatchError(f"sample matrix shape {mat.shape} does "
+                                    f"not match grid size {grid.n}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("trajectory contains non-finite samples")
+        mat.flags.writeable = False
+        fields = [object.__new__(PhysicalField) for _ in mat]
+        for f, row in zip(fields, mat):     # PhysicalField's checks done above
+            f.__dict__.update(grid=grid, values=row)
+        traj = cls(grid, t0, dt, fields)
+        traj._matrix = mat
+        return traj
 
     @property
     def times(self) -> np.ndarray:
@@ -215,6 +235,8 @@ class Trajectory:
 
     def values_matrix(self) -> np.ndarray:
         """(n_times, n_space) array of samples."""
+        if self._matrix is not None:
+            return self._matrix
         return np.stack([f.values for f in self.fields])
 
     def __len__(self):
@@ -397,12 +419,13 @@ def pseudoproduct(f: SpectralField, g: SpectralField, chi=None) -> SpectralField
 
 
 def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray,
-                              floor: float = 1e-20) -> float:
+                              floor: float = 1e-20):
+    """Top-quarter share of the L^2 mass of each spectrum on the last axis."""
     # fields below amplitude ~sqrt(floor) are roundoff noise and count as
     # resolved; a genuine resolution breach happens at O(1) amplitudes
     mass = grid.multiplicity * np.abs(coeffs) ** 2
-    tail = np.sum(mass[(3 * (grid.n // 2)) // 4:])
-    return float(np.sqrt(tail / max(np.sum(mass), floor)))
+    tail = np.sum(mass[..., (3 * (grid.n // 2)) // 4:], axis=-1)
+    return np.sqrt(tail / np.maximum(np.sum(mass, axis=-1), floor))
 
 
 def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
@@ -438,15 +461,17 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
                       rule: str = "auto") -> np.ndarray:
     """Half spectrum of the dealiased flux f(u+Psi) - f(Psi).
 
-    `half` holds bins 0..n/2 of a real field's spectrum; `tables` are
+    `half` holds bins 0..n/2 of real spectra on its last axis; `tables` are
     ``flux_tables(nl, psi)`` for Psi sampled on ``flux_grid(grid, nl,
-    rule)``.  A polynomial flux is sum_k c_k u^k by Horner in u, free of
-    the cancellation in f(u+Psi) - f(Psi).  A padded flux drops the Nyquist
-    bin on input and output; an unpadded transcendental or "lowpass" one is
-    cut at 2/3 of the band.  A non-finite flux raises NonFiniteResultError.
+    rule)``, broadcast against the leading axes, and each row is bit for
+    bit the call on that row alone.  A polynomial flux is sum_k c_k u^k
+    by Horner in u, free of the cancellation in f(u+Psi) - f(Psi).  A
+    padded flux drops the Nyquist bin on input and output; an unpadded
+    transcendental or "lowpass" one is cut at 2/3 of the band.  A
+    non-finite flux raises NonFiniteResultError.
     """
-    m, n_big = len(half) - 1, len(tables[0])
-    kept = half[:m if n_big > 2 * m else m + 1].copy()
+    m, n_big = half.shape[-1] - 1, tables[0].shape[-1]
+    kept = half[..., :m if n_big > 2 * m else m + 1].copy()
     u = np.fft.irfft(_left_end_phase(kept), n_big, norm="forward")  # padded
     if nl.polynomial_degree() is None:
         raw = nl.f(u + tables[0]) - tables[1]
@@ -457,11 +482,11 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
             raw *= u
     if not np.all(np.isfinite(raw)):
         raise NonFiniteResultError("non-finite nonlinear flux")
-    out = _left_end_phase(np.fft.rfft(raw, norm="forward")[:m + 1])
+    out = _left_end_phase(np.fft.rfft(raw, norm="forward")[..., :m + 1])
     if n_big > 2 * m:
-        out[m] = 0.0
+        out[..., m] = 0.0
     elif rule == "lowpass" or nl.polynomial_degree() is None:
-        out[2 * m // 3 + 1:] = 0.0
+        out[..., 2 * m // 3 + 1:] = 0.0
     return out
 
 
@@ -508,5 +533,5 @@ def trajectory_from_spacetime(coeffs: np.ndarray, traj_like: Trajectory) -> Traj
     mat = np.fft.irfft2(_left_end_phase(
         coeffs / np.exp(-1j * taus * traj_like.t0)[:, None] * (nt * nx)),
         s=(nt, nx))
-    fields = [PhysicalField(traj_like.grid, row) for row in mat]
-    return Trajectory(traj_like.grid, traj_like.t0, traj_like.dt, fields)
+    return Trajectory.from_matrix(traj_like.grid, traj_like.t0, traj_like.dt,
+                                  mat)

@@ -12,7 +12,8 @@ from gkdvlab.config import (BACKGROUND_VARIANTS, INITIAL_KINDS,
                             NONLINEARITY_KINDS, ConfigError, ScenarioConfig)
 from gkdvlab.fieldio import (read_snapshot, read_trajectory, write_snapshot,
                              write_trajectory)
-from gkdvlab.norms import trajectory_l2_sobolev
+from gkdvlab.norms import (sobolev_norm, trajectory_l2_sobolev,
+                           trajectory_sup_sobolev)
 from gkdvlab.spectral import Grid, PhysicalField, Trajectory
 
 
@@ -387,25 +388,30 @@ def test_norms_extends_coarse_trajectory(tmp_path, dt):
 
 def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
     # on a window that does not decay, the b = 0 row is the l2_t_sobolev
-    # row, computed once
+    # row, computed once: the sup_t and l2_t rows share one H^s norm per
+    # stored field
     grid = Grid(20.0, 64)
     fields = [PhysicalField.sample(grid, lambda x: (1 + k) * np.exp(-x ** 2))
               for k in range(3)]
     directory = str(tmp_path / "traj")
     write_trajectory(directory, Trajectory(grid, 0.0, 0.01, fields))
+    stored = read_trajectory(directory)
     calls = []
 
-    def spy(traj, s):
+    def spy(f, s):
         calls.append(s)
-        return trajectory_l2_sobolev(traj, s)
+        return sobolev_norm(f, s)
 
-    monkeypatch.setattr(cli, "trajectory_l2_sobolev", spy)
+    monkeypatch.setattr(cli, "sobolev_norm", spy)
     out_csv = str(tmp_path / "norms.csv")
     assert main(["norms", "--trajectory", directory, "--output", out_csv]) == 0
     with open(out_csv) as fh:
         rows = [row.split(",") for row in fh.read().splitlines()[1:]]
-    assert len(calls) == 1
+    assert len(calls) == len(fields)
+    assert rows[0][0] == "sup_t_sobolev"
+    assert rows[0][3] == f"{trajectory_sup_sobolev(stored, 1.0):.16e}"
     assert rows[1][0] == "l2_t_sobolev"
+    assert rows[1][3] == f"{trajectory_l2_sobolev(stored, 1.0):.16e}"
     assert rows[4][:4] == ["bourgain", "1.0", "0.0", rows[1][3]]
 
 

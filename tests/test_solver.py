@@ -35,9 +35,11 @@ from gkdvlab.spectral import (
     Grid,
     PhysicalField,
     SpectralField,
+    UnresolvedFieldError,
     airy_propagate,
     inverse_transform,
     l2_norm,
+    require_resolved,
     spatial_derivative,
     transform,
 )
@@ -529,11 +531,12 @@ def test_picard_updates_match_field_norm(monkeypatch, s):
 
     monkeypatch.setattr(SpectralCore, "n_hat", spy)
     # one sweep more with tol = 0: the spy sees every iterate the report
-    # compares, the last one included
+    # compares, the last one included, as one (nodes, bins) lattice each
     with pytest.raises(SolverError):
         picard_solve(u0, ZERO_BG, KDV, tol=0.0,
                      max_iter=report.iterations + 1, **kw)
-    iterates = [seen[i:i + 17] for i in range(0, len(seen), 17)]
+    assert all(lattice.shape == (17, grid.n // 2 + 1) for lattice in seen)
+    iterates = [list(lattice) for lattice in seen]
     updates = [max(sobolev_norm(inverse_transform(
                        SpectralField(grid, a - b)), s - 1.0)
                    for a, b in zip(new, old))
@@ -544,6 +547,81 @@ def test_picard_updates_match_field_norm(monkeypatch, s):
     assert len(report.contraction_factors) == len(updates) - 1
     for got, a, b in zip(report.contraction_factors, updates, updates[1:]):
         assert abs(got - b / a) <= 1e-12 * (b / a)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("n_nodes", 1), ("n_nodes", 0), ("t_small", -0.05), ("t_small", 0.0),
+    ("t_small", float("nan")), ("max_iter", 0), ("mu", float("nan")),
+])
+def test_picard_rejects_bad_lattice(arg, value):
+    grid = Grid(30.0, 256)
+    kw = dict(mu=0.1, t_small=0.05, n_nodes=17, max_iter=50)
+    kw[arg] = value
+    with pytest.raises(ValueError, match=arg):
+        picard_solve(gaussian(grid), ZERO_BG, KDV, **kw)
+
+
+def test_picard_reports_first_unresolved_node():
+    # the lattice tail check raises require_resolved's error for node 0,
+    # the data, which the first sweep's iterate (zero) does not hold yet
+    grid = Grid(30.0, 256)
+    u0 = PhysicalField(grid, np.exp(-grid.x ** 2)
+                       + 1e-2 * np.cos(grid.xi_max * 0.9 * grid.x))
+    with pytest.raises(UnresolvedFieldError) as want:
+        require_resolved(transform(u0), 1e-6)
+    with pytest.raises(UnresolvedFieldError) as got:
+        picard_solve(u0, ZERO_BG, KDV, mu=0.1, t_small=0.01, n_nodes=5)
+    assert str(got.value) == str(want.value)
+
+
+def test_picard_one_flux_per_sweep(monkeypatch):
+    grid = Grid(50.0, 512)
+    calls = []
+    real = solver.flux_coefficients
+    monkeypatch.setattr(solver, "flux_coefficients",
+                        lambda half, *a: calls.append(half.shape)
+                        or real(half, *a))
+    _, report = picard_solve(gaussian(grid), ZERO_BG, KDV, mu=0.1,
+                             t_small=0.05, n_nodes=17)
+    assert calls == [(17, grid.n // 2 + 1)] * report.iterations
+
+
+def prefix_weights(m, h):
+    """Closed Newton-Cotes weights for the integral over [t_0, t_m]:
+    composite Simpson pairs, a 3/8 block leading odd prefixes, the
+    trapezoid on two nodes."""
+    weights = np.zeros(m + 1)
+    if m == 0:
+        return weights
+    if m == 1:
+        weights[:2] = h / 2.0
+        return weights
+    start = 3 if m % 2 == 1 else 0
+    if start:
+        weights[:4] += np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
+    for seg in range(start, m, 2):
+        weights[seg:seg + 3] += np.array([1.0, 4.0, 1.0]) * h / 3.0
+    return weights
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 8, 9, 65])
+def test_duhamel_panels_match_prefix_rule(n_nodes):
+    # node m of the panel recurrence against the direct prefix sum
+    # sum_l w_l W(t_m - t_l) N(t_l)
+    grid = Grid(50.0, 512)
+    h = 0.05 / (n_nodes - 1)
+    symbol = SpectralCore(grid, ZERO_BG, KDV).linear_symbol(0.1)
+    rng = np.random.default_rng(n_nodes)
+    shape = (n_nodes, grid.xi.size)
+    N = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    prop = np.array([np.exp(symbol * (g * h)) for g in range(n_nodes)])
+    got = solver._duhamel_quadrature(N, prop[1], h)
+    assert np.all(got[0] == 0.0)
+    for m in range(1, n_nodes):
+        w = prefix_weights(m, h)[:, None]
+        want = np.sum(w * prop[m::-1] * N[:m + 1], axis=0)
+        assert (np.max(np.abs(got[m] - want))
+                <= 1e-13 * np.max(np.abs(want)))
 
 
 def test_picard_requires_positive_viscosity():

@@ -9,6 +9,7 @@ from gkdvlab.spectral import (
     PhysicalField,
     SizeMismatchError,
     SpectralField,
+    Trajectory,
     UnresolvedFieldError,
     airy_propagate,
     bessel_potential,
@@ -30,6 +31,7 @@ from gkdvlab.spectral import (
     smooth_cutoff,
     smoothing_constant,
     spatial_derivative,
+    tail_fraction_of_spectrum,
     transform,
 )
 
@@ -531,3 +533,52 @@ def test_sobolev_product_bound_regression():
                  / (sobolev_norm(f, 1.0) * sobolev_norm(g, 1.0)))
         worst = max(worst, ratio)
     assert worst < 0.1
+
+
+@pytest.mark.parametrize("bg, nl, rule", [
+    (MKdVKink(c=1.0), AnalyticNonlinearity.kdv(), "auto"),        # padded 2n
+    (MKdVKink(c=1.0), AnalyticNonlinearity.mkdv_defocusing(), "auto"),
+    (MKdVKink(c=1.0), AnalyticNonlinearity.kdv(), "lowpass"),     # unpadded
+    (MKdVKink(c=1.0), AnalyticNonlinearity.sine(), "auto"),       # unpadded
+], ids=["quadratic", "cubic", "lowpass", "sine"])
+def test_flux_rows_equal_single_calls(bg, nl, rule):
+    # a (rows, bins) stack with one table row per spectrum, as the Picard
+    # lattice passes it, is row by row the call on that row alone
+    grid = Grid(50.0, 256)
+    big = flux_grid(grid, nl, rule)
+    rows = np.array([transform(random_field(grid, seed=k, band=40)).coeffs
+                     * 0.05 for k in range(5)])
+    tables = [flux_tables(nl, bg.profile(0.1 * k, big.x)) for k in range(5)]
+    stacked = [np.array(col) for col in zip(*tables)]
+    got = flux_coefficients(rows, nl, stacked, rule)
+    assert got.shape == rows.shape
+    for row, tab, out in zip(rows, tables, got):
+        assert np.array_equal(out, flux_coefficients(row, nl, tab, rule))
+
+
+def test_tail_fraction_rows_equal_single_calls(grid):
+    rows = np.array([transform(random_field(grid, seed=k)).coeffs
+                     for k in range(4)])
+    rows[1] = 0.0
+    tails = tail_fraction_of_spectrum(grid, rows)
+    assert tails.shape == (4,)
+    for row, tail in zip(rows, tails):
+        assert tail == tail_fraction_of_spectrum(grid, row)
+
+
+def test_trajectory_from_matrix_keeps_its_matrix(grid):
+    mat = np.array([random_field(grid, seed=k).values for k in range(3)])
+    traj = Trajectory.from_matrix(grid, 0.5, 0.1, mat)
+    assert traj.values_matrix() is traj.values_matrix()
+    assert np.array_equal(traj.values_matrix(), mat)
+    assert not traj.values_matrix().flags.writeable
+    assert len(traj) == 3 and traj.t0 == 0.5 and traj.dt == 0.1
+    for f, row in zip(traj.fields, mat):
+        assert f.grid == grid and np.array_equal(f.values, row)
+    with pytest.raises(SizeMismatchError):
+        Trajectory.from_matrix(grid, 0.0, 0.1, mat[:, :-1])
+    with pytest.raises(ValueError, match="positive"):
+        Trajectory.from_matrix(grid, 0.0, 0.0, mat)
+    mat[2, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Trajectory.from_matrix(grid, 0.0, 0.1, mat)
