@@ -40,6 +40,7 @@ __all__ = [
     "MKdVDnoidal",
     "SyntheticBackground",
     "TabulatedBackground",
+    "BACKGROUNDS",
     "CnoidalParameters",
     "ParameterResolutionError",
     "residual_S",
@@ -191,32 +192,6 @@ def _dn_derivatives(s, c_, d, kappa):
     return d, d1, d2, d3
 
 
-def _wave_triple(bg, t, x):
-    """(sn, cn, dn) at gamma*(x - c*t) for a KdVCnoidal or MKdVDnoidal bg.
-
-    The triple at gamma*x is evaluated once per sample array and kept on
-    bg, keyed by a copy of the array's content, so a new array or one
-    changed in place is evaluated afresh.  Each time t then costs one
-    scalar triple at v = -gamma*c*t and the addition theorem (DLMF
-    22.8.1-22.8.3), whose denominator 1 - kappa^2 sn^2(gamma*x) sn^2(v) is
-    at least 1 - kappa^2 > 0.
-    """
-    x = np.asarray(x, dtype=float)
-    gamma, kappa = bg.parameters.gamma, bg.kappa
-    cached = getattr(bg, "_grid_triple", None)
-    if cached is None or not np.array_equal(cached[0], x):
-        s, c_, d = jacobi_sn_cn_dn(gamma * x, kappa)
-        cached = (x.copy(), s, c_, d, c_ * d, s * d, s * c_, s * s)
-        object.__setattr__(bg, "_grid_triple", cached)
-    _, s1, c1, d1, cd1, sd1, sc1, ss1 = cached
-    s2, c2, d2 = jacobi_sn_cn_dn(-gamma * bg.c * t, kappa)
-    k2s2 = kappa * kappa * s2
-    den = 1.0 / (1.0 - (k2s2 * s2) * ss1)
-    return ((s1 * (c2 * d2) + cd1 * s2) * den,
-            (c1 * c2 - sd1 * (s2 * d2)) * den,
-            (d1 * d2 - sc1 * (k2s2 * c2)) * den)
-
-
 def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
                     tolerance: float = 1e-8) -> CnoidalParameters:
     """Closed-form traveling-wave parameters for the periodic catalog profiles.
@@ -274,15 +249,20 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
 
 
 @dataclass(frozen=True)
-class KdVCnoidal(Background):
-    """Periodic cnoidal wave of the quadratic nonlinearity."""
+class _PeriodicWave(Background):
+    """Periodic wave alpha + beta*phi(gamma*(x - c*t)) of modulus kappa.
+
+    A subclass names its associated nonlinearity, for which the parameters
+    are resolved, and the profile phi by the function that gives phi and
+    its first three derivatives from the triple (sn, cn, dn).
+    """
 
     c: float
     kappa: float
-    variant = "kdv_cnoidal"
 
     def __post_init__(self):
-        params = resolve_cnoidal(self.c, self.kappa, AnalyticNonlinearity.kdv())
+        params = resolve_cnoidal(self.c, self.kappa,
+                                 self.associated_nonlinearity())
         object.__setattr__(self, "_params", params)
 
     @property
@@ -293,52 +273,57 @@ class KdVCnoidal(Background):
     def wave_speed(self):
         return self.c
 
+    def _triple(self, t, x):
+        """(sn, cn, dn) at gamma*(x - c*t).
+
+        The triple at gamma*x is evaluated once per sample array and kept
+        on the wave, keyed by a copy of the array's content, so a new array
+        or one changed in place is evaluated afresh.  Each time t then
+        costs one scalar triple at v = -gamma*c*t and the addition theorem
+        (DLMF 22.8.1-22.8.3), whose denominator
+        1 - kappa^2 sn^2(gamma*x) sn^2(v) is at least 1 - kappa^2 > 0.
+        """
+        x = np.asarray(x, dtype=float)
+        gamma, kappa = self._params.gamma, self.kappa
+        cached = getattr(self, "_grid_triple", None)
+        if cached is None or not np.array_equal(cached[0], x):
+            s, c_, d = jacobi_sn_cn_dn(gamma * x, kappa)
+            cached = (x.copy(), s, c_, d, c_ * d, s * d, s * c_, s * s)
+            object.__setattr__(self, "_grid_triple", cached)
+        _, s1, c1, d1, cd1, sd1, sc1, ss1 = cached
+        s2, c2, d2 = jacobi_sn_cn_dn(-gamma * self.c * t, kappa)
+        k2s2 = kappa * kappa * s2
+        den = 1.0 / (1.0 - (k2s2 * s2) * ss1)
+        return ((s1 * (c2 * d2) + cd1 * s2) * den,
+                (c1 * c2 - sd1 * (s2 * d2)) * den,
+                (d1 * d2 - sc1 * (k2s2 * c2)) * den)
+
     def jet(self, t, x):
         alpha, beta, gamma = self._params
-        cn2, d1, d2, d3 = _cn2_derivatives(*_wave_triple(self, t, x),
-                                           self.kappa)
-        psi = alpha + beta * cn2
-        psi_x = beta * gamma * d1
-        psi_xx = beta * gamma ** 2 * d2
-        psi_xxx = beta * gamma ** 3 * d3
+        p0, p1, p2, p3 = self.derivatives(*self._triple(t, x), self.kappa)
+        psi = alpha + beta * p0
+        psi_x = beta * gamma * p1
+        psi_xx = beta * gamma ** 2 * p2
+        psi_xxx = beta * gamma ** 3 * p3
         psi_t = -self.c * psi_x
         return Jet(psi, psi_t, psi_x, psi_xx, psi_xxx)
+
+
+class KdVCnoidal(_PeriodicWave):
+    """Periodic cnoidal wave of the quadratic nonlinearity."""
+
+    variant = "kdv_cnoidal"
+    derivatives = staticmethod(_cn2_derivatives)
 
     def associated_nonlinearity(self):
         return AnalyticNonlinearity.kdv()
 
 
-@dataclass(frozen=True)
-class MKdVDnoidal(Background):
+class MKdVDnoidal(_PeriodicWave):
     """Periodic dnoidal wave of the focusing cubic nonlinearity."""
 
-    c: float
-    kappa: float
     variant = "mkdv_dnoidal"
-
-    def __post_init__(self):
-        params = resolve_cnoidal(self.c, self.kappa,
-                                 AnalyticNonlinearity.mkdv_focusing())
-        object.__setattr__(self, "_params", params)
-
-    @property
-    def parameters(self) -> CnoidalParameters:
-        return self._params
-
-    @property
-    def wave_speed(self):
-        return self.c
-
-    def jet(self, t, x):
-        _, beta, gamma = self._params
-        d0, d1, d2, d3 = _dn_derivatives(*_wave_triple(self, t, x),
-                                         self.kappa)
-        psi = beta * d0
-        psi_x = beta * gamma * d1
-        psi_xx = beta * gamma ** 2 * d2
-        psi_xxx = beta * gamma ** 3 * d3
-        psi_t = -self.c * psi_x
-        return Jet(psi, psi_t, psi_x, psi_xx, psi_xxx)
+    derivatives = staticmethod(_dn_derivatives)
 
     def associated_nonlinearity(self):
         return AnalyticNonlinearity.mkdv_focusing()
@@ -388,18 +373,17 @@ class TabulatedBackground(Background):
         self._spline = CubicSpline(x_samples, psi_samples)
 
     @classmethod
-    def from_file(cls, path):
-        header_static = False
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("#") and "static" in line:
-                    header_static = True
-        if not header_static:
+    def from_file(cls, file):
+        with open(file) as fh:
+            header = [line.lstrip("#").partition(":") for line in fh
+                      if line.startswith("#")]
+        if not any(key.strip() == "t-dependence" and value.strip() == "static"
+                   for key, _, value in header):
             raise ValueError(
                 "tabulated background file must declare 't-dependence: static' "
                 "in a comment header"
             )
-        data = np.loadtxt(path)
+        data = np.loadtxt(file)
         return cls(data[:, 0], data[:, 1])
 
     def _check_range(self, x):
@@ -422,6 +406,19 @@ class TabulatedBackground(Background):
             self._spline(x, 2),
             self._spline(x, 3),
         )
+
+
+# variant -> (constructor, {parameter: default}), None marking a required
+# parameter: the catalog as a scenario config names it
+BACKGROUNDS = {
+    "zero": (ZeroBackground, {}),
+    "mkdv_kink": (MKdVKink, {"c": 1.0, "sign": 1}),
+    "gardner_kink": (GardnerKink, {"c": 1.0, "beta": 1.0, "sign": 1}),
+    "kdv_cnoidal": (KdVCnoidal, {"c": 1.0, "kappa": 0.8}),
+    "mkdv_dnoidal": (MKdVDnoidal, {"c": 1.0, "kappa": 0.5}),
+    "synthetic": (SyntheticBackground, {}),
+    "tabulated": (TabulatedBackground.from_file, {"file": None}),
+}
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .background import residual_S, zhidkov_split
-from .config import ConfigError, ScenarioConfig, BACKGROUND_VARIANTS, \
-    NONLINEARITY_KINDS
+from .background import BACKGROUNDS, residual_S, zhidkov_split
+from .config import INITIALS, NONLINEARITY_KINDS, ConfigError, ScenarioConfig
 from .diagnostics import collect_report, l2_growth_monitor
 from .fieldio import read_snapshot, read_trajectory, write_snapshot, \
     write_trajectory
@@ -289,19 +288,13 @@ def cmd_split(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    print("backgrounds:")
-    params = {
-        "zero": "",
-        "mkdv_kink": "c > 0, sign",
-        "gardner_kink": "c > 0, beta > 0, sign",
-        "kdv_cnoidal": "c > 0, kappa in (0,1)",
-        "mkdv_dnoidal": "c > 0, kappa in (0,1)",
-        "synthetic": "",
-        "tabulated": "file",
-    }
-    for variant in BACKGROUND_VARIANTS:
-        suffix = f"  ({params[variant]})" if params[variant] else ""
-        print(f"  {variant}{suffix}")
+    for title, registry in (("backgrounds", BACKGROUNDS),
+                            ("initial data", INITIALS)):
+        print(f"{title}:")
+        for name, (_, params) in registry.items():
+            listed = ", ".join(key if default is None else f"{key} = {default}"
+                               for key, default in params.items())
+            print(f"  {name}  ({listed})" if listed else f"  {name}")
     print("nonlinearities:")
     for kind in NONLINEARITY_KINDS:
         print(f"  {kind}")
@@ -352,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--s", type=float, default=1.0)
     p_split.set_defaults(func=cmd_split)
 
-    p_cat = sub.add_parser("catalog",
-                           help="list available backgrounds and nonlinearities")
+    p_cat = sub.add_parser(
+        "catalog", help="list backgrounds, initial data and nonlinearities")
     p_cat.set_defaults(func=cmd_catalog)
     return parser
 

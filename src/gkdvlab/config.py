@@ -5,6 +5,11 @@ nonlinearity, solver settings, initial data, diagnostics cadence, output
 directory) lives in one INI-style document with nested sections.  Values
 are literal (whole-line comments, no `%` interpolation), and serialization
 round-trips: parse(serialize(cfg)) is semantically identical.
+
+Each setting is declared once: a key in `SCHEMA` (its type and default are
+the attribute's on `ScenarioConfig()`), a catalog entry in `BACKGROUNDS`,
+`INITIALS` or `NONLINEARITIES`, or an entry's parameter.  Parsing rejects
+any other section or key with a ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -12,40 +17,111 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .background import (
-    Background,
-    GardnerKink,
-    KdVCnoidal,
-    MKdVDnoidal,
-    MKdVKink,
-    SyntheticBackground,
-    TabulatedBackground,
-    ZeroBackground,
-)
+from .background import BACKGROUNDS, Background
+from .fieldio import read_snapshot
 from .nonlinearity import AnalyticNonlinearity
 from .solver import SolverConfig
 from .spectral import Grid, PhysicalField
 
-__all__ = ["ScenarioConfig", "ConfigError", "BACKGROUND_VARIANTS",
-           "NONLINEARITY_KINDS", "INITIAL_KINDS"]
+__all__ = ["ScenarioConfig", "ConfigError", "SCHEMA", "INITIALS",
+           "NONLINEARITIES", "BACKGROUND_VARIANTS", "NONLINEARITY_KINDS",
+           "INITIAL_KINDS"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-BACKGROUND_VARIANTS = (
-    "zero", "mkdv_kink", "gardner_kink", "kdv_cnoidal", "mkdv_dnoidal",
-    "synthetic", "tabulated",
-)
-NONLINEARITY_KINDS = (
-    "kdv", "mkdv_focusing", "mkdv_defocusing", "gardner", "polynomial",
-    "exponential", "sine", "cosine", "series",
-)
-INITIAL_KINDS = ("zero", "gaussian", "soliton", "file")
+# section -> {key: attribute it sets}, in file order; None: retired, ignored
+SCHEMA = {
+    "grid": {"half_length": "grid_half_length", "points": "grid_points"},
+    "background": {"variant": "background_variant"},
+    "nonlinearity": {"kind": "nonlinearity_kind",
+                     "order": "nonlinearity_order",
+                     "coefficients": "nonlinearity_coefficients"},
+    "solver": {"scheme": "solver.scheme", "dt": "solver.dt",
+               "horizon": "solver.horizon", "viscosity": "solver.mu",
+               "dealias": "solver.dealias",
+               "boundary_buffer": "solver.boundary_buffer",
+               "boundary_threshold": "solver.boundary_threshold",
+               "tail_threshold": "solver.tail_threshold",
+               "cadence": "solver.cadence"},
+    "initial": {"kind": "initial_kind"},
+    "diagnostics": {"s": "diagnostics_s", "omega_eps": "omega_eps"},
+    "output": {"directory": "output_directory", "seed": None},
+}
+
+
+def _initial_file(grid, file):
+    try:
+        fld, _ = read_snapshot(file)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"invalid initial data file: {err}") from err
+    if fld.grid != grid:
+        raise ConfigError("initial data file grid mismatch")
+    return fld
+
+
+INITIALS = {
+    "zero": (PhysicalField.zero, {}),
+    "gaussian": (lambda grid, amplitude, width, center: PhysicalField.sample(
+        grid, lambda x: amplitude * np.exp(-((x - center) / width) ** 2)),
+        {"amplitude": 1.0, "width": 1.0, "center": 0.0}),
+    "soliton": (lambda grid, speed: PhysicalField.sample(
+        grid, lambda x: 1.5 * speed / np.cosh(np.sqrt(speed) / 2.0 * x) ** 2),
+        {"speed": 1.0}),
+    "file": (_initial_file, {"file": None}),
+}
+
+NONLINEARITIES = {
+    "kdv": lambda cfg: AnalyticNonlinearity.kdv(),
+    "mkdv_focusing": lambda cfg: AnalyticNonlinearity.mkdv_focusing(),
+    "mkdv_defocusing": lambda cfg: AnalyticNonlinearity.mkdv_defocusing(),
+    "gardner": lambda cfg: AnalyticNonlinearity.gardner(
+        cfg.background_params.get("beta",
+                                  BACKGROUNDS["gardner_kink"][1]["beta"])),
+    "polynomial": lambda cfg: AnalyticNonlinearity.polynomial(
+        cfg.nonlinearity_coefficients),
+    "exponential": lambda cfg: AnalyticNonlinearity.exponential(
+        cfg.nonlinearity_order),
+    "sine": lambda cfg: AnalyticNonlinearity.sine(cfg.nonlinearity_order),
+    "cosine": lambda cfg: AnalyticNonlinearity.cosine(cfg.nonlinearity_order),
+    "series": lambda cfg: AnalyticNonlinearity.from_series(
+        cfg.nonlinearity_coefficients),
+}
+
+BACKGROUND_VARIANTS = tuple(BACKGROUNDS)
+NONLINEARITY_KINDS = tuple(NONLINEARITIES)
+INITIAL_KINDS = tuple(INITIALS)
+
+_CHOICES = {  # the attribute naming each catalog choice -> its registry
+    "background_variant": BACKGROUNDS, "nonlinearity_kind": NONLINEARITIES,
+    "initial_kind": INITIALS}
+
+_PARAMETER_TYPES = {  # how a catalog parameter reads; any other, as a float
+    "sign": {"+": 1, "+1": 1, "1": 1, "-": -1, "-1": -1}.__getitem__,
+    "file": str}
+
+
+def _reader(cfg, attr):
+    """The reader of a schema key, from the type of its default on cfg."""
+    default = reduce(getattr, attr.split("."), cfg)
+    if isinstance(default, tuple):
+        return lambda text: tuple(float(tok) for tok in text.split())
+    return type(default)
+
+
+def _arguments(defaults, given, section):
+    """The constructor arguments: given values over the registry defaults."""
+    args = {key: given.get(key, default) for key, default in defaults.items()}
+    for key, value in args.items():
+        if value is None:
+            raise ConfigError(f"[{section}] {key} is required")
+    return args
 
 
 @dataclass
@@ -79,86 +155,30 @@ class ScenarioConfig:
             raise ConfigError(str(err)) from err
 
     def background(self) -> Background:
-        params = self.background_params
+        build, defaults = self._entry("background_variant")
+        args = _arguments(defaults, self.background_params, "background")
         try:
-            if self.background_variant == "zero":
-                return ZeroBackground()
-            if self.background_variant == "mkdv_kink":
-                return MKdVKink(c=float(params.get("c", 1.0)),
-                                sign=int(params.get("sign", 1)))
-            if self.background_variant == "gardner_kink":
-                return GardnerKink(c=float(params.get("c", 1.0)),
-                                   beta=float(params.get("beta", 1.0)),
-                                   sign=int(params.get("sign", 1)))
-            if self.background_variant == "kdv_cnoidal":
-                return KdVCnoidal(c=float(params.get("c", 1.0)),
-                                  kappa=float(params.get("kappa", 0.8)))
-            if self.background_variant == "mkdv_dnoidal":
-                return MKdVDnoidal(c=float(params.get("c", 1.0)),
-                                   kappa=float(params.get("kappa", 0.5)))
-            if self.background_variant == "synthetic":
-                return SyntheticBackground()
-            if self.background_variant == "tabulated":
-                return TabulatedBackground.from_file(params["file"])
-        except (KeyError, ValueError) as err:
+            return build(**args)
+        except ValueError as err:
             raise ConfigError(f"invalid background: {err}") from err
-        raise ConfigError(f"unknown background variant {self.background_variant!r}")
 
     def nonlinearity(self) -> AnalyticNonlinearity:
-        kind = self.nonlinearity_kind
+        build = self._entry("nonlinearity_kind")
         try:
-            if kind == "kdv":
-                return AnalyticNonlinearity.kdv()
-            if kind == "mkdv_focusing":
-                return AnalyticNonlinearity.mkdv_focusing()
-            if kind == "mkdv_defocusing":
-                return AnalyticNonlinearity.mkdv_defocusing()
-            if kind == "gardner":
-                beta = float(self.background_params.get("beta", 1.0))
-                return AnalyticNonlinearity.gardner(beta)
-            if kind == "polynomial":
-                return AnalyticNonlinearity.polynomial(
-                    self.nonlinearity_coefficients)
-            if kind == "exponential":
-                return AnalyticNonlinearity.exponential(self.nonlinearity_order)
-            if kind == "sine":
-                return AnalyticNonlinearity.sine(self.nonlinearity_order)
-            if kind == "cosine":
-                return AnalyticNonlinearity.cosine(self.nonlinearity_order)
-            if kind == "series":
-                return AnalyticNonlinearity.from_series(
-                    self.nonlinearity_coefficients)
+            return build(self)
         except ValueError as err:
             raise ConfigError(f"invalid nonlinearity: {err}") from err
-        raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 
     def initial_data(self) -> PhysicalField:
-        grid = self.grid()
-        params = self.initial_params
-        kind = self.initial_kind
-        if kind == "zero":
-            return PhysicalField.zero(grid)
-        if kind == "gaussian":
-            amp = float(params.get("amplitude", 1.0))
-            width = float(params.get("width", 1.0))
-            center = float(params.get("center", 0.0))
-            return PhysicalField.sample(
-                grid, lambda x: amp * np.exp(-((x - center) / width) ** 2))
-        if kind == "soliton":
-            c = float(params.get("speed", 1.0))
-            return PhysicalField.sample(
-                grid, lambda x: 1.5 * c / np.cosh(np.sqrt(c) / 2.0 * x) ** 2)
-        if kind == "file":
-            from .fieldio import read_snapshot
+        build, defaults = self._entry("initial_kind")
+        return build(self.grid(),
+                     **_arguments(defaults, self.initial_params, "initial"))
 
-            try:
-                fld, _ = read_snapshot(params["file"])
-            except (KeyError, OSError, ValueError) as err:
-                raise ConfigError(f"invalid initial data file: {err}") from err
-            if fld.grid != grid:
-                raise ConfigError("initial data file grid mismatch")
-            return fld
-        raise ConfigError(f"unknown initial data kind {kind!r}")
+    def _entry(self, attr):
+        name = getattr(self, attr)
+        if name not in _CHOICES[attr]:
+            raise ConfigError(f"unknown {attr.replace('_', ' ')} {name!r}")
+        return _CHOICES[attr][name]
 
     # -- text round trip ---------------------------------------------------
 
@@ -169,81 +189,42 @@ class ScenarioConfig:
             parser.read_string(text)
         except configparser.Error as err:
             raise ConfigError(f"malformed config: {err}") from err
-        cfg = cls()
 
-        def get(section, option, cast, default):
-            if parser.has_option(section, option):
-                try:
-                    return cast(parser.get(section, option))
-                except ValueError as err:
-                    raise ConfigError(
-                        f"bad value for [{section}] {option}: {err}") from err
-            return default
-
-        cfg.grid_half_length = get("grid", "half_length", float, 50.0)
-        cfg.grid_points = get("grid", "points", int, 1024)
-
-        cfg.background_variant = get("background", "variant", str, "zero")
-        if cfg.background_variant not in BACKGROUND_VARIANTS:
-            raise ConfigError(
-                f"unknown background variant {cfg.background_variant!r}")
-        params = {}
-        if parser.has_section("background"):
-            for key, value in parser.items("background"):
-                if key == "variant":
-                    continue
-                if key == "sign":
-                    params[key] = 1 if value.strip() in ("+", "+1", "1") else -1
-                elif key == "file":
-                    params[key] = value.strip()
-                else:
-                    params[key] = float(value)
-        cfg.background_params = params
-
-        cfg.nonlinearity_kind = get("nonlinearity", "kind", str, "kdv")
-        if cfg.nonlinearity_kind not in NONLINEARITY_KINDS:
-            raise ConfigError(
-                f"unknown nonlinearity kind {cfg.nonlinearity_kind!r}")
-        coeff_text = get("nonlinearity", "coefficients", str, "")
-        if coeff_text:
+        def read(section, key, cast):
             try:
-                cfg.nonlinearity_coefficients = tuple(
-                    float(tok) for tok in coeff_text.split())
-            except ValueError as err:
-                raise ConfigError(f"bad coefficient list: {err}") from err
-        cfg.nonlinearity_order = get("nonlinearity", "order", int, 30)
+                return cast(parser.get(section, key))
+            except (KeyError, ValueError) as err:
+                raise ConfigError(
+                    f"bad value for [{section}] {key}: {err}") from err
 
+        cfg, solver = cls(), {}
+        for section, keys in SCHEMA.items():
+            for key, attr in keys.items():
+                if attr and parser.has_option(section, key):
+                    owner, _, name = attr.rpartition(".")
+                    (solver if owner else vars(cfg))[name] = read(
+                        section, key, _reader(cfg, attr))
         try:
-            cfg.solver = SolverConfig(
-                scheme=get("solver", "scheme", str, "etdrk4"),
-                dt=get("solver", "dt", float, 1e-3),
-                horizon=get("solver", "horizon", float, 1.0),
-                mu=get("solver", "viscosity", float, 0.0),
-                dealias=get("solver", "dealias", str, "auto"),
-                boundary_buffer=get("solver", "boundary_buffer", float, 0.1),
-                boundary_threshold=get("solver", "boundary_threshold", float,
-                                       1e-3),
-                tail_threshold=get("solver", "tail_threshold", float, 1e-6),
-                cadence=get("solver", "cadence", int, 1),
-            )
+            cfg.solver = SolverConfig(**solver)
         except ValueError as err:
             raise ConfigError(f"invalid solver settings: {err}") from err
 
-        cfg.initial_kind = get("initial", "kind", str, "zero")
-        if cfg.initial_kind not in INITIAL_KINDS:
-            raise ConfigError(f"unknown initial data kind {cfg.initial_kind!r}")
-        iparams = {}
-        if parser.has_section("initial"):
-            for key, value in parser.items("initial"):
-                if key == "kind":
+        entries = {attr: cfg._entry(attr) for attr in _CHOICES}
+        gardner = {"beta"} if cfg.nonlinearity_kind == "gardner" else set()
+        known = {"background": gardner.union(entries["background_variant"][1]),
+                 "initial": entries["initial_kind"][1]}
+        params = {"background": {}, "initial": {}}
+        for section in parser.sections():
+            if section not in SCHEMA:
+                raise ConfigError(f"unknown section [{section}]")
+            for key in parser[section]:
+                if key in SCHEMA[section]:
                     continue
-                iparams[key] = value.strip() if key == "file" else float(value)
-        cfg.initial_params = iparams
-
-        cfg.diagnostics_s = get("diagnostics", "s", float, 1.0)
-        cfg.omega_eps = get("diagnostics", "omega_eps", float, 0.0)
-
-        cfg.output_directory = get("output", "directory", str, "out")
+                if key not in known.get(section, ()):
+                    raise ConfigError(f"unknown key [{section}] {key}")
+                params[section][key] = read(
+                    section, key, _PARAMETER_TYPES.get(key, float))
+        cfg.background_params, cfg.initial_params = params.values()
         return cfg
 
     @classmethod
@@ -256,39 +237,14 @@ class ScenarioConfig:
 
     def serialize(self) -> str:
         parser = configparser.ConfigParser(interpolation=None)
-        parser["grid"] = {
-            "half_length": repr(self.grid_half_length),
-            "points": str(self.grid_points),
-        }
-        bg = {"variant": self.background_variant}
-        for key, value in self.background_params.items():
-            bg[key] = str(value)
-        parser["background"] = bg
-        nl = {"kind": self.nonlinearity_kind, "order": str(self.nonlinearity_order)}
-        if self.nonlinearity_coefficients:
-            nl["coefficients"] = " ".join(
-                repr(a) for a in self.nonlinearity_coefficients)
-        parser["nonlinearity"] = nl
-        parser["solver"] = {
-            "scheme": self.solver.scheme,
-            "dt": repr(self.solver.dt),
-            "horizon": repr(self.solver.horizon),
-            "viscosity": repr(self.solver.mu),
-            "dealias": self.solver.dealias,
-            "boundary_buffer": repr(self.solver.boundary_buffer),
-            "boundary_threshold": repr(self.solver.boundary_threshold),
-            "tail_threshold": repr(self.solver.tail_threshold),
-            "cadence": str(self.solver.cadence),
-        }
-        init = {"kind": self.initial_kind}
-        for key, value in self.initial_params.items():
-            init[key] = str(value)
-        parser["initial"] = init
-        parser["diagnostics"] = {
-            "s": repr(self.diagnostics_s),
-            "omega_eps": repr(self.omega_eps),
-        }
-        parser["output"] = {"directory": self.output_directory}
+        for section, keys in SCHEMA.items():
+            values = {key: reduce(getattr, attr.split("."), self)
+                      for key, attr in keys.items() if attr}
+            # the catalog parameters, background_params and initial_params
+            values.update(getattr(self, f"{section}_params", {}))
+            parser[section] = {  # each value is written by str()
+                key: " ".join(map(str, v)) if isinstance(v, tuple) else v
+                for key, v in values.items() if v != ()}
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()

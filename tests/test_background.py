@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gkdvlab.background import (
+    BACKGROUNDS,
     CnoidalParameters,
     GardnerKink,
     KdVCnoidal,
@@ -20,6 +21,7 @@ from gkdvlab.background import (
     resolve_cnoidal,
     zhidkov_split,
 )
+from gkdvlab.config import INITIALS, NONLINEARITIES, ScenarioConfig
 from gkdvlab.elliptic import complete_elliptic_k, jacobi_sn_cn_dn
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.spectral import (
@@ -415,6 +417,56 @@ def test_tabulated_requires_static_header(tmp_path):
         fh.write("0.0 1.0\n1.0 2.0\n")
     with pytest.raises(ValueError):
         TabulatedBackground.from_file(str(path))
+
+
+@pytest.mark.parametrize("header, static", [
+    ("# t-dependence: static", True),
+    ("#t-dependence:static", True),
+    ("# x psi\n#  t-dependence :  static  ", True),
+    # a comment that merely contains the word used to pass
+    ("# t-dependence: not static, time dependent", False),
+    ("# static", False),
+    ("# t-dependence: static after t = 1", False),
+    ("# time-dependence: static", False),
+])
+def test_tabulated_header_is_the_declaration(tmp_path, header, static):
+    path = tmp_path / "bg.txt"
+    xs = np.linspace(-2.0, 2.0, 9)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for x in xs:
+            fh.write(f"{float(x)!r} {float(np.tanh(x))!r}\n")
+    if static:
+        assert TabulatedBackground.from_file(str(path)).profile(0.0, xs)[4] \
+            == pytest.approx(0.0, abs=1e-15)
+    else:
+        with pytest.raises(ValueError, match="t-dependence: static"):
+            TabulatedBackground.from_file(str(path))
+
+
+# ----------------------------------------------------------------------
+# the scenario catalog
+
+@pytest.mark.parametrize("variant", sorted(set(BACKGROUNDS) - {"tabulated"}))
+def test_background_registry_builds_from_defaults(variant):
+    build, defaults = BACKGROUNDS[variant]
+    bg = build(**defaults)
+    assert bg.variant == variant
+    assert ScenarioConfig(background_variant=variant).background() == bg
+    assert np.all(np.isfinite(bg.jet(0.3, np.linspace(-5.0, 5.0, 64)).psi))
+
+
+def test_catalog_registries_build_from_defaults():
+    grid = Grid(10.0, 64)
+    for kind in sorted(set(INITIALS) - {"file"}):
+        u0 = ScenarioConfig(grid_half_length=10.0, grid_points=64,
+                            initial_kind=kind).initial_data()
+        assert u0.grid == grid and np.all(np.isfinite(u0.values)), kind
+    for kind in NONLINEARITIES:
+        cfg = ScenarioConfig(nonlinearity_kind=kind,
+                             nonlinearity_coefficients=(0.0, 1.0))
+        nl = cfg.nonlinearity()
+        assert np.isfinite(nl.f(0.5)), kind
 
 
 def test_import_leaves_scipy_fitting_unloaded():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdvlab import cli
+from gkdvlab.background import MKdVKink
 from gkdvlab.cli import main
 from gkdvlab.config import (BACKGROUND_VARIANTS, INITIAL_KINDS,
                             NONLINEARITY_KINDS, ConfigError, ScenarioConfig)
@@ -44,6 +46,10 @@ s = 1.0
 [output]
 directory = PLACEHOLDER
 """
+
+
+# the [initial] lines of BASE_CFG: the zero kind takes no parameters
+GAUSSIAN = "kind = gaussian\namplitude = 0.5\nwidth = 1.0"
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -184,12 +190,132 @@ def test_config_rejects_bad_solver_values():
         ScenarioConfig.parse("[solver]\ndt = -1\n")
 
 
+README_SERIALIZED = """\
+[grid]
+half_length = 50.0
+points = 1024
+
+[background]
+variant = mkdv_kink
+c = 2.0
+sign = 1
+
+[nonlinearity]
+kind = mkdv_defocusing
+order = 30
+
+[solver]
+scheme = etdrk4
+dt = 0.0002
+horizon = 1.0
+viscosity = 0.0
+dealias = auto
+boundary_buffer = 0.1
+boundary_threshold = 0.001
+tail_threshold = 1e-06
+cadence = 500
+
+[initial]
+kind = gaussian
+amplitude = 1.0
+width = 1.0
+center = 0.0
+
+[diagnostics]
+s = 1.0
+omega_eps = 0.0
+
+[output]
+directory = out/kink_run
+
+"""
+
+
+def test_readme_example_serializes_to_pinned_bytes():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    assert ScenarioConfig.parse(text).serialize() == README_SERIALIZED
+
+
+@pytest.mark.parametrize("text, named", [
+    # a misspelt key used to parse, and the run went inviscid
+    ("[solver]\nviscocity = 0.5\n", "[solver] viscocity"),
+    # a misspelt section used to leave dt at its default
+    ("[solvr]\ndt = 5\n", "[solvr]"),
+    ("[output]\ndirectory = out\nsead = 7\n", "[output] sead"),
+    # catalog parameters are the chosen entry's: kapa used to run kappa = 0.8
+    ("[background]\nvariant = kdv_cnoidal\nkapa = 0.3\n", "[background] kapa"),
+    ("[background]\nvariant = mkdv_kink\nkappa = 0.3\n", "[background] kappa"),
+    ("[initial]\nkind = soliton\namplitude = 2\n", "[initial] amplitude"),
+    ("[initial]\nkind = zero\nwidth = 1\n", "[initial] width"),
+    # beta belongs to [background] only for the gardner nonlinearity
+    ("[background]\nvariant = zero\nbeta = 2\n", "[background] beta"),
+    ("[nonlinearity]\nkind = kdv\nbeta = 2\n", "[nonlinearity] beta"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, text, named):
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.parse(text)
+    assert named in str(info.value)
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_config_gardner_beta_lives_in_background():
+    cfg = ScenarioConfig.parse("[background]\nvariant = mkdv_kink\nbeta = 2\n"
+                               "[nonlinearity]\nkind = gardner\n")
+    assert cfg.nonlinearity().coeffs == (0.0, 0.0, 1.0, -2.0)
+    assert cfg.background() == MKdVKink(c=1.0)
+    cfg = ScenarioConfig.parse("[background]\nvariant = kdv_cnoidal\n"
+                               "kappa = 0.3\n")
+    assert cfg.background().kappa == 0.3
+
+
+@pytest.mark.parametrize("sign, value", [
+    ("+", 1), ("+1", 1), ("1", 1), ("-", -1), ("-1", -1),
+    ("0", None), ("2", None), ("yes", None), ("--1", None)])
+def test_config_sign_spellings(sign, value):
+    text = f"[background]\nvariant = mkdv_kink\nsign = {sign}\n"
+    if value is None:
+        # these used to read as -1
+        with pytest.raises(ConfigError, match=r"\[background\] sign"):
+            ScenarioConfig.parse(text)
+    else:
+        assert ScenarioConfig.parse(text).background().sign == value
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[background]\nvariant = mkdv_kink\nc = abc\n", "[background] c"),
+    ("[initial]\nkind = gaussian\nwidth = wide\n", "[initial] width"),
+    ("[grid]\npoints = 1024.5\n", "[grid] points"),
+    ("[nonlinearity]\nkind = series\ncoefficients = 1 x\n",
+     "[nonlinearity] coefficients"),
+])
+def test_config_bad_value_names_its_key(tmp_path, capsys, text, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        ScenarioConfig.parse(text)
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+
+
+@pytest.mark.parametrize("text, build, named", [
+    ("[background]\nvariant = tabulated\n", ScenarioConfig.background,
+     "[background] file"),
+    ("[initial]\nkind = file\n", ScenarioConfig.initial_data,
+     "[initial] file"),
+])
+def test_config_required_parameter_is_named(text, build, named):
+    with pytest.raises(ConfigError, match=re.escape(f"{named} is required")):
+        build(ScenarioConfig.parse(text))
+
+
 # ----------------------------------------------------------------------
 # run
 
 def test_run_zero_scenario(tmp_path, capsys):
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
-    text = text.replace("kind = gaussian", "kind = zero")
+    text = text.replace(GAUSSIAN, "kind = zero")
     status = main(["run", "--config", write_cfg(tmp_path, text), "--quiet"])
     assert status == 0
     rows = open(tmp_path / "out" / "diagnostics.csv").read().splitlines()
@@ -309,7 +435,7 @@ def test_split_command(tmp_path, capsys):
 
 def test_run_batch_jobs(tmp_path):
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "ignored"))
-    text = text.replace("kind = gaussian", "kind = zero")
+    text = text.replace(GAUSSIAN, "kind = zero")
     cfg_a = write_cfg(tmp_path, text, "a.cfg")
     cfg_b = write_cfg(tmp_path, text, "b.cfg")
     status = main(["run", "--config", cfg_a, cfg_b, "--jobs", "2",
@@ -323,6 +449,17 @@ def test_catalog_lists_variants(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
     assert "mkdv_kink" in out and "synthetic" in out and "gardner_kink" in out
+    lines = {line.split()[0]: line for line in out.splitlines()
+             if line.startswith("  ")}
+    for variant, params in BACKGROUND_PARAMS.items():
+        assert all(name in lines[variant] for name in params), variant
+    for kind, params in INITIAL_PARAMS.items():
+        assert all(name in lines[kind] for name in params), kind
+    assert set(BACKGROUND_VARIANTS) | set(NONLINEARITY_KINDS) <= set(lines)
+    # each listed parameter carries its registry default
+    assert "kappa = 0.8" in lines["kdv_cnoidal"]
+    assert "kappa = 0.5" in lines["mkdv_dnoidal"]
+    assert "amplitude = 1.0" in lines["gaussian"]
 
 
 # ----------------------------------------------------------------------
