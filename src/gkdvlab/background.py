@@ -44,6 +44,8 @@ __all__ = [
     "CnoidalParameters",
     "ParameterResolutionError",
     "residual_S",
+    "forcing_S",
+    "require_resolved_background",
     "check_hypotheses",
     "HypothesesReport",
     "zhidkov_split",
@@ -439,23 +441,36 @@ def smooth_window(grid: Grid) -> np.ndarray:
     return up / (up + down + 1e-300)
 
 
-def _windowed_tail(values: np.ndarray, grid: Grid) -> float:
-    windowed = PhysicalField(grid, values * smooth_window(grid))
-    return tail_fraction_of_spectrum(grid, transform(windowed).coeffs)
+def forcing_S(jet: Jet, nl: AnalyticNonlinearity, *, fp=None,
+              magnitude: bool = False) -> np.ndarray:
+    """S = Psi_t + Psi_xxx + f'(Psi) Psi_x at a jet's samples, any shape,
+    with f'(Psi) = `fp` where the caller has it, else nl.fp(Psi); with
+    `magnitude`, the scale |Psi_t| + |Psi_xxx| + |f'(Psi) Psi_x|."""
+    fp = nl.fp(jet.psi) if fp is None else fp
+    terms = (jet.psi_t, jet.psi_xxx, fp * jet.psi_x)
+    a, b, c = map(np.abs, terms) if magnitude else terms
+    return a + b + c
+
+
+def require_resolved_background(psi_x: np.ndarray, grid: Grid,
+                                tail_threshold: float) -> None:
+    """Raise UnresolvedFieldError unless every row of Psi_x, windowed,
+    resolves on the grid; the error names the first row in breach."""
+    tails = np.atleast_1d(tail_fraction_of_spectrum(grid, transform(
+        PhysicalField(grid, psi_x * smooth_window(grid))).coeffs))
+    tail = tails[np.argmax(tails > tail_threshold)]
+    if tail > tail_threshold:
+        raise UnresolvedFieldError(
+            f"background derivative tail {tail:.2e} exceeds "
+            f"{tail_threshold:.2e}; grid does not resolve the background")
 
 
 def residual_S(bg: Background, nl: AnalyticNonlinearity, t: float,
                grid: Grid, tail_threshold: float = 1e-10) -> PhysicalField:
     """Forcing S(t,.) = Psi_t + Psi_xxx + f'(Psi) Psi_x sampled on the grid."""
     jet = bg.jet(t, grid.x)
-    tail = _windowed_tail(jet.psi_x, grid)
-    if tail > tail_threshold:
-        raise UnresolvedFieldError(
-            f"background derivative tail {tail:.2e} exceeds {tail_threshold:.2e}; "
-            "grid does not resolve the background"
-        )
-    values = jet.psi_t + jet.psi_xxx + nl.fp(jet.psi) * jet.psi_x
-    return PhysicalField(grid, values)
+    require_resolved_background(jet.psi_x, grid, tail_threshold)
+    return PhysicalField(grid, forcing_S(jet, nl))
 
 
 @dataclass(frozen=True)
@@ -492,8 +507,7 @@ def check_hypotheses(bg: Background, nl: AnalyticNonlinearity, grid: Grid,
         smooth = float(np.max(np.abs(
             inverse_transform(bessel_potential(transform(windowed),
                                                s + 1.0 + eps)).values)))
-        forcing = jet.psi_t + jet.psi_xxx + nl.fp(jet.psi) * jet.psi_x
-        forcing_w = PhysicalField(g, forcing * window)
+        forcing_w = PhysicalField(g, forcing_S(jet, nl) * window)
         forcing_norm = l2_norm(
             inverse_transform(bessel_potential(transform(forcing_w), s + eps)))
         return sup_dt, smooth, forcing_norm

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .background import BACKGROUNDS, residual_S, zhidkov_split
+from .background import BACKGROUNDS, forcing_S, residual_S, zhidkov_split
 from .config import INITIALS, NONLINEARITY_KINDS, ConfigError, ScenarioConfig
 from .diagnostics import collect_report, l2_growth_monitor
 from .fieldio import read_snapshot, read_trajectory, write_snapshot, \
@@ -36,7 +36,7 @@ from .norms import (
     sobolev_norm,
 )
 from .solver import SolverError, evolve, vanishing_viscosity
-from .spectral import UnresolvedFieldError, l2_norm
+from .spectral import SpectralField, UnresolvedFieldError, l2_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,9 +71,8 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
 
     exact_nl = bg.associated_nonlinearity()
     if exact_nl is not None and exact_nl.coeffs == nl.coeffs:
-        jet = bg.jet(0.0, grid.x)
-        scale = float(np.max(np.abs(jet.psi_t) + np.abs(jet.psi_xxx)
-                             + np.abs(nl.fp(jet.psi) * jet.psi_x)))
+        scale = float(np.max(forcing_S(bg.jet(0.0, grid.x), nl,
+                                       magnitude=True)))
         try:
             forcing = residual_S(bg, nl, 0.0, grid)
         except UnresolvedFieldError as err:
@@ -249,16 +248,17 @@ def cmd_norms(args) -> int:
     decaying = decays_at_ends(traj)
     work = traj if decaying else extend_trajectory(traj)
 
-    # both rows of the H^s norm come from one H^s norm per stored field;
-    # at b = 0 the modulation weight drops out and the restricted norm
-    # collapses to the time-integrated H^s norm of the stored window
-    h_s = [sobolev_norm(f, s) for f in traj.fields]
+    # the three H^s rows read one spectrum per stored field; at b = 0 the
+    # modulation weight drops out and the restricted norm collapses to the
+    # time-integrated H^s norm of the stored window
+    spectra = SpectralField(grid, traj.spectra())
+    h_s = sobolev_norm(spectra, s).tolist()
     l2_t = float(np.sqrt(traj.dt * np.sum([v ** 2 for v in h_s])))
     rows = [
         ("sup_t_sobolev", s, "", max(h_s)),
         ("l2_t_sobolev", s, "", l2_t),
         ("sup_t_enveloped", s, "",
-         max(enveloped_norm(f, s, omega) for f in traj.fields)),
+         max(enveloped_norm(spectra, s, omega).tolist())),
         ("bourgain", s, b, bourgain_norm(work, s, b)),
         ("bourgain", s, 0.0, bourgain_norm(work, s, 0.0) if decaying else l2_t),
     ]

@@ -159,6 +159,8 @@ class ScenarioConfig:
         args = _arguments(defaults, self.background_params, "background")
         try:
             return build(**args)
+        except OSError as err:      # only the tabulated variant reads a file
+            raise ConfigError(f"cannot read [background] file: {err}") from err
         except ValueError as err:
             raise ConfigError(f"invalid background: {err}") from err
 
@@ -184,7 +186,10 @@ class ScenarioConfig:
 
     @classmethod
     def parse(cls, text: str) -> "ScenarioConfig":
-        parser = configparser.ConfigParser(interpolation=None)
+        # "" can name no section, so a [DEFAULT] section, whose keys would
+        # reach every section, is read as an unknown section instead
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="")
         try:
             parser.read_string(text)
         except configparser.Error as err:

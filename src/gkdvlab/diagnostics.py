@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .background import Background, residual_S
+from .background import Background, forcing_S, require_resolved_background
 from .nonlinearity import AnalyticNonlinearity
 from .norms import WeightSequence, _block_masses, enveloped_norm, sobolev_norm
 from .solver import SolverConfig, boundary_mass_fraction, evolve
 from .spectral import (
     Grid,
     PhysicalField,
+    SpectralField,
     Trajectory,
     inverse_transform,
     l2_norm,
@@ -100,21 +101,16 @@ def l2_growth_monitor(traj: Trajectory, bg: Background,
     forcing pairing and the second-order Taylor remainder of f.
     """
     grid = traj.grid
-    lo, hi = np.inf, -np.inf
-    sup_psi_x = 0.0
-    sup_forcing_sq = 0.0
-    for t in traj.times:
-        jet = bg.jet(float(t), grid.x)
-        total = traj.fields[int(round((t - traj.t0) / traj.dt))].values + jet.psi
-        lo = min(lo, float(np.min(total)))
-        hi = max(hi, float(np.max(total)))
-        sup_psi_x = max(sup_psi_x, float(np.max(np.abs(jet.psi_x))))
-        forcing = residual_S(bg, nl, float(t), grid)
-        sup_forcing_sq = max(sup_forcing_sq, l2_norm(forcing) ** 2)
+    jet = bg.jet(traj.times[:, None], grid.x)       # a row per sample time
+    require_resolved_background(jet.psi_x, grid, 1e-10)
+    total = traj.values_matrix() + jet.psi
+    lo, hi = float(np.min(total)), float(np.max(total))
     pad = 0.1 * max(abs(lo), abs(hi), 1e-30)
     M = nl.gwp_bound(lo - pad, hi + pad).M
-    B = 1.0 + M * sup_psi_x
-    A = sup_forcing_sq
+    B = 1.0 + M * float(np.max(np.abs(jet.psi_x)))
+    forcing = PhysicalField(grid, forcing_S(jet, nl)).values  # checked finite
+    l2 = np.atleast_1d(np.sqrt(grid.dx * np.sum(forcing ** 2, axis=-1)))
+    A = max(v ** 2 for v in l2.tolist())
 
     mass0 = l2_norm(traj.fields[0]) ** 2
     worst, worst_t = np.inf, float("nan")
@@ -212,7 +208,7 @@ def envelope_tail_monitor(traj: Trajectory, s: float, omega: WeightSequence):
     blocks = np.asarray(omega.blocks)
     table = ((np.asarray(omega.weights) ** 2 * (1.0 + blocks ** 2) ** s)
              [:, None] * _block_masses(traj.grid, omega.blocks))
-    power = np.abs([transform(f).coeffs for f in traj.fields]) ** 2
+    power = np.abs(traj.spectra()) ** 2
     above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
     tails = np.append(np.max(above, axis=0)[1:], 0.0)
     return dict(zip(blocks.tolist(), tails.tolist()))
@@ -267,16 +263,16 @@ def collect_report(traj: Trajectory, bg: Background, nl: AnalyticNonlinearity,
                    buffer_fraction: float = 0.1) -> DiagnosticsReport:
     """Evaluate the standard functional series along a trajectory."""
     omega = omega or WeightSequence.ones(traj.grid)
-    report = DiagnosticsReport()
-    for t, f in zip(traj.times, traj.fields):
+    spectra = SpectralField(traj.grid, traj.spectra())
+    report = DiagnosticsReport(
+        times=traj.times.tolist(), hs=sobolev_norm(spectra, s).tolist(),
+        hs_enveloped=enveloped_norm(spectra, s, omega).tolist())
+    for t, f in zip(report.times, traj.fields):
         i1, i2, i3 = invariants_I(f, nl)
-        report.times.append(float(t))
         report.i1.append(i1)
         report.i2.append(i2)
         report.i3.append(i3)
-        report.energy.append(modified_energy(f, bg, nl, float(t)))
-        report.hs.append(sobolev_norm(f, s))
-        report.hs_enveloped.append(enveloped_norm(f, s, omega))
+        report.energy.append(modified_energy(f, bg, nl, t))
         report.boundary.append(boundary_mass_fraction(f, buffer_fraction))
     report.validate()
     return report

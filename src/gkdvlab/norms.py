@@ -19,6 +19,7 @@ import numpy as np
 from .spectral import (
     Grid,
     PhysicalField,
+    SpectralField,
     Trajectory,
     _left_end_phase,
     dyadic_band,
@@ -53,12 +54,21 @@ __all__ = [
 # ----------------------------------------------------------------------
 # spatial norms
 
-def sobolev_norm(f: PhysicalField, s: float) -> float:
-    """H^s norm via the Bessel multiplier and discrete Parseval."""
-    coeffs = transform(f).coeffs
-    weights = (1.0 + f.grid.xi ** 2) ** s * f.grid.multiplicity
-    return float(np.sqrt(2.0 * f.grid.half_length *
-                         np.sum(weights * np.abs(coeffs) ** 2)))
+def _parseval(f: PhysicalField | SpectralField, weight: np.ndarray,
+              scale: float = 1.0):
+    """sqrt(scale * sum_j weight_j |u_hat_j|^2) of a field as a float, or
+    one value per row of a SpectralField of stacked spectra, such as
+    ``SpectralField(grid, traj.spectra())``."""
+    spec = f if isinstance(f, SpectralField) else transform(f)
+    norms = np.sqrt(scale * np.sum(weight * np.abs(spec.coeffs) ** 2, axis=-1))
+    return norms if norms.ndim else float(norms)
+
+
+def sobolev_norm(f: PhysicalField | SpectralField, s: float):
+    """H^s norm via the Bessel multiplier and discrete Parseval, per row
+    of stacked spectra (see :func:`_parseval`)."""
+    return _parseval(f, (1.0 + f.grid.xi ** 2) ** s * f.grid.multiplicity,
+                     2.0 * f.grid.half_length)
 
 
 @dataclass(frozen=True)
@@ -130,16 +140,16 @@ def _envelope_weight(grid: Grid, s: float, omega: WeightSequence) -> np.ndarray:
     return weight
 
 
-def enveloped_norm(f: PhysicalField, s: float, omega: WeightSequence) -> float:
+def enveloped_norm(f: PhysicalField | SpectralField, s: float,
+                   omega: WeightSequence):
     """Dyadic-block weighted H^s norm; the residual low block has weight 1.
 
     Every block is a Fourier multiplier, so by Parseval the norm squared
     is  2L sum_j mult_j <xi_j>^2s [eta(2 xi_j/N_min)^2 + sum_N w_N^2
     phi(xi_j/N)^2] |u_hat_j|^2,  one sum against a weight built once per
-    (grid, s, omega).  A block outside ``dyadic_band(grid)`` raises
-    ValueError."""
-    power = np.abs(transform(f).coeffs) ** 2
-    return float(np.sqrt(np.sum(_envelope_weight(f.grid, s, omega) * power)))
+    (grid, s, omega), per row of stacked spectra (see :func:`_parseval`).
+    A block outside ``dyadic_band(grid)`` raises ValueError."""
+    return _parseval(f, _envelope_weight(f.grid, s, omega))
 
 
 # ----------------------------------------------------------------------
@@ -178,12 +188,13 @@ def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
 
 def trajectory_l2_sobolev(traj: Trajectory, s: float) -> float:
     """L^2 in time of the spatial H^s norm over the stored window."""
-    vals = [sobolev_norm(f, s) ** 2 for f in traj.fields]
-    return float(np.sqrt(traj.dt * np.sum(vals)))
+    h_s = sobolev_norm(SpectralField(traj.grid, traj.spectra()), s).tolist()
+    return float(np.sqrt(traj.dt * np.sum([v ** 2 for v in h_s])))
 
 
 def trajectory_sup_sobolev(traj: Trajectory, s: float) -> float:
-    return float(max(sobolev_norm(f, s) for f in traj.fields))
+    return float(np.max(sobolev_norm(SpectralField(traj.grid,
+                                                   traj.spectra()), s)))
 
 
 def trajectory_l2_linf(traj: Trajectory) -> float:
@@ -459,8 +470,7 @@ def strichartz_certificate(traj: Trajectory, forcing: Trajectory,
 
     # U(h) (u_m + h/2 F_m) + h/2 F_{m+1} predicts u_{m+1}, all m at once
     h, mat = traj.dt, traj.values_matrix()
-    u_hat = np.array([transform(f).coeffs for f in traj.fields])
-    half_f = 0.5 * h * np.array([transform(f).coeffs for f in forcing.fields])
+    u_hat, half_f = traj.spectra(), 0.5 * h * forcing.spectra()
     step = np.exp(1j * h * traj.grid.xi ** 3) * (u_hat[:-1] + half_f[:-1])
     predicted = np.fft.irfft(_left_end_phase(step + half_f[1:]), traj.grid.n,
                              norm="forward")

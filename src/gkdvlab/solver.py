@@ -18,8 +18,9 @@ construction, signed-`dt` integration) evaluates its nonlinear term in one
 run constants once and stage-time data once per time: one background jet
 on the flux grid gives the flux tables (Taylor coefficients f^(k)(Psi)/k!
 of a polynomial f) and, through its samples x_big[::p] = x, the forcing.
-A step has two new stage times, t + dt/2 and t + dt, so two jets.  The
-Nyquist bin is zeroed in the linear symbol, the derivative and the forcing.
+A step has two new stage times, t + dt/2 and t + dt, so two jets; the
+Picard lattice takes one jet over all its node times.  The Nyquist bin is
+zeroed in the linear symbol, the derivative and the forcing.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .background import Background, residual_S
+from .background import Background, Jet, forcing_S, residual_S, \
+    require_resolved_background
 from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError
 from .spectral import (
     Grid,
@@ -201,7 +203,7 @@ class Stage(NamedTuple):
 
 
 def _without_nyquist(symbol: np.ndarray) -> np.ndarray:
-    symbol[-1] = 0.0
+    symbol[..., -1] = 0.0
     return symbol
 
 
@@ -218,20 +220,38 @@ class SpectralCore:
                  dealias: str = "auto"):
         self.grid, self.bg, self.nl, self.dealias = grid, bg, nl, dealias
         self.flux_grid = flux_grid(grid, nl, dealias)
+        self._stride = self.flux_grid.n // grid.n     # x_big[::p] = x
         self._derivative = _without_nyquist(-1j * grid.xi)
         self._stages: dict[float, Stage] = {}
         self._tables: dict[tuple, tuple] = {}
 
-    def check_background(self, t: float,
-                         tail_threshold: float = 1e-10) -> Stage:
-        """Raise UnresolvedFieldError unless the grid resolves Psi(t).
+    def check_background(self, t, tail_threshold: float = 1e-10) -> Stage:
+        """Raise UnresolvedFieldError unless the grid resolves Psi at t.
 
         Returns the stage at t, so a background that cannot be sampled on
-        the flux grid fails before any step.
+        the flux grid fails before any step.  For a 1-d array of times one
+        jet over the (times, 1) column gives the stages stacked row by row
+        (a static background's one row broadcast), and a failure raises
+        what checking the times one by one raises first.
         """
-        residual_S(self.bg, self.nl, t, self.grid,
-                   tail_threshold=max(tail_threshold, 1e-10))
-        return self.stage(t)
+        threshold = max(tail_threshold, 1e-10)
+        if np.ndim(t) == 0:
+            residual_S(self.bg, self.nl, t, self.grid, tail_threshold=threshold)
+            return self.stage(t)
+        times = np.asarray(t, dtype=float)
+        try:
+            jet = self.bg.jet(times[:, None], self.flux_grid.x)
+            require_resolved_background(jet.psi_x[..., ::self._stride],
+                                        self.grid, threshold)
+            tables, forcing = self._stage(jet)
+        except (ValueError, ArithmeticError):
+            for t_m in times.tolist():      # the first failing time raises
+                self.check_background(t_m, tail_threshold)
+            raise
+
+        def rows(a):
+            return np.broadcast_to(a, (times.size, a.shape[-1]))
+        return Stage([rows(a) for a in tables], rows(forcing))
 
     def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
         """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
@@ -241,17 +261,20 @@ class SpectralCore:
     def stage(self, t: float) -> Stage:
         """Background data at time t, from one jet per new time."""
         if t not in self._stages:
-            jet = self.bg.jet(t, self.flux_grid.x)
-            p = self.flux_grid.n // self.grid.n
-            tables = flux_tables(self.nl, jet.psi)
-            fp = (tables[1][::p] if self.nl.polynomial_degree()
-                  else self.nl.fp(jet.psi[::p]))
-            forcing = jet.psi_t[::p] + jet.psi_xxx[::p] + fp * jet.psi_x[::p]
-            forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
+            stage = self._stage(self.bg.jet(t, self.flux_grid.x))
             if len(self._stages) == 3:
                 del self._stages[next(iter(self._stages))]
-            self._stages[t] = Stage(tables, _without_nyquist(forcing_hat))
+            self._stages[t] = stage
         return self._stages[t]
+
+    def _stage(self, jet: Jet) -> Stage:
+        """Stage data of a jet on the flux grid, row by row; a polynomial
+        flux's Taylor table c_1 is f'(Psi)."""
+        p, tables = self._stride, flux_tables(self.nl, jet.psi)
+        forcing = forcing_S(Jet(*(a[..., ::p] for a in jet)), self.nl, fp=(
+            tables[1][..., ::p] if self.nl.polynomial_degree() else None))
+        forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
+        return Stage(tables, _without_nyquist(forcing_hat))
 
     def flux_term(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
         """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectra `spec`,
@@ -441,10 +464,11 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     sup-in-time H^(s-1).  Returns the fixed-point trajectory and the
     per-iteration contraction report.
 
-    The iterate is one (n_nodes, n/2+1) array of half spectra.  A sweep
-    checks the tails of all nodes at once, makes one
-    :meth:`SpectralCore.n_hat` call on the lattice against the node
-    stages stacked row by row, and sums the quadrature panel by panel
+    The iterate is one (n_nodes, n/2+1) array of half spectra.  The node
+    stages come stacked row by row from one batched
+    :meth:`SpectralCore.check_background`.  A sweep checks the tails of
+    all nodes at once, makes one :meth:`SpectralCore.n_hat` call on the
+    lattice, and sums the quadrature panel by panel
     (:func:`_duhamel_quadrature`, the prefix rule in exact arithmetic).
     """
     if not (np.isfinite(mu) and mu > 0):
@@ -463,12 +487,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     E = np.exp(symbol * h)
     times = h * np.arange(n_nodes)
     free = np.exp(symbol * times[:, None]) * transform(u0).coeffs  # W(t) u0
-    # node times are fixed across sweeps: check and sample Psi once per
-    # node, then stack the node stages into one lattice stage
-    stages = [core.check_background(m * h) for m in range(n_nodes)]
-    lattice = Stage([np.array(rows) for rows in zip(*(st.tables
-                                                      for st in stages))],
-                    np.array([st.forcing for st in stages]))
+    lattice = core.check_background(times)
 
     # sup-in-time H^(s-1) distance by Parseval; interior bins count twice
     weights = (1.0 + grid.xi ** 2) ** (s - 1.0) * grid.multiplicity

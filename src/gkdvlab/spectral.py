@@ -119,14 +119,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class PhysicalField:
-    """Real samples of a function on a grid."""
+    """Real samples of a function on a grid, or of several stacked on
+    leading axes, which the transforms treat row by row."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n,):
+        if vals.shape[-1:] != (self.grid.n,):
             raise SizeMismatchError(
                 f"field shape {vals.shape} does not match grid size {self.grid.n}"
             )
@@ -162,14 +163,15 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Plane-wave coefficients of a real field, bins 0..n/2 (``Grid.xi``)."""
+    """Plane-wave coefficients of a real field, bins 0..n/2 (``Grid.xi``)
+    on the last axis; leading axes stack several fields."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != self.grid.xi.shape:
+        if c.shape[-1:] != self.grid.xi.shape:
             raise SizeMismatchError(
                 f"coefficient shape {c.shape} does not match grid size "
                 f"{self.grid.n}, which has {self.grid.xi.size} bins")
@@ -198,6 +200,7 @@ class Trajectory:
     completed: bool = True
     abort_reason: str | None = None
     _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
+    _spectra: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -238,6 +241,16 @@ class Trajectory:
         if self._matrix is not None:
             return self._matrix
         return np.stack([f.values for f in self.fields])
+
+    def spectra(self) -> np.ndarray:
+        """(n_times, n/2+1) half spectra of the samples from one
+        :func:`transform`, made on the first call and then returned,
+        read-only, by every later one."""
+        if self._spectra is None:
+            self._spectra = transform(
+                PhysicalField(self.grid, self.values_matrix())).coeffs
+            self._spectra.flags.writeable = False
+        return self._spectra
 
     def __len__(self):
         return len(self.fields)

@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdvlab import cli
+from gkdvlab import cli, norms, spectral
 from gkdvlab.background import MKdVKink
 from gkdvlab.cli import main
 from gkdvlab.config import (BACKGROUND_VARIANTS, INITIAL_KINDS,
                             NONLINEARITY_KINDS, ConfigError, ScenarioConfig)
 from gkdvlab.fieldio import (read_snapshot, read_trajectory, write_snapshot,
                              write_trajectory)
-from gkdvlab.norms import (sobolev_norm, trajectory_l2_sobolev,
-                           trajectory_sup_sobolev)
-from gkdvlab.spectral import Grid, PhysicalField, Trajectory
+from gkdvlab.norms import (WeightSequence, _envelope_weight, sobolev_norm,
+                           trajectory_l2_sobolev, trajectory_sup_sobolev)
+from gkdvlab.spectral import (Grid, PhysicalField, Trajectory, airy_propagate,
+                              inverse_transform, transform)
 
 
 BASE_CFG = """
@@ -252,6 +253,8 @@ def test_readme_example_serializes_to_pinned_bytes():
     # beta belongs to [background] only for the gardner nonlinearity
     ("[background]\nvariant = zero\nbeta = 2\n", "[background] beta"),
     ("[nonlinearity]\nkind = kdv\nbeta = 2\n", "[nonlinearity] beta"),
+    # its keys used to reach every section, and were reported in the first
+    ("[DEFAULT]\ndt = 5\n[grid]\npoints = 64\n", "[DEFAULT]"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, capsys, text, named):
     with pytest.raises(ConfigError) as info:
@@ -308,6 +311,16 @@ def test_config_bad_value_names_its_key(tmp_path, capsys, text, named):
 def test_config_required_parameter_is_named(text, build, named):
     with pytest.raises(ConfigError, match=re.escape(f"{named} is required")):
         build(ScenarioConfig.parse(text))
+
+
+def test_run_missing_tabulated_file_names_its_key(tmp_path, capsys):
+    # a bare FileNotFoundError used to reach stderr without the key
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "variant = zero",
+        f"variant = tabulated\nfile = {tmp_path / 'missing.txt'}")
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "[background] file" in err
 
 
 # ----------------------------------------------------------------------
@@ -525,8 +538,8 @@ def test_norms_extends_coarse_trajectory(tmp_path, dt):
 
 def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
     # on a window that does not decay, the b = 0 row is the l2_t_sobolev
-    # row, computed once: the sup_t and l2_t rows share one H^s norm per
-    # stored field
+    # row, computed once: the sup_t and l2_t rows share one batched H^s
+    # call, one norm per stored field
     grid = Grid(20.0, 64)
     fields = [PhysicalField.sample(grid, lambda x: (1 + k) * np.exp(-x ** 2))
               for k in range(3)]
@@ -544,12 +557,56 @@ def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
     assert main(["norms", "--trajectory", directory, "--output", out_csv]) == 0
     with open(out_csv) as fh:
         rows = [row.split(",") for row in fh.read().splitlines()[1:]]
-    assert len(calls) == len(fields)
+    assert len(calls) == 1
     assert rows[0][0] == "sup_t_sobolev"
     assert rows[0][3] == f"{trajectory_sup_sobolev(stored, 1.0):.16e}"
     assert rows[1][0] == "l2_t_sobolev"
     assert rows[1][3] == f"{trajectory_l2_sobolev(stored, 1.0):.16e}"
     assert rows[4][:4] == ["bourgain", "1.0", "0.0", rows[1][3]]
+
+
+def test_norms_one_transform_for_the_hs_rows(tmp_path, monkeypatch):
+    # the sup_t_sobolev, l2_t_sobolev and sup_t_enveloped rows read one
+    # batched transform of the stored fields, and print what the per-field
+    # formulas print; the window decays, so nothing else is transformed
+    grid = Grid(20.0, 128)
+    spec = transform(PhysicalField.sample(
+        grid, lambda x: np.exp(-((x - 0.3) / 1.2) ** 2)))
+    fields = [inverse_transform(airy_propagate(spec, 0.5 * k / 32))
+              * (k * (32 - k) / 256.0) for k in range(33)]
+    directory = str(tmp_path / "traj")
+    write_trajectory(directory, Trajectory(grid, 0.0, 0.5 / 32, fields))
+    stored = read_trajectory(directory)
+    s, omega = 0.8, WeightSequence.bracket_power(grid, 0.5)
+
+    def per_field_hs(f):
+        weights = (1.0 + grid.xi ** 2) ** s * grid.multiplicity
+        return float(np.sqrt(2.0 * grid.half_length * np.sum(
+            weights * np.abs(transform(f).coeffs) ** 2)))
+
+    def per_field_enveloped(f):
+        power = np.abs(transform(f).coeffs) ** 2
+        return float(np.sqrt(np.sum(_envelope_weight(grid, s, omega) * power)))
+
+    h_s = [per_field_hs(f) for f in stored.fields]
+    want = [("sup_t_sobolev", max(h_s)),
+            ("l2_t_sobolev",
+             float(np.sqrt(stored.dt * np.sum([v ** 2 for v in h_s])))),
+            ("sup_t_enveloped",
+             max(per_field_enveloped(f) for f in stored.fields))]
+    calls = []
+    for module in (spectral, norms):
+        real = module.transform
+        monkeypatch.setattr(module, "transform", lambda f, real=real: (
+            calls.append(f.values.shape) or real(f)))
+    out_csv = str(tmp_path / "norms.csv")
+    assert main(["norms", "--trajectory", directory, "--s", str(s),
+                 "--omega-eps", "0.5", "--output", out_csv]) == 0
+    assert calls == [(33, grid.n)]
+    with open(out_csv) as fh:
+        rows = fh.read().splitlines()[1:4]
+    assert rows == [f"{name},{s},,{value:.16e},L20.0_n128,[0.0;0.5]"
+                    for name, value in want]
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ from gkdvlab.diagnostics import (
     modified_energy,
 )
 from gkdvlab.nonlinearity import AnalyticNonlinearity
-from gkdvlab.norms import WeightSequence
+from gkdvlab.norms import WeightSequence, _block_masses
 from gkdvlab.solver import SolverConfig, evolve, step, SimulationState
 from gkdvlab.spectral import (
     Grid,
@@ -305,6 +305,17 @@ def block_loop_tails(traj, s, omega):
     return tails
 
 
+def per_field_tails(traj, s, omega):
+    """The tail monitor with one transform per stored field."""
+    blocks = np.asarray(omega.blocks)
+    table = ((np.asarray(omega.weights) ** 2 * (1.0 + blocks ** 2) ** s)
+             [:, None] * _block_masses(traj.grid, omega.blocks))
+    power = np.abs([transform(f).coeffs for f in traj.fields]) ** 2
+    above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
+    tails = np.append(np.max(above, axis=0)[1:], 0.0)
+    return dict(zip(blocks.tolist(), tails.tolist()))
+
+
 @pytest.mark.parametrize("scenario", ["band_limited", "gaussian_run"])
 def test_envelope_tail_matches_block_loop(scenario):
     # the scenarios of the two tests above
@@ -321,6 +332,7 @@ def test_envelope_tail_matches_block_loop(scenario):
         traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
     ws = WeightSequence.bracket_power(grid, 0.2)
     got = envelope_tail_monitor(traj, 1.0, ws)
+    assert got == per_field_tails(traj, 1.0, ws)    # bit for bit
     want = block_loop_tails(traj, 1.0, ws)
     assert list(got) == list(want)
     for nstar, value in want.items():

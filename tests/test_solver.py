@@ -5,6 +5,8 @@ import pytest
 
 from gkdvlab import background, solver
 from gkdvlab.background import (
+    BACKGROUNDS,
+    Background,
     KdVCnoidal,
     MKdVKink,
     SyntheticBackground,
@@ -37,6 +39,7 @@ from gkdvlab.spectral import (
     SpectralField,
     UnresolvedFieldError,
     airy_propagate,
+    flux_tables,
     inverse_transform,
     l2_norm,
     require_resolved,
@@ -584,6 +587,91 @@ def test_picard_one_flux_per_sweep(monkeypatch):
     _, report = picard_solve(gaussian(grid), ZERO_BG, KDV, mu=0.1,
                              t_small=0.05, n_nodes=17)
     assert calls == [(17, grid.n // 2 + 1)] * report.iterations
+
+
+def per_node_lattice(core, times, tail_threshold=1e-10):
+    """The lattice as picard_solve stacked it node by node: residual_S's
+    check, then the flux-grid jet, with the forcing read off the Taylor
+    table f'(Psi) of a polynomial flux."""
+    stages, p = [], core.flux_grid.n // core.grid.n
+    for t in times.tolist():
+        residual_S(core.bg, core.nl, t, core.grid,
+                   tail_threshold=max(tail_threshold, 1e-10))
+        jet = core.bg.jet(t, core.flux_grid.x)
+        tables = flux_tables(core.nl, jet.psi)
+        fp = (tables[1][::p] if core.nl.polynomial_degree()
+              else core.nl.fp(jet.psi[::p]))
+        forcing = jet.psi_t[::p] + jet.psi_xxx[::p] + fp * jet.psi_x[::p]
+        forcing_hat = transform(PhysicalField(core.grid, forcing)).coeffs
+        forcing_hat[-1] = 0.0
+        stages.append(solver.Stage(tables, forcing_hat))
+    return solver.Stage([np.array(rows) for rows in zip(*(st.tables
+                                                          for st in stages))],
+                        np.array([st.forcing for st in stages]))
+
+
+@pytest.mark.parametrize("variant", sorted(BACKGROUNDS))
+def test_batched_background_check_is_the_per_node_lattice(variant, tmp_path):
+    # one jet over the node times, static backgrounds broadcast, against
+    # the per-node checks it replaced: bit for bit, tables and forcing
+    build, params = BACKGROUNDS[variant]
+    if variant == "tabulated":
+        xs = np.linspace(-50.0, 50.0, 1001)
+        path = tmp_path / "psi.txt"
+        np.savetxt(path, np.c_[xs, 0.1 * np.tanh(xs / 4.0)],
+                   header="t-dependence: static")
+        params = {"file": str(path)}
+    bg = build(**params)
+    grid = Grid(50.0, 1024)
+    times = 0.05 / 16 * np.arange(17)
+    for nl in (bg.associated_nonlinearity() or KDV,
+               AnalyticNonlinearity.sine()):
+        for dealias in ("auto", "lowpass"):
+            core = SpectralCore(grid, bg, nl, dealias)
+            got = core.check_background(times, 1e-6)
+            want = per_node_lattice(core, times, 1e-6)
+            assert len(got.tables) == len(want.tables)
+            for a, b in zip(got.tables + [got.forcing],
+                            want.tables + [want.forcing]):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+
+class SteepeningKink(Background):
+    """tanh(k x) with k = 0.4 + 50 t: resolved on Grid(50, 512) up to k of
+    about 0.75, which it reaches at t of about 7e-3."""
+
+    def jet(self, t, x):
+        return background._tanh_jet(x, 0.0, 1.0, 0.4 + 50.0 * np.asarray(t),
+                                    0.0, 0.0)
+
+
+def test_batched_background_check_names_the_first_unresolved_node():
+    grid = Grid(50.0, 512)
+    core = SpectralCore(grid, SteepeningKink(), KDV)
+    times = 0.01 / 8 * np.arange(9)
+    core.check_background(times[:5])            # the first nodes pass
+    with pytest.raises(UnresolvedFieldError) as want:
+        per_node_lattice(core, times)
+    with pytest.raises(UnresolvedFieldError) as got:
+        core.check_background(times)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(UnresolvedFieldError) as got:
+        picard_solve(gaussian(grid), SteepeningKink(), KDV, mu=0.1,
+                     t_small=0.01, n_nodes=9)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bg", [ZERO_BG, KdVCnoidal(c=1.0, kappa=0.8)],
+                         ids=["zero", "cnoidal"])
+def test_picard_on_the_batched_lattice_is_bitwise_per_node(bg, monkeypatch):
+    grid = Grid(50.0, 512)
+    u0 = gaussian(grid, amp=0.5, width=1.5)
+    kw = dict(mu=0.1, t_small=0.05, n_nodes=65)
+    traj, report = picard_solve(u0, bg, KDV, **kw)
+    monkeypatch.setattr(SpectralCore, "check_background", per_node_lattice)
+    want_traj, want_report = picard_solve(u0, bg, KDV, **kw)
+    assert np.array_equal(traj.values_matrix(), want_traj.values_matrix())
+    assert report == want_report
 
 
 def prefix_weights(m, h):
