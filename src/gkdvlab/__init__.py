@@ -67,7 +67,6 @@ from .spectral import (
     inverse_transform,
     lp_project,
     lp_project_below,
-    nonlinear_flux,
     pseudoproduct,
     riesz_potential,
     spatial_derivative,

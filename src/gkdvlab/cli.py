@@ -18,6 +18,7 @@ import contextlib
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .norms import (
     extend_trajectory,
     sobolev_norm,
 )
-from .solver import SolverError, evolve, vanishing_viscosity
+from .solver import SolverError, evolve, loglog_slope, vanishing_viscosity
 from .spectral import SpectralField, UnresolvedFieldError, l2_norm
 
 EXIT_OK = 0
@@ -151,74 +152,52 @@ def _run_one_pickled(serialized: str, quiet: bool) -> int:
 
 
 def cmd_study(args) -> int:
+    """Tabulate each level's error: against the inviscid run for the
+    viscosity ladder; otherwise the max-abs difference of the final field
+    from the finest level's, sampled at the coarse level's points."""
     config = ScenarioConfig.from_file(args.config)
-    grid = config.grid()
-    bg = config.background()
-    nl = config.nonlinearity()
-    outpath = args.output or "study.txt"
-    ladder = [float(tok) for tok in args.ladder.split(",")]
+    bg, nl, solver = config.background(), config.nonlinearity(), config.solver
+    try:            # a spatial ladder lists whole point counts
+        ladder = [(int if args.kind == "spatial" else float)(tok)
+                  for tok in args.ladder.split(",")]
+        # (level, scenario, solver settings), coarse to fine
+        if args.kind == "temporal":
+            runs = [(dt, config, replace(solver, dt=dt, cadence=int(round(
+                solver.horizon / dt)))) for dt in sorted(ladder, reverse=True)]
+        elif args.kind == "spatial":
+            runs = [(float(n), replace(config, grid_points=n), solver)
+                    for n in sorted(ladder)]
+    except (ArithmeticError, ValueError) as err:    # a zero step included
+        raise ConfigError(f"--ladder: {err}") from err
 
-    rows = []
-    aborted = None
-    if args.kind == "viscosity":
-        mus = ladder if ladder[-1] == 0.0 else ladder + [0.0]
-        try:
-            study = vanishing_viscosity(config.initial_data(), bg, nl, mus,
-                                        config.solver,
-                                        s=config.diagnostics_s)
-            rows = [(mu, diff) for mu, diff in zip(study.mus,
-                                                   study.differences)]
+    rows, aborted, fitted = [], None, float("nan")
+    try:
+        if args.kind == "viscosity":
+            study = vanishing_viscosity(
+                config.initial_data(), bg, nl,
+                ladder if ladder[-1] == 0.0 else ladder + [0.0], solver,
+                s=config.diagnostics_s)
+            rows = list(zip(study.mus, study.differences))
             fitted = study.fitted_rate
-        except SolverError as err:
-            aborted = str(err)
-            fitted = float("nan")
-    elif args.kind == "temporal":
-        from dataclasses import replace
+        else:
+            finals = [evolve(cfg.initial_data(), bg, nl, slv).fields[-1].values
+                      for _, cfg, slv in runs]
+            finest = finals[-1]
+            rows = [(level, float(np.max(np.abs(
+                        final - finest[::finest.size // final.size]))))
+                    for (level, _, _), final in zip(runs, finals[:-1])]
+            if args.kind == "temporal":
+                fitted = loglog_slope(rows)
+            else:
+                # spectral convergence has no power-law order: the mean
+                # number of decades the error drops per level
+                drops = [np.log10(a[1] / b[1])
+                         for a, b in zip(rows, rows[1:]) if b[1] > 0]
+                fitted = float(np.mean(drops)) if drops else fitted
+    except SolverError as err:
+        aborted = str(err)
 
-        dts = sorted(ladder, reverse=True)
-        finest = dts[-1]
-        try:
-            u0 = config.initial_data()
-            runs = {}
-            for dt in dts:
-                cadence = int(round(config.solver.horizon / dt))
-                cfg = replace(config.solver, dt=dt, cadence=cadence)
-                runs[dt] = evolve(u0, bg, nl, cfg).fields[-1]
-            for dt in dts[:-1]:
-                err = float(np.max(np.abs(runs[dt].values
-                                          - runs[finest].values)))
-                rows.append((dt, err))
-            fitted = _fit_order([r[0] for r in rows], [r[1] for r in rows])
-        except SolverError as err:
-            aborted = str(err)
-            fitted = float("nan")
-    elif args.kind == "spatial":
-        ns = sorted(int(v) for v in ladder)
-        try:
-            finest_n = ns[-1]
-            results = {}
-            for n in ns:
-                cfg_n = ScenarioConfig.parse(config.serialize())
-                cfg_n.grid_points = n
-                results[n] = evolve(cfg_n.initial_data(), bg, nl,
-                                    config.solver).fields[-1]
-            for n in ns[:-1]:
-                stride = finest_n // n
-                err = float(np.max(np.abs(
-                    results[n].values - results[finest_n].values[::stride])))
-                rows.append((float(n), err))
-            # spectral convergence has no power-law order; report the mean
-            # number of decades gained per grid doubling instead
-            drops = [np.log10(a[1] / b[1]) for a, b in zip(rows, rows[1:])
-                     if b[1] > 0]
-            fitted = float(np.mean(drops)) if drops else float("nan")
-        except SolverError as err:
-            aborted = str(err)
-            fitted = float("nan")
-    else:
-        raise ConfigError(f"unknown study kind {args.kind!r}")
-
-    with open(outpath, "w") as fh:
+    with open(args.output, "w") as fh:
         fh.write(f"# study kind = {args.kind}\n")
         if aborted:
             fh.write(f"# aborted = {aborted}\n")
@@ -226,16 +205,8 @@ def cmd_study(args) -> int:
         for level, err in rows:
             fh.write(f"{level!r} {err!r}\n")
         fh.write(f"# fitted order/rate = {fitted!r}\n")
-    _say(args.quiet, f"study table written to {outpath}")
+    _say(args.quiet, f"study table written to {args.output}")
     return EXIT_INSTABILITY if aborted else EXIT_OK
-
-
-def _fit_order(levels, errors):
-    pairs = [(lv, er) for lv, er in zip(levels, errors) if er > 0]
-    if len(pairs) < 2:
-        return float("nan")
-    lv, er = np.log([p[0] for p in pairs]), np.log([p[1] for p in pairs])
-    return float(np.polyfit(lv, er, 1)[0])
 
 
 def cmd_norms(args) -> int:
@@ -325,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--config", required=True)
     p_study.add_argument("--ladder", required=True,
                          help="comma-separated levels, coarse to fine")
-    p_study.add_argument("--output", default=None)
+    p_study.add_argument("--output", default="study.txt")
     p_study.add_argument("--quiet", action="store_true")
     p_study.set_defaults(func=cmd_study)
 

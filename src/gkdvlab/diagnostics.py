@@ -40,13 +40,16 @@ __all__ = [
 ]
 
 
-def _integrate(grid: Grid, values: np.ndarray) -> float:
-    """Periodic quadrature; exact for band-limited integrands."""
-    return float(grid.dx * np.sum(values))
+def _integrate(grid: Grid, values: np.ndarray):
+    """Periodic quadrature over the last axis, a float for one field;
+    exact for band-limited integrands."""
+    out = grid.dx * np.sum(values, axis=-1)
+    return out if out.ndim else float(out)
 
 
 def invariants_I(v: PhysicalField, nl: AnalyticNonlinearity):
-    """Mean, mass and energy of a localized field.
+    """Mean, mass and energy of a localized field, or of each row of a
+    stacked one, from one transform and one inverse:
 
     I1 = int v,  I2 = int v^2,  I3 = int (v_x^2 - F(v)).
     """
@@ -59,13 +62,15 @@ def invariants_I(v: PhysicalField, nl: AnalyticNonlinearity):
 
 
 def modified_energy(u: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
-                    t: float) -> float:
+                    t):
     """Energy adapted to the background:
 
         E = 1/2 int u_x^2 - int ( F(u+Psi) - F(Psi) - u f(Psi) ).
 
     The second integrand is quadratic in u near u = 0, so it decays
     wherever u decays and the truncated integral converges on refinement.
+    For a stacked field, t is a column of times, one per row (as in
+    :func:`l2_growth_monitor`), and E comes one value per row.
     """
     grid = u.grid
     psi = bg.profile(t, grid.x)
@@ -163,7 +168,8 @@ def flow_lipschitz_experiment(u0: PhysicalField, bg: Background,
     sample alone makes R at least 1, so the table also keeps the ratio at
     each later sample and its growth exponent, the least-squares lambda of
     log(ratio) = lambda*t; the fit runs through the origin, where the
-    ratio is 1 by construction.
+    ratio is 1 by construction.  A run's separations are one row-wise
+    `sobolev_norm` of its sample matrix minus the base run's.
     """
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
@@ -182,8 +188,8 @@ def flow_lipschitz_experiment(u0: PhysicalField, bg: Background,
         shifted = PhysicalField(grid, u0.values + delta * g.values)
         run = evolve(shifted, bg, nl, config)
         denom = sobolev_norm(shifted - u0, s - 1.0)
-        seps = np.array([sobolev_norm(a - b, s - 1.0)
-                         for a, b in zip(run.fields, base.fields)]) / denom
+        seps = sobolev_norm(PhysicalField(
+            grid, run.values_matrix() - base.values_matrix()), s - 1.0) / denom
         ratios.append(float(np.max(seps)))
         series.append(tuple(seps[1:].tolist()))
         exponents.append(float(np.dot(times, np.log(seps[1:]))
@@ -261,18 +267,18 @@ class DiagnosticsReport:
 def collect_report(traj: Trajectory, bg: Background, nl: AnalyticNonlinearity,
                    s: float, omega: WeightSequence | None = None,
                    buffer_fraction: float = 0.1) -> DiagnosticsReport:
-    """Evaluate the standard functional series along a trajectory."""
+    """Evaluate the standard functional series along a trajectory, each
+    functional once on the stacked samples."""
     omega = omega or WeightSequence.ones(traj.grid)
     spectra = SpectralField(traj.grid, traj.spectra())
+    samples = PhysicalField(traj.grid, traj.values_matrix())
+    i1, i2, i3 = invariants_I(samples, nl)
     report = DiagnosticsReport(
-        times=traj.times.tolist(), hs=sobolev_norm(spectra, s).tolist(),
-        hs_enveloped=enveloped_norm(spectra, s, omega).tolist())
-    for t, f in zip(report.times, traj.fields):
-        i1, i2, i3 = invariants_I(f, nl)
-        report.i1.append(i1)
-        report.i2.append(i2)
-        report.i3.append(i3)
-        report.energy.append(modified_energy(f, bg, nl, t))
-        report.boundary.append(boundary_mass_fraction(f, buffer_fraction))
+        times=traj.times.tolist(), i1=i1.tolist(), i2=i2.tolist(),
+        i3=i3.tolist(),
+        energy=modified_energy(samples, bg, nl, traj.times[:, None]).tolist(),
+        hs=sobolev_norm(spectra, s).tolist(),
+        hs_enveloped=enveloped_norm(spectra, s, omega).tolist(),
+        boundary=boundary_mass_fraction(samples, buffer_fraction).tolist())
     report.validate()
     return report

@@ -33,12 +33,12 @@ import numpy as np
 from .background import Background, Jet, forcing_S, residual_S, \
     require_resolved_background
 from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError
+from .norms import sobolev_norm
 from .spectral import (
     Grid,
     PhysicalField,
     SpectralField,
     Trajectory,
-    _left_end_phase,
     flux_coefficients,
     flux_grid,
     flux_tables,
@@ -123,17 +123,20 @@ def default_dt(grid: Grid) -> float:
     return 0.4 * grid.dx ** 3 / np.pi ** 2
 
 
-def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float) -> float:
-    """Relative L^2 mass within the buffer strip at the domain ends.
+def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float):
+    """Relative L^2 mass within the buffer strip at the domain ends, as a
+    float, or one value per row of a stacked field.
 
     Solutions below L^2 norm 1e-10 are treated as empty; contamination is
     only meaningful against a non-negligible solution scale.
     """
     mask = np.abs(u.grid.x) >= (1.0 - buffer_fraction) * u.grid.half_length
-    total = np.sum(u.values ** 2)
-    if np.sqrt(total * u.grid.dx) < 1e-10:
-        return 0.0
-    return float(np.sqrt(np.sum(u.values[mask] ** 2) / total))
+    sq = u.values ** 2
+    total = np.sum(sq, axis=-1)
+    edge = np.sum(sq.compress(mask, axis=-1), axis=-1)  # rows stay contiguous
+    frac = np.sqrt(edge / np.where(np.sqrt(total * u.grid.dx) < 1e-10, np.inf,
+                                   total))
+    return frac if frac.ndim else float(frac)
 
 
 @dataclass
@@ -509,7 +512,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
             f"too long for this viscosity (last update {updates[-1]:.3e})"
         )
     factors = tuple(b / a for a, b in zip(updates, updates[1:]) if a > 0)
-    samples = np.fft.irfft(_left_end_phase(iterate), grid.n, norm="forward")
+    samples = inverse_transform(SpectralField(grid, iterate)).values
     return (Trajectory.from_matrix(grid, 0.0, h, samples),
             PicardReport(len(updates), factors, updates[-1]))
 
@@ -526,25 +529,28 @@ class ViscosityStudy(NamedTuple):
 def vanishing_viscosity(u0: PhysicalField, bg: Background,
                         nl: AnalyticNonlinearity, mus, config: SolverConfig,
                         s: float = 1.0) -> ViscosityStudy:
-    """Distance of each viscous run to the inviscid limit in sup-t H^(s-1).
+    """Distance of each viscous run to the inviscid limit in sup-t H^(s-1),
+    one row-wise `sobolev_norm` of the run's samples minus the limit's.
 
-    The mu list must decrease and end at zero; the rate is fitted from the
-    last three positive-mu points by log-log regression.
+    The mu list must decrease and end at zero; the rate is the
+    :func:`loglog_slope` of the last three points with a positive distance.
     """
-    from .norms import sobolev_norm
-
     mus = [float(m) for m in mus]
     if mus[-1] != 0.0 or any(a <= b for a, b in zip(mus, mus[1:])):
         raise ValueError("viscosity list must decrease and terminate at 0")
     runs = [evolve(u0, bg, nl, replace(config, mu=mu)) for mu in mus]
-    diffs = [float(max(sobolev_norm(a - b, s - 1.0)
-                       for a, b in zip(run.fields, runs[-1].fields)))
-             for run in runs[:-1]]
-    pos = [(mu, d) for mu, d in zip(mus[:-1], diffs) if d > 0]
-    tail = pos[-3:]
-    if len(tail) >= 2:
-        lm, ld = np.log([p[0] for p in tail]), np.log([p[1] for p in tail])
-        rate = float(np.polyfit(lm, ld, 1)[0])
-    else:
-        rate = float("nan")
+    limit = runs[-1].values_matrix()
+    diffs = [float(np.max(sobolev_norm(PhysicalField(
+        u0.grid, run.values_matrix() - limit), s - 1.0))) for run in runs[:-1]]
+    rate = loglog_slope([(mu, d) for mu, d in zip(mus, diffs) if d > 0][-3:])
     return ViscosityStudy(tuple(mus[:-1]), tuple(diffs), rate)
+
+
+def loglog_slope(rows) -> float:
+    """Least-squares slope of log error against log level over the
+    (level, error) rows with a positive error; nan below two of them."""
+    pairs = [(lv, er) for lv, er in rows if er > 0]
+    if len(pairs) < 2:
+        return float("nan")
+    lv, er = np.log([p[0] for p in pairs]), np.log([p[1] for p in pairs])
+    return float(np.polyfit(lv, er, 1)[0])

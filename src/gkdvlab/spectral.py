@@ -13,13 +13,14 @@ interior bins, which stand for +-j, twice (``Grid.multiplicity``):
     ||u||_{L^2}^2 = dx * sum |u_m|^2 = 2L * sum_j mult_j |u_hat[j]|^2.
 
 The left end x_0 = -L contributes the phase exp(i*xi_j*L) = (-1)^j, which
-the transforms apply exactly by negating the odd bins.  Only the real part
+the transforms apply exactly by negating the odd bins; other modules reach
+samples only through them, stacked spectra included.  Only the real part
 of the Nyquist bin, which stands for both modes +-n/2, reaches a field.
 
 All operators in this module are Fourier multipliers except the
-pseudoproduct and the nonlinear flux, which are genuinely bilinear or
-pointwise and are dealiased; polynomial fluxes run in Taylor form on a
-zero-padded grid, see :func:`flux_grid`.
+pseudoproduct and the nonlinear flux (:func:`flux_coefficients`, its one
+entry), which are genuinely bilinear or pointwise and are dealiased;
+polynomial fluxes run in Taylor form on a zero-padded grid.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "dissipative_propagate",
     "smoothing_constant",
     "pseudoproduct",
-    "nonlinear_flux",
     "flux_grid",
     "flux_tables",
     "flux_coefficients",
@@ -501,23 +501,6 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
     elif rule == "lowpass" or nl.polynomial_degree() is None:
         out[..., 2 * m // 3 + 1:] = 0.0
     return out
-
-
-def nonlinear_flux(u: PhysicalField, bg, nl, t: float,
-                   tail_threshold: float = 1e-6,
-                   rule: str = "auto") -> PhysicalField:
-    """Pointwise difference f(u + Psi(t)) - f(Psi(t)), dealiased.
-
-    Polynomial nonlinearities of degree d are evaluated on a grid padded
-    by the factor (d+1)/2, which removes every aliased image from the
-    retained band.  Transcendental nonlinearities are evaluated pointwise
-    on the native grid and low-passed at two thirds of the Nyquist band.
-    """
-    spec = transform(u)
-    require_resolved(spec, tail_threshold)
-    psi = bg.profile(t, flux_grid(u.grid, nl, rule).x)
-    half = flux_coefficients(spec.coeffs, nl, flux_tables(nl, psi), rule)
-    return inverse_transform(SpectralField(u.grid, half))
 
 
 # ----------------------------------------------------------------------

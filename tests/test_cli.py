@@ -711,3 +711,84 @@ def test_study_viscosity_delegates(tmp_path):
     assert len(rows) == 3
     diffs = [float(r.split()[1]) for r in rows]
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
+
+
+# tables written before the temporal and spatial ladders shared one rule;
+# the refactor must reproduce them byte for byte
+STUDY_TABLES = {
+    "temporal": ("0.01,0.005,0.0025", "", 0, """\
+# study kind = temporal
+# level error
+0.01 1.8600112197154905e-07
+0.005 1.1322046309389724e-08
+# fitted order/rate = 4.038104688992686
+"""),
+    "spatial": ("128,256,512", "tail_threshold = 1e-3", 0, """\
+# study kind = spatial
+# level error
+128.0 5.626315020433245e-10
+256.0 1.1102230246251565e-16
+# fitted order/rate = 6.70481381508483
+"""),
+    "spatial_aborted": ("128,256", "", 3, """\
+# study kind = spatial
+# aborted = spectral tail 1.15e-06 exceeds threshold 1.00e-06 at step 1
+# level error
+# fitted order/rate = nan
+"""),
+    "viscosity": ("0.1,0.05,0.025", "", 0, """\
+# study kind = viscosity
+# level error
+0.1 0.004750343690278552
+0.05 0.0023895837872144154
+0.025 0.001198431581891349
+# fitted order/rate = 0.9934421743953109
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STUDY_TABLES))
+def test_study_tables_are_pinned(tmp_path, case):
+    ladder, solver_line, status, table = STUDY_TABLES[case]
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    text = text.replace("cadence = 10", f"cadence = 10\n{solver_line}")
+    table_path = tmp_path / "table.txt"
+    assert main(["study", "--kind", case.split("_")[0], "--config",
+                 write_cfg(tmp_path, text), "--ladder", ladder,
+                 "--output", str(table_path), "--quiet"]) == status
+    assert table_path.read_text() == table
+
+
+def test_study_spatial(tmp_path):
+    # the finest grid's field, sampled at the coarse points, is the
+    # reference; the error falls by decades per grid doubling
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    text = text.replace("cadence = 10", "cadence = 10\ntail_threshold = 1e-3")
+    table_path = tmp_path / "table.txt"
+    assert main(["study", "--kind", "spatial", "--config",
+                 write_cfg(tmp_path, text), "--ladder", "256,128,512",
+                 "--output", str(table_path), "--quiet"]) == 0
+    rows = [r.split() for r in table_path.read_text().splitlines()
+            if not r.startswith("#")]
+    assert [r[0] for r in rows] == ["128.0", "256.0"]
+    errors = [float(r[1]) for r in rows]
+    assert errors[0] < 1e-8 and errors[1] < 1e-4 * errors[0]
+    fitted = float(table_path.read_text().split("=")[-1])
+    assert fitted > 5.0
+
+
+@pytest.mark.parametrize("kind, ladder", [
+    ("spatial", "256.5,512"),           # a grid size that is not whole
+    ("temporal", "0.01,,0.005"),        # an empty level
+    ("temporal", "0.01,0"),             # a zero step
+    ("viscosity", "0.1,x"),
+])
+def test_study_bad_ladder_names_the_option(tmp_path, capsys, kind, ladder):
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    table_path = tmp_path / "table.txt"
+    assert main(["study", "--kind", kind, "--config", write_cfg(tmp_path, text),
+                 "--ladder", ladder, "--output", str(table_path),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "--ladder" in err and "Traceback" not in err
+    assert not table_path.exists()

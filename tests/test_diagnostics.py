@@ -13,7 +13,7 @@ from gkdvlab.diagnostics import (
     modified_energy,
 )
 from gkdvlab.nonlinearity import AnalyticNonlinearity
-from gkdvlab.norms import WeightSequence, _block_masses
+from gkdvlab.norms import WeightSequence, _block_masses, sobolev_norm
 from gkdvlab.solver import SolverConfig, evolve, step, SimulationState
 from gkdvlab.spectral import (
     Grid,
@@ -241,6 +241,29 @@ def test_lipschitz_bounded_on_cnoidal():
     assert table.spread() < 0.2
 
 
+@pytest.mark.parametrize("s", [1.0, 0.5])
+def test_lipschitz_separations_are_the_per_pair_norms(s):
+    # the row-wise separations are bit for bit the norms of the sample
+    # pairs one at a time, the loop kept here as the reference
+    grid = Grid(50.0, 512)
+    bg, nl = MKdVKink(c=1.0), AnalyticNonlinearity.mkdv_defocusing()
+    cfg = SolverConfig(dt=2e-4, horizon=0.004, cadence=5)
+    u0, profile = gaussian(grid, amp=0.5, width=1.5), gaussian(grid)
+    deltas = [1e-2, 1e-3]
+    table = flow_lipschitz_experiment(u0, bg, nl, cfg, deltas, s=s,
+                                      profile=profile)
+    g = profile * (1.0 / sobolev_norm(profile, s - 1.0))
+    base = evolve(u0, bg, nl, cfg)
+    for delta, ratio, series in zip(deltas, table.ratios, table.series):
+        shifted = PhysicalField(grid, u0.values + delta * g.values)
+        run = evolve(shifted, bg, nl, cfg)
+        seps = np.array([sobolev_norm(a - b, s - 1.0)
+                         for a, b in zip(run.fields, base.fields)]
+                        ) / sobolev_norm(shifted - u0, s - 1.0)
+        assert ratio == float(np.max(seps))
+        assert series == tuple(seps[1:].tolist())
+
+
 # ----------------------------------------------------------------------
 # envelope tails
 
@@ -378,3 +401,44 @@ def test_report_rejects_non_monotone_times():
                                hs_enveloped=[0] * 3, boundary=[0] * 3)
     with pytest.raises(ValueError):
         report.validate()
+
+
+@pytest.mark.parametrize("bg, nl", [
+    (MKdVKink(c=1.0), AnalyticNonlinearity.mkdv_defocusing()),
+    (KdVCnoidal(c=1.0, kappa=0.8), KDV),
+], ids=["kink", "cnoidal"])
+def test_report_is_the_per_sample_functionals(monkeypatch, bg, nl):
+    # each column is bit for bit the functional on that sample alone, and
+    # the transforms taken do not grow with the number of samples
+    from gkdvlab import diagnostics, norms, spectral
+    from gkdvlab.solver import boundary_mass_fraction
+
+    grid = Grid(50.0, 512)
+    rng = np.random.default_rng(5)
+    calls = []
+    for name in ("transform", "inverse_transform"):
+        real = getattr(spectral, name)
+
+        def counted(f, _real=real, _name=name):
+            calls.append(_name)
+            return _real(f)
+        for module in (spectral, norms, diagnostics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+
+    counts = []
+    for n_samples in (3, 9):
+        amps = rng.uniform(0.2, 0.5, size=(n_samples, 1))
+        mat = amps * np.exp(-((grid.x - rng.uniform(-1, 1)) / 1.5) ** 2)
+        traj = Trajectory.from_matrix(grid, 0.0, 0.01, mat)
+        calls.clear()
+        report = collect_report(traj, bg, nl, 1.0)
+        counts.append(len(calls))
+        per_sample = [(*invariants_I(f, nl),
+                       modified_energy(f, bg, nl, t),
+                       boundary_mass_fraction(f, 0.1))
+                      for t, f in zip(report.times, traj.fields)]
+        columns = (report.i1, report.i2, report.i3, report.energy,
+                   report.boundary)
+        assert list(zip(*columns)) == per_sample
+    assert counts[0] == counts[1]

@@ -649,13 +649,15 @@ def test_strichartz_free_gaussian_pinned():
                                   residual_tol=1e-10)
     # measured once: ratio about 0.72; pinned with a regression band
     assert 0.4 < cert.ratio() < 1.5
+    # L^2_t L^inf from the sample matrix is the per-field sum, bit for bit
+    sups = [np.max(np.abs(f.values)) ** 2 for f in traj.fields]
+    assert cert.lhs == float(np.sqrt(traj.dt * np.sum(sups)))
 
 
 def test_strichartz_forced_solver_run():
     from gkdvlab.background import ZeroBackground
     from gkdvlab.nonlinearity import AnalyticNonlinearity
-    from gkdvlab.solver import SolverConfig, evolve
-    from gkdvlab.spectral import nonlinear_flux, spatial_derivative
+    from gkdvlab.solver import SolverConfig, SpectralCore, evolve
 
     bg = ZeroBackground()
     nl = AnalyticNonlinearity.kdv()
@@ -663,12 +665,11 @@ def test_strichartz_forced_solver_run():
     u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
     cfg = SolverConfig(dt=1e-4, horizon=0.5, cadence=5)
     run = evolve(u0, bg, nl, cfg)
-    forcing_fields = []
-    for t, f in zip(run.times, run.fields):
-        flux = nonlinear_flux(f, bg, nl, float(t))
-        forcing_fields.append(
-            inverse_transform(spatial_derivative(transform(flux), 1)) * -1.0)
-    forcing = Trajectory(grid, 0.0, run.dt, forcing_fields)
+    # F = -d/dx (f(u+Psi) - f(Psi)) at every sample, one stage per time
+    core = SpectralCore(grid, bg, nl)
+    flux = core.flux_term(run.spectra(), core.check_background(run.times))
+    forcing = Trajectory.from_matrix(grid, 0.0, run.dt, inverse_transform(
+        SpectralField(grid, flux)).values)
     cert = strichartz_certificate(run, forcing, delta=1.0, theta=0.01,
                                   residual_tol=1e-5)
     # measured once: ratio about 0.53; the pinned constant 1.5 covers the

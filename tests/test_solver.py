@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -747,6 +748,21 @@ def test_viscosity_monotone_and_first_order():
     study = vanishing_viscosity(u0, ZERO_BG, KDV, [0.1, 0.05, 0.025, 0.0], cfg)
     assert all(b < a for a, b in zip(study.differences, study.differences[1:]))
     assert study.fitted_rate > 0.85
+
+
+def test_viscosity_distances_are_the_per_pair_norms():
+    # one row-wise norm per run is bit for bit the sup over the sample
+    # pairs taken one at a time, the loop kept here as the reference
+    grid = Grid(50.0, 512)
+    u0 = gaussian(grid, amp=1.0, width=2.0)
+    cfg = SolverConfig(dt=1e-3, horizon=0.05, cadence=10)
+    mus = [0.1, 0.05, 0.0]
+    study = vanishing_viscosity(u0, ZERO_BG, KDV, mus, cfg, s=0.5)
+    runs = [evolve(u0, ZERO_BG, KDV, replace(cfg, mu=mu)) for mu in mus]
+    assert study.differences == tuple(
+        float(max(sobolev_norm(a - b, -0.5)
+                  for a, b in zip(run.fields, runs[-1].fields)))
+        for run in runs[:-1])
 
 
 def test_viscosity_list_validation():

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gkdvlab.background import GardnerKink, MKdVKink, ZeroBackground
 from gkdvlab.nonlinearity import AnalyticNonlinearity
+from gkdvlab.solver import SpectralCore, rhs
 from gkdvlab.spectral import (
     Grid,
     PhysicalField,
@@ -24,7 +25,6 @@ from gkdvlab.spectral import (
     lp_low_block,
     lp_project,
     lp_project_below,
-    nonlinear_flux,
     pseudoproduct,
     require_resolved,
     riesz_potential,
@@ -384,10 +384,18 @@ def test_pseudoproduct_bilinearity(grid):
 # ----------------------------------------------------------------------
 # nonlinear flux
 
+def flux_samples(u, bg, nl, t):
+    """f(u + Psi(t)) - f(Psi(t)) as samples, from the stage tables the
+    solver evaluates its flux with."""
+    tables = SpectralCore(u.grid, bg, nl).stage(t).tables
+    return inverse_transform(SpectralField(u.grid, flux_coefficients(
+        transform(u).coeffs, nl, tables)))
+
+
 def test_flux_zero_input(grid):
     bg = ZeroBackground()
     nl = AnalyticNonlinearity.kdv()
-    out = nonlinear_flux(PhysicalField.zero(grid), bg, nl, 0.0)
+    out = flux_samples(PhysicalField.zero(grid), bg, nl, 0.0)
     assert np.max(np.abs(out.values)) < 1e-15
 
 
@@ -395,7 +403,7 @@ def test_flux_pure_square(grid):
     bg = ZeroBackground()
     nl = AnalyticNonlinearity.kdv()
     f = random_field(grid, seed=19, band=grid.n // 8)
-    out = nonlinear_flux(f, bg, nl, 0.0)
+    out = flux_samples(f, bg, nl, 0.0)
     assert np.max(np.abs(out.values - f.values ** 2)) < 1e-10
 
 
@@ -404,7 +412,7 @@ def test_flux_kink_expansion():
     bg = MKdVKink(c=1.0)
     nl = AnalyticNonlinearity.kdv()
     f = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
-    out = nonlinear_flux(f, bg, nl, 0.2)
+    out = flux_samples(f, bg, nl, 0.2)
     psi = bg.profile(0.2, grid.x)
     exact = f.values ** 2 + 2.0 * psi * f.values
     assert np.max(np.abs(out.values - exact)) < 1e-10
@@ -425,7 +433,7 @@ def test_flux_rejects_unresolved_field(grid):
     noisy = PhysicalField(grid,
                           np.cos(grid.xi_max * 0.9 * grid.x))
     with pytest.raises(UnresolvedFieldError):
-        nonlinear_flux(noisy, bg, nl, 0.0, tail_threshold=1e-6)
+        rhs(noisy, bg, nl, 0.0, tail_threshold=1e-6)
 
 
 def test_flux_transcendental_lowpass(grid):
@@ -433,7 +441,7 @@ def test_flux_transcendental_lowpass(grid):
     nl = AnalyticNonlinearity.sine()
     raw = random_field(grid, seed=20, band=grid.n // 16)
     f = PhysicalField(grid, 0.01 * raw.values)
-    out = nonlinear_flux(f, bg, nl, 0.0)
+    out = flux_samples(f, bg, nl, 0.0)
     spec = transform(out).coeffs
     cutoff = 2.0 * grid.xi_max / 3.0
     assert np.max(np.abs(spec[np.abs(grid.xi) > cutoff])) < 1e-15
@@ -582,3 +590,19 @@ def test_trajectory_from_matrix_keeps_its_matrix(grid):
     mat[2, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         Trajectory.from_matrix(grid, 0.0, 0.1, mat)
+
+
+def test_fourier_phase_lives_in_spectral():
+    # every other module reaches samples through transform and
+    # inverse_transform, so the half-spectrum convention is written once
+    import pathlib
+
+    import gkdvlab
+
+    src = pathlib.Path(gkdvlab.__file__).parent
+    found = [f"{path.name}:{number}"
+             for path in sorted(src.glob("*.py")) if path.name != "spectral.py"
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if any(word in line for word in
+                    ("_left_end_phase", "np.fft.rfft", "np.fft.irfft"))]
+    assert found == []
