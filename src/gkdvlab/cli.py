@@ -35,6 +35,8 @@ from .norms import (
     enveloped_norm,
     extend_trajectory,
     sobolev_norm,
+    trajectory_l2_sobolev,
+    trajectory_sup_sobolev,
 )
 from .solver import SolverError, evolve, loglog_slope, vanishing_viscosity
 from .spectral import SpectralField, UnresolvedFieldError, l2_norm
@@ -90,7 +92,7 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
     except (SolverError, UnresolvedFieldError) as err:
         _say(quiet, f"unresolved or unstable scenario: {err}")
         return EXIT_INSTABILITY
-    if len(traj.fields) < 2:
+    if len(traj) < 2:
         _say(quiet, f"run aborted immediately: {traj.abort_reason}")
         return EXIT_INSTABILITY
 
@@ -107,7 +109,7 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
     )
     if config.initial_kind == "zero" and exact_nl is not None \
             and exact_nl.coeffs == nl.coeffs:
-        sup_l2 = max(l2_norm(f) for f in traj.fields)
+        sup_l2 = max(l2_norm(traj.samples).tolist())
         verdicts["zero-perturbation-persistence"] = (
             sup_l2 <= 1e-8, f"sup L2 = {sup_l2:.3e}")
 
@@ -167,21 +169,25 @@ def cmd_study(args) -> int:
         elif args.kind == "spatial":
             runs = [(float(n), replace(config, grid_points=n), solver)
                     for n in sorted(ladder)]
+        elif len(set(ladder)) < len(ladder) or not all(
+                np.isfinite(mu) and mu >= 0.0 for mu in ladder):
+            raise ValueError("viscosities must be distinct, finite and "
+                             "non-negative")
+        else:           # decreasing, ending at the inviscid run
+            mus = sorted(set(ladder) | {0.0}, reverse=True)
     except (ArithmeticError, ValueError) as err:    # a zero step included
         raise ConfigError(f"--ladder: {err}") from err
 
     rows, aborted, fitted = [], None, float("nan")
     try:
         if args.kind == "viscosity":
-            study = vanishing_viscosity(
-                config.initial_data(), bg, nl,
-                ladder if ladder[-1] == 0.0 else ladder + [0.0], solver,
-                s=config.diagnostics_s)
+            study = vanishing_viscosity(config.initial_data(), bg, nl, mus,
+                                        solver, s=config.diagnostics_s)
             rows = list(zip(study.mus, study.differences))
             fitted = study.fitted_rate
         else:
-            finals = [evolve(cfg.initial_data(), bg, nl, slv).fields[-1].values
-                      for _, cfg, slv in runs]
+            finals = [evolve(cfg.initial_data(), bg, nl,
+                             slv).values_matrix()[-1] for _, cfg, slv in runs]
             finest = finals[-1]
             rows = [(level, float(np.max(np.abs(
                         final - finest[::finest.size // final.size]))))
@@ -222,14 +228,12 @@ def cmd_norms(args) -> int:
     # the three H^s rows read one spectrum per stored field; at b = 0 the
     # modulation weight drops out and the restricted norm collapses to the
     # time-integrated H^s norm of the stored window
-    spectra = SpectralField(grid, traj.spectra())
-    h_s = sobolev_norm(spectra, s).tolist()
-    l2_t = float(np.sqrt(traj.dt * np.sum([v ** 2 for v in h_s])))
+    l2_t = trajectory_l2_sobolev(traj, s)
     rows = [
-        ("sup_t_sobolev", s, "", max(h_s)),
+        ("sup_t_sobolev", s, "", trajectory_sup_sobolev(traj, s)),
         ("l2_t_sobolev", s, "", l2_t),
-        ("sup_t_enveloped", s, "",
-         max(enveloped_norm(spectra, s, omega).tolist())),
+        ("sup_t_enveloped", s, "", max(enveloped_norm(
+            SpectralField(grid, traj.spectra()), s, omega).tolist())),
         ("bourgain", s, b, bourgain_norm(work, s, b)),
         ("bourgain", s, 0.0, bourgain_norm(work, s, 0.0) if decaying else l2_t),
     ]

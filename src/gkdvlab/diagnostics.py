@@ -113,16 +113,14 @@ def l2_growth_monitor(traj: Trajectory, bg: Background,
     pad = 0.1 * max(abs(lo), abs(hi), 1e-30)
     M = nl.gwp_bound(lo - pad, hi + pad).M
     B = 1.0 + M * float(np.max(np.abs(jet.psi_x)))
-    forcing = PhysicalField(grid, forcing_S(jet, nl)).values  # checked finite
-    l2 = np.atleast_1d(np.sqrt(grid.dx * np.sum(forcing ** 2, axis=-1)))
-    A = max(v ** 2 for v in l2.tolist())
+    # norms squared as Python floats (C pow), one per row
+    A = float(np.max(l2_norm(PhysicalField(grid, forcing_S(jet, nl))))) ** 2
+    masses = [v ** 2 for v in l2_norm(traj.samples).tolist()]
 
-    mass0 = l2_norm(traj.fields[0]) ** 2
     worst, worst_t = np.inf, float("nan")
     holds = True
-    for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
-        bound = (mass0 + float(t) * A) * np.exp(B * float(t))
-        mass = l2_norm(f) ** 2
+    for i, (t, mass) in enumerate(zip(traj.times.tolist(), masses)):
+        bound = (masses[0] + t * A) * np.exp(B * t)
         if mass - bound > 1e-9 * max(bound, 1.0):
             holds = False
         # at t = 0 the bound is met with equality, which says nothing
@@ -133,7 +131,7 @@ def l2_growth_monitor(traj: Trajectory, bg: Background,
         else:
             rel = 0.0 if mass == 0.0 else -np.inf
         if rel < worst:
-            worst, worst_t = rel, float(t)
+            worst, worst_t = rel, t
     return GrowthVerdict(holds, A, B, M, float(worst), worst_t)
 
 
@@ -188,8 +186,7 @@ def flow_lipschitz_experiment(u0: PhysicalField, bg: Background,
         shifted = PhysicalField(grid, u0.values + delta * g.values)
         run = evolve(shifted, bg, nl, config)
         denom = sobolev_norm(shifted - u0, s - 1.0)
-        seps = sobolev_norm(PhysicalField(
-            grid, run.values_matrix() - base.values_matrix()), s - 1.0) / denom
+        seps = sobolev_norm(run.samples - base.samples, s - 1.0) / denom
         ratios.append(float(np.max(seps)))
         series.append(tuple(seps[1:].tolist()))
         exponents.append(float(np.dot(times, np.log(seps[1:]))
@@ -270,8 +267,7 @@ def collect_report(traj: Trajectory, bg: Background, nl: AnalyticNonlinearity,
     """Evaluate the standard functional series along a trajectory, each
     functional once on the stacked samples."""
     omega = omega or WeightSequence.ones(traj.grid)
-    spectra = SpectralField(traj.grid, traj.spectra())
-    samples = PhysicalField(traj.grid, traj.values_matrix())
+    samples, spectra = traj.samples, SpectralField(traj.grid, traj.spectra())
     i1, i2, i3 = invariants_I(samples, nl)
     report = DiagnosticsReport(
         times=traj.times.tolist(), i1=i1.tolist(), i2=i2.tolist(),

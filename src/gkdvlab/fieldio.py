@@ -103,6 +103,8 @@ def read_trajectory(directory: str) -> Trajectory:
         raise ValueError(f"{manifest}: a trajectory needs at least two "
                          f"snapshots, found {len(fields)}")
     dts = np.diff(times)
+    if not np.all(dts > 0):
+        raise ValueError(f"{manifest}: sample times must increase")
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-15):
         raise ValueError(f"{manifest}: sampling is not uniform")
     return Trajectory(fields[0].grid, times[0], float(dts[0]), fields,

@@ -267,10 +267,10 @@ def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
     mat[inside] = cut[inside, None] * traj.values_matrix()
     # the first and the last field propagate freely to every outside time
     # where the cutoff has not yet vanished, one spectrum row per time
-    for rows, end, shift in (((k < 0) & (cut > 0.0), traj.fields[0], 0.0),
-                             ((k > n_in) & (cut > 0.0), traj.fields[-1], T)):
-        prop = transform(end).coeffs * np.exp(
-            1j * (times[rows] - shift)[:, None] * grid.xi ** 3)
+    u_hat = traj.spectra()
+    for rows, end, shift in (((k < 0) & (cut > 0.0), u_hat[0], 0.0),
+                             ((k > n_in) & (cut > 0.0), u_hat[-1], T)):
+        prop = end * np.exp(1j * (times[rows] - shift)[:, None] * grid.xi ** 3)
         mat[rows] = cut[rows, None] * inverse_transform(
             SpectralField(grid, prop)).values
     return Trajectory.from_matrix(grid, -k_half * traj.dt, traj.dt, mat)

@@ -539,9 +539,8 @@ def vanishing_viscosity(u0: PhysicalField, bg: Background,
     if mus[-1] != 0.0 or any(a <= b for a, b in zip(mus, mus[1:])):
         raise ValueError("viscosity list must decrease and terminate at 0")
     runs = [evolve(u0, bg, nl, replace(config, mu=mu)) for mu in mus]
-    limit = runs[-1].values_matrix()
-    diffs = [float(np.max(sobolev_norm(PhysicalField(
-        u0.grid, run.values_matrix() - limit), s - 1.0))) for run in runs[:-1]]
+    diffs = [float(np.max(sobolev_norm(run.samples - runs[-1].samples, s - 1.0)))
+             for run in runs[:-1]]
     rate = loglog_slope([(mu, d) for mu, d in zip(mus, diffs) if d > 0][-3:])
     return ViscosityStudy(tuple(mus[:-1]), tuple(diffs), rate)
 

@@ -25,7 +25,7 @@ polynomial fluxes run in Taylor form on a zero-padded grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -189,71 +189,65 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * symbol)
 
 
-@dataclass
 class Trajectory:
-    """Uniformly time-sampled sequence of fields on a shared grid."""
+    """Uniformly time-sampled fields on a shared grid, held in one store,
+    ``samples``: a stacked (n_times, n) :class:`PhysicalField` that owns
+    its read-only array, checked once on entry.  `fields` is a sequence
+    of fields on `grid` or a sample matrix; either is copied in."""
 
-    grid: Grid
-    t0: float
-    dt: float
-    fields: list
-    completed: bool = True
-    abort_reason: str | None = None
-    _matrix: np.ndarray | None = field(default=None, init=False, repr=False)
-    _spectra: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("sample spacing must be positive")
-        for f in self.fields:
-            if f.grid != self.grid:
+    def __init__(self, grid: Grid, t0: float, dt: float, fields,
+                 completed: bool = True, abort_reason: str | None = None):
+        if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
+            raise ValueError(f"sample spacing must be finite and positive and "
+                             f"the start time finite, got dt = {dt}, t0 = {t0}")
+        if not isinstance(fields, np.ndarray):
+            if any(f.grid != grid for f in fields):
                 raise SizeMismatchError("trajectory fields live on different grids")
+            fields = [f.values for f in fields]
+        values = np.array(fields, dtype=float)
+        if values.ndim != 2:
+            raise SizeMismatchError(f"sample matrix shape {values.shape} does "
+                                    f"not match grid size {grid.n}")
+        values.flags.writeable = False
+        self.grid, self.t0, self.dt = grid, t0, dt
+        self.samples = PhysicalField(grid, values)
+        self.completed, self.abort_reason = completed, abort_reason
+        self._spectra = None
 
     @classmethod
     def from_matrix(cls, grid: Grid, t0: float, dt: float,
                     values: np.ndarray) -> "Trajectory":
-        """Trajectory of the rows of a (n_times, n) sample matrix, checked
-        once; ``values_matrix`` returns the matrix, read-only."""
-        mat = np.asarray(values, dtype=float).view()
-        if mat.ndim != 2 or mat.shape[1] != grid.n:
-            raise SizeMismatchError(f"sample matrix shape {mat.shape} does "
-                                    f"not match grid size {grid.n}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("trajectory contains non-finite samples")
-        mat.flags.writeable = False
-        fields = [object.__new__(PhysicalField) for _ in mat]
-        for f, row in zip(fields, mat):     # PhysicalField's checks done above
-            f.__dict__.update(grid=grid, values=row)
-        traj = cls(grid, t0, dt, fields)
-        traj._matrix = mat
-        return traj
+        """Trajectory of the rows of a (n_times, n) sample matrix."""
+        return cls(grid, t0, dt, np.asarray(values))
+
+    @cached_property
+    def fields(self) -> tuple:
+        """The samples as fields, views of the store's rows."""
+        return tuple(PhysicalField(self.grid, row) for row in self.samples.values)
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.fields))
+        return self.t0 + self.dt * np.arange(len(self))
 
     @property
     def duration(self) -> float:
-        return self.dt * (len(self.fields) - 1)
+        return self.dt * (len(self) - 1)
 
     def values_matrix(self) -> np.ndarray:
-        """(n_times, n_space) array of samples."""
-        if self._matrix is not None:
-            return self._matrix
-        return np.stack([f.values for f in self.fields])
+        """(n_times, n) array of samples, the store's, read-only."""
+        return self.samples.values
 
     def spectra(self) -> np.ndarray:
         """(n_times, n/2+1) half spectra of the samples from one
         :func:`transform`, made on the first call and then returned,
         read-only, by every later one."""
         if self._spectra is None:
-            self._spectra = transform(
-                PhysicalField(self.grid, self.values_matrix())).coeffs
+            self._spectra = transform(self.samples).coeffs
             self._spectra.flags.writeable = False
         return self._spectra
 
     def __len__(self):
-        return len(self.fields)
+        return len(self.samples.values)
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +272,10 @@ def inverse_transform(F: SpectralField) -> PhysicalField:
         _left_end_phase(F.coeffs.copy()), F.grid.n, norm="forward"))
 
 
-def l2_norm(f: PhysicalField) -> float:
-    return float(np.sqrt(f.grid.dx * np.sum(f.values ** 2)))
+def l2_norm(f: PhysicalField):
+    """L^2 norm, a float for one field and one per row of a stacked one."""
+    norms = np.sqrt(f.grid.dx * np.sum(f.values ** 2, axis=-1))
+    return norms if norms.ndim else float(norms)
 
 
 # ----------------------------------------------------------------------

@@ -538,8 +538,9 @@ def test_norms_extends_coarse_trajectory(tmp_path, dt):
 
 def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
     # on a window that does not decay, the b = 0 row is the l2_t_sobolev
-    # row, computed once: the sup_t and l2_t rows share one batched H^s
-    # call, one norm per stored field
+    # row, computed once: the sup_t and l2_t rows come from norms'
+    # trajectory helpers, one batched H^s call each, one norm per stored
+    # field, and the b = 0 row adds none
     grid = Grid(20.0, 64)
     fields = [PhysicalField.sample(grid, lambda x: (1 + k) * np.exp(-x ** 2))
               for k in range(3)]
@@ -549,15 +550,15 @@ def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
     calls = []
 
     def spy(f, s):
-        calls.append(s)
+        calls.append((f.coeffs.shape, s))
         return sobolev_norm(f, s)
 
-    monkeypatch.setattr(cli, "sobolev_norm", spy)
+    monkeypatch.setattr(norms, "sobolev_norm", spy)
     out_csv = str(tmp_path / "norms.csv")
     assert main(["norms", "--trajectory", directory, "--output", out_csv]) == 0
     with open(out_csv) as fh:
         rows = [row.split(",") for row in fh.read().splitlines()[1:]]
-    assert len(calls) == 1
+    assert calls == [((3, 33), 1.0)] * 2
     assert rows[0][0] == "sup_t_sobolev"
     assert rows[0][3] == f"{trajectory_sup_sobolev(stored, 1.0):.16e}"
     assert rows[1][0] == "l2_t_sobolev"
@@ -638,6 +639,14 @@ def _non_uniform(d):
     _edit(os.path.join(d, "snap_000002.f64.meta"), "t = 0.2", "t = 0.25")
 
 
+def _reversed_times(d):
+    # uniform spacing, but the times fall as the index rises
+    _edit(os.path.join(d, "trajectory.txt"), "0 0.0 ", "0 0.2 ")
+    _edit(os.path.join(d, "trajectory.txt"), "2 0.2 ", "2 0.0 ")
+    _edit(os.path.join(d, "snap_000000.f64.meta"), "t = 0.0", "t = 0.2")
+    _edit(os.path.join(d, "snap_000002.f64.meta"), "t = 0.2", "t = 0.0")
+
+
 MALFORMED = {
     "truncated_f64": (_truncate, "holds 12 samples, sidecar says 64"),
     "missing_sidecar": (
@@ -647,6 +656,8 @@ MALFORMED = {
         lambda d: open(os.path.join(d, "trajectory.txt"), "w").close(),
         "trajectory.txt: a trajectory needs at least two snapshots, found 0"),
     "non_uniform": (_non_uniform, "trajectory.txt: sampling is not uniform"),
+    "reversed_times": (_reversed_times,
+                       "trajectory.txt: sample times must increase"),
     "time_mismatch": (
         lambda d: _edit(os.path.join(d, "trajectory.txt"), "1 0.1 ", "1 0.15 "),
         "disagree on time for snap_000001.f64"),
@@ -745,6 +756,9 @@ STUDY_TABLES = {
 # fitted order/rate = 0.9934421743953109
 """),
 }
+# the viscosity levels are ordered coarse to fine (decreasing) by the study
+STUDY_TABLES["viscosity_unsorted"] = ("0.025,0.05,0.1", "", 0,
+                                      STUDY_TABLES["viscosity"][3])
 
 
 @pytest.mark.parametrize("case", sorted(STUDY_TABLES))
@@ -782,6 +796,10 @@ def test_study_spatial(tmp_path):
     ("temporal", "0.01,,0.005"),        # an empty level
     ("temporal", "0.01,0"),             # a zero step
     ("viscosity", "0.1,x"),
+    ("viscosity", "0.1,-0.05"),         # a negative viscosity
+    ("viscosity", "0.1,0.05,0.1"),      # a repeated level
+    ("viscosity", "0.1,inf"),
+    ("viscosity", "0.1,nan"),
 ])
 def test_study_bad_ladder_names_the_option(tmp_path, capsys, kind, ladder):
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))

@@ -5,6 +5,7 @@ from gkdvlab.background import KdVCnoidal, MKdVKink, SyntheticBackground, \
     ZeroBackground
 from gkdvlab.diagnostics import (
     DiagnosticsReport,
+    GrowthVerdict,
     collect_report,
     envelope_tail_monitor,
     flow_lipschitz_experiment,
@@ -442,3 +443,59 @@ def test_report_is_the_per_sample_functionals(monkeypatch, bg, nl):
                    report.boundary)
         assert list(zip(*columns)) == per_sample
     assert counts[0] == counts[1]
+
+
+def _l2_by_sample(f):
+    return float(np.sqrt(f.grid.dx * np.sum(f.values ** 2)))
+
+
+def _growth_by_sample(traj, bg, nl):
+    # l2_growth_monitor as it was before its masses came from one row-wise
+    # l2_norm of the stored samples: one norm per field, then the loop
+    from gkdvlab.background import forcing_S
+
+    grid = traj.grid
+    jet = bg.jet(traj.times[:, None], grid.x)
+    total = traj.values_matrix() + jet.psi
+    lo, hi = float(np.min(total)), float(np.max(total))
+    pad = 0.1 * max(abs(lo), abs(hi), 1e-30)
+    M = nl.gwp_bound(lo - pad, hi + pad).M
+    B = 1.0 + M * float(np.max(np.abs(jet.psi_x)))
+    forcing = forcing_S(jet, nl)
+    l2 = np.atleast_1d(np.sqrt(grid.dx * np.sum(forcing ** 2, axis=-1)))
+    A = max(v ** 2 for v in l2.tolist())
+    mass0 = _l2_by_sample(traj.fields[0]) ** 2
+    worst, worst_t, holds = np.inf, float("nan"), True
+    for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
+        bound = (mass0 + float(t) * A) * np.exp(B * float(t))
+        mass = _l2_by_sample(f) ** 2
+        if mass - bound > 1e-9 * max(bound, 1.0):
+            holds = False
+        if i == 0:
+            continue
+        if bound > 0.0:
+            rel = 1.0 - mass / bound
+        else:
+            rel = 0.0 if mass == 0.0 else -np.inf
+        if rel < worst:
+            worst, worst_t = rel, float(t)
+    return GrowthVerdict(holds, A, B, M, float(worst), worst_t)
+
+
+@pytest.mark.parametrize("bg, nl", [
+    (MKdVKink(c=1.0), AnalyticNonlinearity.mkdv_defocusing()),
+    (KdVCnoidal(c=1.0, kappa=0.8), KDV),
+], ids=["kink", "cnoidal"])
+def test_growth_and_sup_l2_are_the_per_sample_loops(bg, nl):
+    # the monitor and the zero-perturbation sup L2 of `gkdvlab run` read
+    # the stored samples row-wise; both are bit for bit the old loops
+    grid = Grid(50.0, 512)
+    cfg = SolverConfig(dt=2e-4, horizon=0.004, cadence=2,
+                       boundary_threshold=0.05)
+    for u0 in (gaussian(grid, amp=0.3, width=1.5), PhysicalField.zero(grid)):
+        traj = evolve(u0, bg, nl, cfg)
+        assert len(traj) == 11
+        assert l2_growth_monitor(traj, bg, nl) == _growth_by_sample(traj, bg,
+                                                                    nl)
+        assert max(l2_norm(traj.samples).tolist()) == max(
+            _l2_by_sample(f) for f in traj.fields)

@@ -592,6 +592,50 @@ def test_trajectory_from_matrix_keeps_its_matrix(grid):
         Trajectory.from_matrix(grid, 0.0, 0.1, mat)
 
 
+def test_trajectory_owns_its_samples(grid):
+    # the store is a copy: later writes to the caller's arrays reach
+    # neither the samples, the fields nor the cached spectra
+    mat = np.array([random_field(grid, seed=k).values for k in range(3)])
+    fields = [PhysicalField(grid, row.copy()) for row in mat]
+    for traj, source in ((Trajectory.from_matrix(grid, 0.0, 0.1, mat), mat),
+                         (Trajectory(grid, 0.0, 0.1, fields),
+                          fields[1].values)):
+        want = traj.spectra().copy()
+        source[..., 5] = np.nan
+        assert np.all(np.isfinite(traj.values_matrix()))
+        assert np.array_equal(traj.fields[1].values,
+                              random_field(grid, seed=1).values)
+        assert np.array_equal(traj.spectra(), want)
+        assert np.array_equal(traj.spectra(), transform(traj.samples).coeffs)
+        assert not traj.samples.values.flags.writeable
+        assert not traj.fields[0].values.flags.writeable
+
+
+@pytest.mark.parametrize("t0, dt", [
+    (0.0, float("nan")), (0.0, float("inf")), (0.0, -0.1), (0.0, 0.0),
+    (float("nan"), 0.1), (float("inf"), 0.1), (-float("inf"), 0.1),
+])
+def test_trajectory_rejects_bad_spacing_and_start(grid, t0, dt):
+    mat = np.array([random_field(grid, seed=k).values for k in range(2)])
+    with pytest.raises(ValueError, match="sample spacing"):
+        Trajectory.from_matrix(grid, t0, dt, mat)
+    with pytest.raises(ValueError, match="sample spacing"):
+        Trajectory(grid, t0, dt, [PhysicalField(grid, row) for row in mat])
+
+
+def test_l2_norm_rows_equal_single_calls(grid):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        rows = rng.normal(size=(rng.integers(1, 9), grid.n)) * 10.0 ** \
+            rng.uniform(-8, 8, size=(1, 1))
+        norms = l2_norm(PhysicalField(grid, rows))
+        assert norms.shape == rows.shape[:1]
+        for row, norm in zip(rows, norms.tolist()):
+            single = l2_norm(PhysicalField(grid, row))
+            assert isinstance(single, float)
+            assert norm == single
+
+
 def test_fourier_phase_lives_in_spectral():
     # every other module reaches samples through transform and
     # inverse_transform, so the half-spectrum convention is written once
