@@ -252,6 +252,9 @@ def cmd_norms(args) -> int:
 
 def cmd_split(args) -> int:
     fld, t = read_snapshot(args.input)
+    if fld.values.ndim != 1:
+        raise ValueError(f"snapshot {args.input}: a stack of "
+                         f"{len(fld.values)} fields, not one field")
     smooth, remainder = zhidkov_split(fld)
     write_snapshot(args.output_prefix + "_smooth.f64", smooth, t)
     write_snapshot(args.output_prefix + "_remainder.f64", remainder, t)

@@ -59,6 +59,9 @@ SCHEMA = {
 def _initial_file(grid, file):
     try:
         fld, _ = read_snapshot(file)
+        if fld.values.ndim != 1:
+            raise ValueError(f"snapshot {file}: a stack of "
+                             f"{len(fld.values)} fields, not one field")
     except (OSError, ValueError) as err:
         raise ConfigError(f"invalid initial data file: {err}") from err
     if fld.grid != grid:

@@ -2,10 +2,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gkdvlab import cli, norms, spectral
 from gkdvlab.background import MKdVKink
@@ -323,6 +325,21 @@ def test_run_missing_tabulated_file_names_its_key(tmp_path, capsys):
     assert err.startswith("config error: ") and "[background] file" in err
 
 
+def test_run_stacked_initial_file_names_it(tmp_path, capsys):
+    # without the check, a stacked snapshot would reach `step` as a (2, n)
+    # initial field
+    snap = str(tmp_path / "stack.f64")
+    write_snapshot(snap, PhysicalField(Grid(20.0, 256), np.zeros((2, 256))),
+                   0.0)
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        GAUSSIAN, f"kind = file\nfile = {snap}")
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: invalid initial data file: "
+                          f"snapshot {snap}: a stack of 2 fields")
+
+
 # ----------------------------------------------------------------------
 # run
 
@@ -444,6 +461,17 @@ def test_split_command(tmp_path, capsys):
     rem, _ = read_snapshot(prefix + "_remainder.f64")
     recon = smooth.values + rem.values
     assert np.max(np.abs(recon - field.values)) <= 4 * np.finfo(float).eps
+
+
+def test_split_rejects_a_stacked_snapshot(tmp_path, capsys):
+    snap = str(tmp_path / "stack.f64")
+    write_snapshot(snap, PhysicalField(Grid(40.0, 64), np.zeros((3, 64))), 0.0)
+    assert main(["split", "--input", snap, "--output-prefix",
+                 str(tmp_path / "parts")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: snapshot {snap}: a stack of 3 fields, "
+                   "not one field\n")
+    assert not os.path.exists(str(tmp_path / "parts_smooth.f64"))
 
 
 def test_run_batch_jobs(tmp_path):
@@ -610,8 +638,35 @@ def test_norms_one_transform_for_the_hs_rows(tmp_path, monkeypatch):
                     for name, value in want]
 
 
+@settings(max_examples=40, deadline=None)
+@given(values=st.sampled_from([8, 16, 64]).flatmap(lambda n: hnp.arrays(
+           np.float64, st.tuples(st.integers(2, 6), st.just(n)),
+           elements=st.floats(allow_nan=False, allow_infinity=False))),
+       t0=st.floats(allow_nan=False, allow_infinity=False),
+       dt=st.floats(min_value=1e-300, allow_infinity=False),
+       completed=st.booleans(),
+       reason=st.one_of(st.none(), st.text(
+           st.characters(min_codepoint=32, max_codepoint=126),
+           min_size=1).map(str.strip).filter(bool)))
+def test_trajectory_store_round_trip(values, t0, dt, completed, reason):
+    traj = Trajectory(Grid(20.0, values.shape[1]), t0, dt, values,
+                      completed=completed, abort_reason=reason)
+    with tempfile.TemporaryDirectory() as directory:
+        write_trajectory(directory, traj)
+        back = read_trajectory(directory)
+        with open(os.path.join(directory, "samples.f64"), "rb") as fh:
+            stored = fh.read()
+    assert back.samples.values.tobytes() == values.tobytes()
+    assert (back.grid, back.t0, back.dt) == (traj.grid, t0, dt)
+    assert (back.completed, back.abort_reason) == (completed, reason)
+    # the bytes of the one-file-per-sample layout, concatenated in order
+    assert stored == b"".join(row.astype("<f8").tobytes() for row in values)
+
+
 # ----------------------------------------------------------------------
 # malformed stored trajectories: exit 2 with one stderr line
+
+MALFORMED_GRID = Grid(20.0, 64)
 
 
 def _edit(path, old, new):
@@ -622,66 +677,90 @@ def _edit(path, old, new):
         fh.write(text.replace(old, new))
 
 
+def _stored(d):
+    return np.fromfile(os.path.join(d, "samples.f64"), dtype="<f8").reshape(
+        -1, MALFORMED_GRID.n)
+
+
 def _truncate(d):
-    with open(os.path.join(d, "snap_000001.f64"), "r+b") as fh:
+    with open(os.path.join(d, "samples.f64"), "r+b") as fh:
         fh.truncate(100)
 
 
 def _nan_sample(d):
-    path = os.path.join(d, "snap_000001.f64")
-    values = np.fromfile(path, dtype="<f8")
-    values[7] = np.nan
-    values.astype("<f8").tofile(path)
+    values = _stored(d).copy()
+    values[1, 7] = np.nan
+    values.tofile(os.path.join(d, "samples.f64"))
 
 
-def _non_uniform(d):
-    _edit(os.path.join(d, "trajectory.txt"), "2 0.2 ", "2 0.25 ")
-    _edit(os.path.join(d, "snap_000002.f64.meta"), "t = 0.2", "t = 0.25")
+def _one_row(d):
+    write_trajectory(d, Trajectory(MALFORMED_GRID, 0.0, 0.1, _stored(d)[:1]))
 
 
-def _reversed_times(d):
-    # uniform spacing, but the times fall as the index rises
-    _edit(os.path.join(d, "trajectory.txt"), "0 0.0 ", "0 0.2 ")
-    _edit(os.path.join(d, "trajectory.txt"), "2 0.2 ", "2 0.0 ")
-    _edit(os.path.join(d, "snap_000000.f64.meta"), "t = 0.0", "t = 0.2")
-    _edit(os.path.join(d, "snap_000002.f64.meta"), "t = 0.2", "t = 0.0")
+def _parent_layout(d):
+    # one snapshot per sample, listed in the manifest, as gkdvlab wrote
+    # trajectories before they were one store
+    lines = ["# index time file", "# completed = True"]
+    for k, row in enumerate(_stored(d)):
+        name = f"snap_{k:06d}.f64"
+        write_snapshot(os.path.join(d, name),
+                       PhysicalField(MALFORMED_GRID, row), 0.1 * k)
+        lines.append(f"{k} {0.1 * k!r} {name}")
+    for name in ("samples.f64", "samples.f64.meta"):
+        os.remove(os.path.join(d, name))
+    with open(os.path.join(d, "trajectory.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _dt(value):
+    return (lambda d: _edit(os.path.join(d, "trajectory.txt"), "# dt = 0.1",
+                            f"# dt = {value}"),
+            "trajectory.txt: sample spacing must be finite and positive")
 
 
 MALFORMED = {
-    "truncated_f64": (_truncate, "holds 12 samples, sidecar says 64"),
+    "truncated_f64": (_truncate,
+                      "samples.f64: holds 12 samples, sidecar says 3 x 64"),
+    "rows_disagree_with_size": (
+        lambda d: _edit(os.path.join(d, "samples.f64.meta"), "rows = 3",
+                        "rows = 4"),
+        "samples.f64: holds 192 samples, sidecar says 4 x 64"),
     "missing_sidecar": (
-        lambda d: os.remove(os.path.join(d, "snap_000001.f64.meta")),
-        "snap_000001.f64.meta"),
+        lambda d: os.remove(os.path.join(d, "samples.f64.meta")),
+        "samples.f64.meta"),
     "empty_manifest": (
         lambda d: open(os.path.join(d, "trajectory.txt"), "w").close(),
-        "trajectory.txt: a trajectory needs at least two snapshots, found 0"),
-    "non_uniform": (_non_uniform, "trajectory.txt: sampling is not uniform"),
-    "reversed_times": (_reversed_times,
-                       "trajectory.txt: sample times must increase"),
-    "time_mismatch": (
-        lambda d: _edit(os.path.join(d, "trajectory.txt"), "1 0.1 ", "1 0.15 "),
-        "disagree on time for snap_000001.f64"),
+        "trajectory.txt: no 'dt' entry"),
+    "dt_zero": _dt("0"),
+    "dt_negative": _dt("-0.1"),
+    "dt_nan": _dt("nan"),
+    "dt_inf": _dt("inf"),
+    "one_row": (_one_row, "samples.f64: a trajectory needs a stack of at "
+                          "least two samples, found shape (1, 64)"),
+    "parent_layout": (_parent_layout,
+                      "trajectory.txt, line 3: expected 'key = value', "
+                      "got '0 0.0 snap_000000.f64'"),
     "n_not_power_of_two": (
-        lambda d: _edit(os.path.join(d, "snap_000000.f64.meta"), "n = 64",
+        lambda d: _edit(os.path.join(d, "samples.f64.meta"), "n = 64",
                         "n = 48"),
-        "snap_000000.f64: grid size must be a power of two, got 48"),
+        "samples.f64: grid size must be a power of two, got 48"),
     "nan_samples": (_nan_sample,
-                    "snap_000001.f64: field contains non-finite samples"),
+                    "samples.f64: field contains non-finite samples"),
     "garbage_line": (
-        lambda d: _edit(os.path.join(d, "trajectory.txt"), "1 0.1 ",
-                        "garbage\n1 0.1 "),
-        "trajectory.txt, line 4: expected 'index time file', got 'garbage'"),
+        lambda d: _edit(os.path.join(d, "trajectory.txt"), "# dt ",
+                        "garbage\n# dt "),
+        "trajectory.txt, line 2: expected 'key = value', got 'garbage'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_norms_malformed_trajectory_exits_2(tmp_path, capsys, case):
-    grid = Grid(20.0, 64)
     # zero at both window ends, so the norms need no extension
-    fields = [PhysicalField.sample(grid, lambda x: k * (2 - k) * np.exp(-x ** 2))
-              for k in range(3)]
+    fields = [PhysicalField.sample(
+        MALFORMED_GRID, lambda x: k * (2 - k) * np.exp(-x ** 2))
+        for k in range(3)]
     directory = str(tmp_path / "traj")
-    write_trajectory(directory, Trajectory(grid, 0.0, 0.1, fields))
+    write_trajectory(directory, Trajectory(MALFORMED_GRID, 0.0, 0.1, fields))
     args = ["norms", "--trajectory", directory, "--output",
             str(tmp_path / "norms.csv")]
     assert main(args) == 0
