@@ -33,7 +33,7 @@ from .diagnostics import (
     l2_growth_monitor,
     modified_energy,
 )
-from .elliptic import complete_elliptic_k, jacobi_cn_dn, jacobi_sn_cn_dn
+from .elliptic import complete_elliptic_k, jacobi_sn_cn_dn
 from .nonlinearity import AnalyticNonlinearity
 from .norms import (
     WeightSequence,
@@ -52,7 +52,6 @@ from .solver import (
     SpectralCore,
     evolve,
     picard_solve,
-    rhs,
     step,
     vanishing_viscosity,
 )

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .background import BACKGROUNDS, forcing_S, residual_S, zhidkov_split
-from .config import INITIALS, NONLINEARITY_KINDS, ConfigError, ScenarioConfig
+from .config import INITIALS, NONLINEARITIES, ConfigError, ScenarioConfig
 from .diagnostics import collect_report, l2_growth_monitor
-from .fieldio import read_snapshot, read_trajectory, write_snapshot, \
+from .fieldio import read_field, read_trajectory, write_snapshot, \
     write_trajectory
 from .norms import (
     WeightSequence,
@@ -39,7 +39,7 @@ from .norms import (
     trajectory_sup_sobolev,
 )
 from .solver import SolverError, evolve, loglog_slope, vanishing_viscosity
-from .spectral import SpectralField, UnresolvedFieldError, l2_norm
+from .spectral import UnresolvedFieldError, l2_norm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,7 +187,7 @@ def cmd_study(args) -> int:
             fitted = study.fitted_rate
         else:
             finals = [evolve(cfg.initial_data(), bg, nl,
-                             slv).values_matrix()[-1] for _, cfg, slv in runs]
+                             slv).samples.values[-1] for _, cfg, slv in runs]
             finest = finals[-1]
             rows = [(level, float(np.max(np.abs(
                         final - finest[::finest.size // final.size]))))
@@ -232,8 +232,8 @@ def cmd_norms(args) -> int:
     rows = [
         ("sup_t_sobolev", s, "", trajectory_sup_sobolev(traj, s)),
         ("l2_t_sobolev", s, "", l2_t),
-        ("sup_t_enveloped", s, "", max(enveloped_norm(
-            SpectralField(grid, traj.spectra()), s, omega).tolist())),
+        ("sup_t_enveloped", s, "",
+         max(enveloped_norm(traj.spectra(), s, omega).tolist())),
         ("bourgain", s, b, bourgain_norm(work, s, b)),
         ("bourgain", s, 0.0, bourgain_norm(work, s, 0.0) if decaying else l2_t),
     ]
@@ -251,10 +251,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_split(args) -> int:
-    fld, t = read_snapshot(args.input)
-    if fld.values.ndim != 1:
-        raise ValueError(f"snapshot {args.input}: a stack of "
-                         f"{len(fld.values)} fields, not one field")
+    fld, t = read_field(args.input)
     smooth, remainder = zhidkov_split(fld)
     write_snapshot(args.output_prefix + "_smooth.f64", smooth, t)
     write_snapshot(args.output_prefix + "_remainder.f64", remainder, t)
@@ -274,7 +271,7 @@ def cmd_catalog(args) -> int:
                                for key, default in params.items())
             print(f"  {name}  ({listed})" if listed else f"  {name}")
     print("nonlinearities:")
-    for kind in NONLINEARITY_KINDS:
+    for kind in NONLINEARITIES:
         print(f"  {kind}")
     return EXIT_OK
 

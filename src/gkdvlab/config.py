@@ -22,14 +22,13 @@ from functools import reduce
 import numpy as np
 
 from .background import BACKGROUNDS, Background
-from .fieldio import read_snapshot
+from .fieldio import read_field
 from .nonlinearity import AnalyticNonlinearity
 from .solver import SolverConfig
 from .spectral import Grid, PhysicalField
 
 __all__ = ["ScenarioConfig", "ConfigError", "SCHEMA", "INITIALS",
-           "NONLINEARITIES", "BACKGROUND_VARIANTS", "NONLINEARITY_KINDS",
-           "INITIAL_KINDS"]
+           "NONLINEARITIES"]
 
 
 class ConfigError(ValueError):
@@ -58,10 +57,7 @@ SCHEMA = {
 
 def _initial_file(grid, file):
     try:
-        fld, _ = read_snapshot(file)
-        if fld.values.ndim != 1:
-            raise ValueError(f"snapshot {file}: a stack of "
-                             f"{len(fld.values)} fields, not one field")
+        fld, _ = read_field(file)
     except (OSError, ValueError) as err:
         raise ConfigError(f"invalid initial data file: {err}") from err
     if fld.grid != grid:
@@ -96,10 +92,6 @@ NONLINEARITIES = {
     "series": lambda cfg: AnalyticNonlinearity.from_series(
         cfg.nonlinearity_coefficients),
 }
-
-BACKGROUND_VARIANTS = tuple(BACKGROUNDS)
-NONLINEARITY_KINDS = tuple(NONLINEARITIES)
-INITIAL_KINDS = tuple(INITIALS)
 
 _CHOICES = {  # the attribute naming each catalog choice -> its registry
     "background_variant": BACKGROUNDS, "nonlinearity_kind": NONLINEARITIES,

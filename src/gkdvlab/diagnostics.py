@@ -19,7 +19,6 @@ from .solver import SolverConfig, boundary_mass_fraction, evolve
 from .spectral import (
     Grid,
     PhysicalField,
-    SpectralField,
     Trajectory,
     inverse_transform,
     l2_norm,
@@ -108,7 +107,7 @@ def l2_growth_monitor(traj: Trajectory, bg: Background,
     grid = traj.grid
     jet = bg.jet(traj.times[:, None], grid.x)       # a row per sample time
     require_resolved_background(jet.psi_x, grid, 1e-10)
-    total = traj.values_matrix() + jet.psi
+    total = traj.samples.values + jet.psi
     lo, hi = float(np.min(total)), float(np.max(total))
     pad = 0.1 * max(abs(lo), abs(hi), 1e-30)
     M = nl.gwp_bound(lo - pad, hi + pad).M
@@ -211,7 +210,7 @@ def envelope_tail_monitor(traj: Trajectory, s: float, omega: WeightSequence):
     blocks = np.asarray(omega.blocks)
     table = ((np.asarray(omega.weights) ** 2 * (1.0 + blocks ** 2) ** s)
              [:, None] * _block_masses(traj.grid, omega.blocks))
-    power = np.abs(traj.spectra()) ** 2
+    power = np.abs(traj.spectra().coeffs) ** 2
     above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
     tails = np.append(np.max(above, axis=0)[1:], 0.0)
     return dict(zip(blocks.tolist(), tails.tolist()))
@@ -267,7 +266,7 @@ def collect_report(traj: Trajectory, bg: Background, nl: AnalyticNonlinearity,
     """Evaluate the standard functional series along a trajectory, each
     functional once on the stacked samples."""
     omega = omega or WeightSequence.ones(traj.grid)
-    samples, spectra = traj.samples, SpectralField(traj.grid, traj.spectra())
+    samples, spectra = traj.samples, traj.spectra()
     i1, i2, i3 = invariants_I(samples, nl)
     report = DiagnosticsReport(
         times=traj.times.tolist(), i1=i1.tolist(), i2=i2.tolist(),

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["jacobi_cn_dn", "jacobi_sn_cn_dn", "complete_elliptic_k"]
+__all__ = ["jacobi_sn_cn_dn", "complete_elliptic_k"]
 
 _AGM_TOL = 1e-15
 _AGM_MAX_ITER = 32
@@ -70,9 +70,3 @@ def jacobi_sn_cn_dn(u, kappa: float):
     cn = np.cos(phi)
     dn = np.sqrt(1.0 - kappa * kappa * (sn * sn))
     return sn, cn, dn
-
-
-def jacobi_cn_dn(u, kappa: float):
-    """(cn, dn) at argument u; periodic with quarter period K(kappa)."""
-    _, cn, dn = jacobi_sn_cn_dn(u, kappa)
-    return cn, dn

@@ -21,6 +21,7 @@ from .spectral import Grid, PhysicalField, Trajectory
 __all__ = [
     "write_snapshot",
     "read_snapshot",
+    "read_field",
     "write_trajectory",
     "read_trajectory",
 ]
@@ -70,6 +71,16 @@ def read_snapshot(path: str):
     except (KeyError, ValueError) as err:
         what = f"sidecar has no {err} entry" if isinstance(err, KeyError) else err
         raise ValueError(f"snapshot {path}: {what}") from None
+
+
+def read_field(path: str):
+    """The one field and its time stored at `path`; a stacked snapshot
+    raises ValueError naming the file."""
+    fld, t = read_snapshot(path)
+    if fld.values.ndim != 1:
+        raise ValueError(f"snapshot {path}: a stack of "
+                         f"{len(fld.values)} fields, not one field")
+    return fld, t
 
 
 def write_trajectory(directory: str, traj: Trajectory):

@@ -57,7 +57,7 @@ def _parseval(f: PhysicalField | SpectralField, weight: np.ndarray,
               scale: float = 1.0):
     """sqrt(scale * sum_j weight_j |u_hat_j|^2) of a field as a float, or
     one value per row of a SpectralField of stacked spectra, such as
-    ``SpectralField(grid, traj.spectra())``."""
+    ``traj.spectra()``."""
     spec = f if isinstance(f, SpectralField) else transform(f)
     norms = np.sqrt(scale * np.sum(weight * np.abs(spec.coeffs) ** 2, axis=-1))
     return norms if norms.ndim else float(norms)
@@ -156,7 +156,7 @@ def enveloped_norm(f: PhysicalField | SpectralField, s: float,
 
 def decays_at_ends(traj: Trajectory) -> bool:
     """Whether both end samples are at most 1e-10 times the peak."""
-    mat = np.abs(traj.values_matrix())
+    mat = np.abs(traj.samples.values)
     return bool(max(np.max(mat[0]), np.max(mat[-1])) <= 1e-10 * np.max(mat))
 
 
@@ -187,13 +187,12 @@ def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
 
 def trajectory_l2_sobolev(traj: Trajectory, s: float) -> float:
     """L^2 in time of the spatial H^s norm over the stored window."""
-    h_s = sobolev_norm(SpectralField(traj.grid, traj.spectra()), s).tolist()
+    h_s = sobolev_norm(traj.spectra(), s).tolist()
     return float(np.sqrt(traj.dt * np.sum([v ** 2 for v in h_s])))
 
 
 def trajectory_sup_sobolev(traj: Trajectory, s: float) -> float:
-    return float(np.max(sobolev_norm(SpectralField(traj.grid,
-                                                   traj.spectra()), s)))
+    return float(np.max(sobolev_norm(traj.spectra(), s)))
 
 
 # ----------------------------------------------------------------------
@@ -264,16 +263,16 @@ def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
     cut = smooth_cutoff(times)
     mat = np.zeros((times.size, grid.n))
     inside = slice(k_half, k_half + n_in + 1)
-    mat[inside] = cut[inside, None] * traj.values_matrix()
+    mat[inside] = cut[inside, None] * traj.samples.values
     # the first and the last field propagate freely to every outside time
     # where the cutoff has not yet vanished, one spectrum row per time
-    u_hat = traj.spectra()
+    u_hat = traj.spectra().coeffs
     for rows, end, shift in (((k < 0) & (cut > 0.0), u_hat[0], 0.0),
                              ((k > n_in) & (cut > 0.0), u_hat[-1], T)):
         prop = end * np.exp(1j * (times[rows] - shift)[:, None] * grid.xi ** 3)
         mat[rows] = cut[rows, None] * inverse_transform(
             SpectralField(grid, prop)).values
-    return Trajectory.from_matrix(grid, -k_half * traj.dt, traj.dt, mat)
+    return Trajectory(grid, -k_half * traj.dt, traj.dt, mat)
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +462,8 @@ def strichartz_certificate(traj: Trajectory, forcing: Trajectory,
         raise ValueError("state and forcing trajectories must share a lattice")
 
     # U(h) (u_m + h/2 F_m) + h/2 F_{m+1} predicts u_{m+1}, all m at once
-    h, mat = traj.dt, traj.values_matrix()
-    u_hat, half_f = traj.spectra(), 0.5 * h * forcing.spectra()
+    h, mat = traj.dt, traj.samples.values
+    u_hat, half_f = traj.spectra().coeffs, 0.5 * h * forcing.spectra().coeffs
     step = np.exp(1j * h * traj.grid.xi ** 3) * (u_hat[:-1] + half_f[:-1])
     predicted = inverse_transform(SpectralField(traj.grid,
                                                 step + half_f[1:])).values

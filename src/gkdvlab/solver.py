@@ -12,9 +12,10 @@ the phi-function series below a safe threshold instead of the direct
 formulas, which lose up to ten digits to cancellation near the origin
 (cf. Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005).
 
-Every path through the equation (`evolve` and `step`, `rhs`, the Picard
+Every path through the equation (`evolve` and `step`, the Picard
 construction, signed-`dt` integration) evaluates its nonlinear term in one
-:class:`SpectralCore` on the spectrum ``SpectralField.coeffs``.  It computes
+:class:`SpectralCore` on the spectrum ``SpectralField.coeffs``: the right
+side is ``linear_symbol(mu) * spec + n_hat(spec, stage(t))``.  It computes
 run constants once and stage-time data once per time: one background jet
 on the flux grid gives the flux tables (Taylor coefficients f^(k)(Psi)/k!
 of a polynomial f) and, through its samples x_big[::p] = x, the forcing.
@@ -55,7 +56,6 @@ __all__ = [
     "InstabilityError",
     "BoundaryContaminationError",
     "SpectralCore",
-    "rhs",
     "step",
     "evolve",
     "picard_solve",
@@ -65,7 +65,6 @@ __all__ = [
     "phi1",
     "phi2",
     "phi3",
-    "default_dt",
     "boundary_mass_fraction",
 ]
 
@@ -107,20 +106,18 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dealias not in ("auto", "lowpass"):
             raise ValueError(f"unknown dealias rule {self.dealias!r}")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("time step and horizon must be positive")
-        if self.mu < 0:
-            raise ValueError("viscosity must be non-negative")
+        # each comparison is False for NaN, so NaN fails every check
+        if not (0 < self.dt < np.inf and 0 < self.horizon < np.inf):
+            raise ValueError("time step and horizon must be finite and "
+                             "positive")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError("viscosity must be finite and non-negative")
+        if not (self.boundary_threshold >= 0 and self.tail_threshold >= 0):
+            raise ValueError("monitor thresholds must be non-negative")
         if not 0.0 < self.boundary_buffer < 0.5:
             raise ValueError("boundary buffer fraction must lie in (0, 0.5)")
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
-
-
-def default_dt(grid: Grid) -> float:
-    """Heuristic step for the desk scenarios; the exact linear treatment
-    leaves only the nonlinear term to bound the step."""
-    return 0.4 * grid.dx ** 3 / np.pi ** 2
 
 
 def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float):
@@ -330,28 +327,6 @@ class SpectralCore:
             e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is an instability
-def rhs(u: PhysicalField, bg: Background, nl: AnalyticNonlinearity, t: float,
-        mu: float = 0.0, tail_threshold: float = 1e-6) -> PhysicalField:
-    """Full right side, including the dispersive and viscous linear part.
-
-    The tail threshold is the scenario's resolution budget; it gates both
-    the evolving field and the sampled background.  S enters as sampled,
-    Nyquist content included, which the stepper's spectral forcing drops.
-    """
-    spec = transform(u)
-    require_resolved(spec, tail_threshold)
-    forcing = residual_S(bg, nl, t, u.grid,
-                         tail_threshold=max(tail_threshold, 1e-10))
-    core = SpectralCore(u.grid, bg, nl)
-    coeffs = (core.linear_symbol(mu) * spec.coeffs
-              + core.flux_term(spec.coeffs, core.stage(t)))
-    if not np.all(np.isfinite(coeffs)):
-        raise InstabilityError(-1, "non-finite right-hand side")
-    return PhysicalField(u.grid, inverse_transform(
-        SpectralField(u.grid, coeffs)).values - forcing.values)
-
-
 def step(state: SimulationState, config: SolverConfig, bg: Background,
          nl: AnalyticNonlinearity,
          core: SpectralCore | None = None) -> SimulationState:
@@ -455,7 +430,7 @@ def _duhamel_quadrature(integrand: np.ndarray, E: np.ndarray,
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")      # as rhs
+@np.errstate(over="ignore", invalid="ignore")  # overflow is an instability
 def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
                  mu: float, t_small: float, n_nodes: int = 65, s: float = 1.0,
                  tol: float = 1e-10, max_iter: int = 50):
@@ -496,10 +471,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     weights = (1.0 + grid.xi ** 2) ** (s - 1.0) * grid.multiplicity
     iterate, updates = np.zeros_like(free), []
     for _ in range(max_iter):
-        tails = tail_fraction_of_spectrum(grid, iterate)
-        if not np.all(tails <= 1e-6):   # the first node in breach raises
-            require_resolved(SpectralField(
-                grid, iterate[np.argmin(tails <= 1e-6)]), 1e-6)
+        require_resolved(SpectralField(grid, iterate), 1e-6)
         new = free + _duhamel_quadrature(core.n_hat(iterate, lattice), E, h)
         mass = np.sum(weights * np.abs(new - iterate) ** 2, axis=1)
         updates.append(float(np.sqrt(2.0 * grid.half_length * np.max(mass))))
@@ -513,7 +485,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         )
     factors = tuple(b / a for a, b in zip(updates, updates[1:]) if a > 0)
     samples = inverse_transform(SpectralField(grid, iterate)).values
-    return (Trajectory.from_matrix(grid, 0.0, h, samples),
+    return (Trajectory(grid, 0.0, h, samples),
             PicardReport(len(updates), factors, updates[-1]))
 
 

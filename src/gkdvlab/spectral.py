@@ -177,13 +177,14 @@ class SpectralField:
                 f"{self.grid.n}, which has {self.grid.xi.size} bins")
         object.__setattr__(self, "coeffs", c)
 
-    def hermitian_defect(self) -> float:
+    def hermitian_defect(self):
         """Largest imaginary part of bins 0 and n/2, which are their own
-        conjugate partners in a real field's spectrum, relative."""
+        conjugate partners in a real field's spectrum, relative to the
+        largest coefficient: a float, or one value per row of a stack."""
         c = self.coeffs
-        defect = max(abs(c[0].imag), abs(c[-1].imag))
-        scale = max(np.max(np.abs(c)), 1e-300)
-        return float(defect / scale)
+        defect = np.maximum(np.abs(c[..., 0].imag), np.abs(c[..., -1].imag))
+        out = defect / np.maximum(np.max(np.abs(c), axis=-1), 1e-300)
+        return out if out.ndim else float(out)
 
     def apply_multiplier(self, symbol: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * symbol)
@@ -214,12 +215,6 @@ class Trajectory:
         self.completed, self.abort_reason = completed, abort_reason
         self._spectra = None
 
-    @classmethod
-    def from_matrix(cls, grid: Grid, t0: float, dt: float,
-                    values: np.ndarray) -> "Trajectory":
-        """Trajectory of the rows of a (n_times, n) sample matrix."""
-        return cls(grid, t0, dt, np.asarray(values))
-
     @cached_property
     def fields(self) -> tuple:
         """The samples as fields, views of the store's rows."""
@@ -233,17 +228,13 @@ class Trajectory:
     def duration(self) -> float:
         return self.dt * (len(self) - 1)
 
-    def values_matrix(self) -> np.ndarray:
-        """(n_times, n) array of samples, the store's, read-only."""
-        return self.samples.values
-
-    def spectra(self) -> np.ndarray:
-        """(n_times, n/2+1) half spectra of the samples from one
-        :func:`transform`, made on the first call and then returned,
-        read-only, by every later one."""
+    def spectra(self) -> SpectralField:
+        """The stacked (n_times, n/2+1) half spectra of the samples, the
+        twin of ``samples``: one :func:`transform`, made on the first call
+        and then returned, read-only, by every later one."""
         if self._spectra is None:
-            self._spectra = transform(self.samples).coeffs
-            self._spectra.flags.writeable = False
+            self._spectra = transform(self.samples)
+            self._spectra.coeffs.flags.writeable = False
         return self._spectra
 
     def __len__(self):
@@ -438,8 +429,11 @@ def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray,
 
 
 def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
-    """Raise UnresolvedFieldError unless tail fraction <= threshold (not NaN)."""
-    tail = tail_fraction_of_spectrum(spec.grid, spec.coeffs)
+    """Raise UnresolvedFieldError unless every row's tail fraction is at
+    most the threshold (a NaN is not); the error names the first row in
+    breach."""
+    tails = np.ravel(tail_fraction_of_spectrum(spec.grid, spec.coeffs))
+    tail = tails[np.argmin(tails <= tail_threshold)]
     if not tail <= tail_threshold:
         raise UnresolvedFieldError(f"spectral tail {tail:.2e} exceeds "
                                    f"threshold {tail_threshold:.2e}")
@@ -510,7 +504,7 @@ def trajectory_transform(traj: Trajectory):
     as [temporal bin, spatial bin]: FFT ordering in time and the half
     spectrum, bins 0..n/2, in space.
     """
-    mat = traj.values_matrix()
+    mat = traj.samples.values
     nt, nx = mat.shape
     taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj.dt)
     coeffs = _left_end_phase(np.fft.rfft2(mat) / (nt * nx))
@@ -525,5 +519,4 @@ def trajectory_from_spacetime(coeffs: np.ndarray, traj_like: Trajectory) -> Traj
     mat = np.fft.irfft2(_left_end_phase(
         coeffs / np.exp(-1j * taus * traj_like.t0)[:, None] * (nt * nx)),
         s=(nt, nx))
-    return Trajectory.from_matrix(traj_like.grid, traj_like.t0, traj_like.dt,
-                                  mat)
+    return Trajectory(traj_like.grid, traj_like.t0, traj_like.dt, mat)

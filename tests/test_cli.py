@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gkdvlab import cli, norms, spectral
-from gkdvlab.background import MKdVKink
+from gkdvlab.background import BACKGROUNDS, MKdVKink
 from gkdvlab.cli import main
-from gkdvlab.config import (BACKGROUND_VARIANTS, INITIAL_KINDS,
-                            NONLINEARITY_KINDS, ConfigError, ScenarioConfig)
+from gkdvlab.config import (INITIALS, NONLINEARITIES, ConfigError,
+                            ScenarioConfig)
 from gkdvlab.fieldio import (read_snapshot, read_trajectory, write_snapshot,
                              write_trajectory)
 from gkdvlab.norms import (WeightSequence, _envelope_weight, sobolev_norm,
@@ -108,9 +108,9 @@ def config_texts(draw):
     dt = draw(_reals(1e-6, 1e-2))
     cadence = draw(st.integers(1, 20))
     steps = cadence * draw(st.integers(1, 50))
-    variant = draw(st.sampled_from(BACKGROUND_VARIANTS))
-    kind = draw(st.sampled_from(NONLINEARITY_KINDS))
-    initial = draw(st.sampled_from(INITIAL_KINDS))
+    variant = draw(st.sampled_from(tuple(BACKGROUNDS)))
+    kind = draw(st.sampled_from(tuple(NONLINEARITIES)))
+    initial = draw(st.sampled_from(tuple(INITIALS)))
     lines = [
         "[grid]",
         f"half_length = {draw(_reals(0.5, 500.0))!r}",
@@ -193,6 +193,27 @@ def test_config_rejects_bad_solver_values():
         ScenarioConfig.parse("[solver]\ndt = -1\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    # an infinite horizon crashed on the step count; a NaN step or horizon
+    # failed converting it; a NaN or infinite viscosity and a NaN tail
+    # threshold exited 3 as an unstable run; a NaN boundary threshold
+    # switched the contamination monitor off, a negative one aborted the
+    # run at its first step
+    ("horizon", "inf"), ("horizon", "nan"), ("dt", "nan"), ("dt", "inf"),
+    ("viscosity", "nan"), ("viscosity", "inf"), ("tail_threshold", "nan"),
+    ("boundary_threshold", "nan"), ("boundary_threshold", "-1e-3"),
+])
+def test_run_rejects_invalid_solver_settings(tmp_path, capsys, key, value):
+    text = "\n".join(line for line in BASE_CFG.splitlines()
+                     if not line.startswith(f"{key} ="))
+    text = text.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "[solver]", f"[solver]\n{key} = {value}")
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: invalid solver settings: ")
+
+
 README_SERIALIZED = """\
 [grid]
 half_length = 50.0
@@ -232,6 +253,19 @@ omega_eps = 0.0
 directory = out/kink_run
 
 """
+
+
+def test_readme_python_blocks_run(capsys):
+    # in order and in one namespace, as a reader would paste them
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        blocks = [part.split("```", 1)[0]
+                  for part in fh.read().split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, readme, "exec"), namespace)
+    assert "GrowthVerdict" in capsys.readouterr().out
 
 
 def test_readme_example_serializes_to_pinned_bytes():
@@ -496,7 +530,7 @@ def test_catalog_lists_variants(capsys):
         assert all(name in lines[variant] for name in params), variant
     for kind, params in INITIAL_PARAMS.items():
         assert all(name in lines[kind] for name in params), kind
-    assert set(BACKGROUND_VARIANTS) | set(NONLINEARITY_KINDS) <= set(lines)
+    assert set(BACKGROUNDS) | set(NONLINEARITIES) <= set(lines)
     # each listed parameter carries its registry default
     assert "kappa = 0.8" in lines["kdv_cnoidal"]
     assert "kappa = 0.5" in lines["mkdv_dnoidal"]

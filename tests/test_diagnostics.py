@@ -431,7 +431,7 @@ def test_report_is_the_per_sample_functionals(monkeypatch, bg, nl):
     for n_samples in (3, 9):
         amps = rng.uniform(0.2, 0.5, size=(n_samples, 1))
         mat = amps * np.exp(-((grid.x - rng.uniform(-1, 1)) / 1.5) ** 2)
-        traj = Trajectory.from_matrix(grid, 0.0, 0.01, mat)
+        traj = Trajectory(grid, 0.0, 0.01, mat)
         calls.clear()
         report = collect_report(traj, bg, nl, 1.0)
         counts.append(len(calls))
@@ -456,7 +456,7 @@ def _growth_by_sample(traj, bg, nl):
 
     grid = traj.grid
     jet = bg.jet(traj.times[:, None], grid.x)
-    total = traj.values_matrix() + jet.psi
+    total = traj.samples.values + jet.psi
     lo, hi = float(np.min(total)), float(np.max(total))
     pad = 0.1 * max(abs(lo), abs(hi), 1e-30)
     M = nl.gwp_bound(lo - pad, hi + pad).M

@@ -270,8 +270,8 @@ def test_modulation_reconstruction():
     total = np.zeros((len(traj), grid.n))
     for L in modulation_band(traj):
         piece = modulation_project(traj, L)
-        total += piece.values_matrix()
-    assert np.max(np.abs(total - traj.values_matrix())) < 1e-10
+        total += piece.samples.values
+    assert np.max(np.abs(total - traj.samples.values)) < 1e-10
 
 
 def test_modulation_zero_trajectory():
@@ -279,7 +279,7 @@ def test_modulation_zero_trajectory():
     fields = [PhysicalField.zero(grid) for _ in range(64)]
     traj = Trajectory(grid, -1.0, 2.0 / 64, fields)
     out = modulation_project(traj, 1.0)
-    assert np.max(np.abs(out.values_matrix())) == 0.0
+    assert np.max(np.abs(out.samples.values)) == 0.0
 
 
 def test_windowed_free_solution_concentrates_at_low_modulation():
@@ -375,7 +375,7 @@ def test_extension_matches_per_sample_loop(T, m):
     ext = extend_trajectory(free_trajectory(grid, u0, T, m))
     t0, rows = per_sample_extension(free_trajectory(grid, u0, T, m))
     assert ext.t0 == t0 and len(ext) == len(rows)
-    assert np.max(np.abs(ext.values_matrix() - rows)) <= 1e-15
+    assert np.max(np.abs(ext.samples.values - rows)) <= 1e-15
 
 
 def test_extension_rejects_long_windows():
@@ -667,8 +667,9 @@ def test_strichartz_forced_solver_run():
     run = evolve(u0, bg, nl, cfg)
     # F = -d/dx (f(u+Psi) - f(Psi)) at every sample, one stage per time
     core = SpectralCore(grid, bg, nl)
-    flux = core.flux_term(run.spectra(), core.check_background(run.times))
-    forcing = Trajectory.from_matrix(grid, 0.0, run.dt, inverse_transform(
+    flux = core.flux_term(run.spectra().coeffs,
+                          core.check_background(run.times))
+    forcing = Trajectory(grid, 0.0, run.dt, inverse_transform(
         SpectralField(grid, flux)).values)
     cert = strichartz_certificate(run, forcing, delta=1.0, theta=0.01,
                                   residual_tol=1e-5)

@@ -30,7 +30,6 @@ from gkdvlab.solver import (
     phi2,
     phi3,
     picard_solve,
-    rhs,
     step,
     vanishing_viscosity,
 )
@@ -89,13 +88,6 @@ def test_phi_series_direct_crossover():
                 assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def test_default_dt_heuristic():
-    from gkdvlab.solver import default_dt
-
-    grid = Grid(50.0, 1024)
-    assert abs(default_dt(grid) - 0.4 * grid.dx ** 3 / np.pi ** 2) < 1e-18
-
-
 def test_phi_values_at_zero():
     assert abs(phi1(np.array([0.0 + 0j]))[0] - 1.0) < 1e-15
     assert abs(phi2(np.array([0.0 + 0j]))[0] - 0.5) < 1e-15
@@ -103,21 +95,28 @@ def test_phi_values_at_zero():
 
 
 # ----------------------------------------------------------------------
-# right-hand side
+# right-hand side: linear_symbol(mu) * spec + n_hat(spec, stage(t))
 
-def test_rhs_zero_field_is_minus_forcing():
+def core_right_side(core, u, t):
+    """The core's right side at u and time t, in physical values."""
+    spec = transform(u).coeffs
+    return inverse_transform(SpectralField(u.grid, core.linear_symbol() * spec
+                                           + core.n_hat(spec, core.stage(t))))
+
+
+def test_residual_S_is_the_forcing():
     grid = Grid(50.0, 512)
     bg = SyntheticBackground()
-    out = rhs(PhysicalField.zero(grid), bg, KDV, 0.0, tail_threshold=1e-2)
+    out = residual_S(bg, KDV, 0.0, grid, tail_threshold=1e-2)
     jet = bg.jet(0.0, grid.x)
     forcing = jet.psi_t + jet.psi_xxx + KDV.fp(jet.psi) * jet.psi_x
-    assert np.max(np.abs(out.values + forcing)) < 1e-12
+    assert np.max(np.abs(out.values - forcing)) < 1e-12
 
 
-def test_rhs_kdv_form():
+def test_core_kdv_form():
     grid = Grid(30.0, 512)
     u = gaussian(grid, amp=0.7, width=1.3)
-    out = rhs(u, ZERO_BG, KDV, 0.0)
+    out = core_right_side(SpectralCore(grid, ZERO_BG, KDV), u, 0.0)
     spec = transform(u)
     u_xxx = inverse_transform(spatial_derivative(spec, 3)).values
     u_x = inverse_transform(spatial_derivative(spec, 1)).values
@@ -125,11 +124,12 @@ def test_rhs_kdv_form():
     assert np.max(np.abs(out.values - expected)) < 1e-9
 
 
-def test_rhs_vanishes_on_exact_kink():
+def test_core_vanishes_on_exact_kink():
     grid = Grid(50.0, 1024)
     bg = MKdVKink(c=1.0)
     nl = AnalyticNonlinearity.mkdv_defocusing()
-    out = rhs(PhysicalField.zero(grid), bg, nl, 0.4)
+    out = core_right_side(SpectralCore(grid, bg, nl), PhysicalField.zero(grid),
+                          0.4)
     assert np.max(np.abs(out.values)) < 1e-10
 
 
@@ -287,25 +287,21 @@ def test_overflowing_flux_is_an_instability():
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_overflowing_flux_outside_step_is_an_instability():
-    # rhs and the Duhamel map form the same flux as step and must report
-    # its overflow the same way, not as NonFiniteResultError
+    # the Duhamel map forms the same flux as step and must report its
+    # overflow the same way, not as NonFiniteResultError
     grid = Grid(20.0, 128)
     u0 = gaussian(grid, amp=1e160)
-    with pytest.raises(InstabilityError, match="non-finite"):
-        rhs(u0, ZERO_BG, KDV, 0.0, tail_threshold=1.0)
     with pytest.raises(InstabilityError, match="non-finite"):
         picard_solve(u0, ZERO_BG, KDV, mu=0.1, t_small=0.01, n_nodes=5)
 
 
 def test_overflow_outside_step_raises_without_warnings():
-    # like evolve, rhs and picard_solve report an overflow as an
-    # instability only, without numpy RuntimeWarnings on the way
+    # like evolve, picard_solve reports an overflow as an instability
+    # only, without numpy RuntimeWarnings on the way
     grid = Grid(20.0, 128)
     u0 = gaussian(grid, amp=1e160)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        with pytest.raises(InstabilityError):
-            rhs(u0, ZERO_BG, KDV, 0.0, tail_threshold=1.0)
         with pytest.raises(InstabilityError):
             picard_solve(u0, ZERO_BG, KDV, mu=0.1, t_small=0.01, n_nodes=5)
     assert [str(w.message) for w in seen] == []
@@ -671,7 +667,7 @@ def test_picard_on_the_batched_lattice_is_bitwise_per_node(bg, monkeypatch):
     traj, report = picard_solve(u0, bg, KDV, **kw)
     monkeypatch.setattr(SpectralCore, "check_background", per_node_lattice)
     want_traj, want_report = picard_solve(u0, bg, KDV, **kw)
-    assert np.array_equal(traj.values_matrix(), want_traj.values_matrix())
+    assert np.array_equal(traj.samples.values, want_traj.samples.values)
     assert report == want_report
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gkdvlab.background import GardnerKink, MKdVKink, ZeroBackground
 from gkdvlab.nonlinearity import AnalyticNonlinearity
-from gkdvlab.solver import SpectralCore, rhs
+from gkdvlab.solver import SpectralCore
 from gkdvlab.spectral import (
     Grid,
     PhysicalField,
@@ -146,6 +146,22 @@ def test_size_mismatch_rejected(grid):
 def test_hermitian_symmetry_of_real_fields(grid):
     f = random_field(grid, seed=2)
     assert transform(f).hermitian_defect() < 1e-12
+
+
+def test_hermitian_defect_rows_equal_single_calls(grid):
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(5, grid.xi.size)) \
+        + 1j * rng.normal(size=(5, grid.xi.size))
+    rows[1] = 0.0
+    rows[2, [0, -1]] = rows[2, [0, -1]].real
+    stacked = SpectralField(grid, rows).hermitian_defect()
+    assert stacked.shape == (5,) and stacked[1] == stacked[2] == 0.0
+    for row, defect in zip(rows, stacked):
+        single = SpectralField(grid, row).hermitian_defect()
+        assert isinstance(single, float) and defect == single
+    traj = Trajectory(grid, 0.0, 0.1, [random_field(grid, seed=k)
+                                       for k in range(3)])
+    assert np.all(traj.spectra().hermitian_defect() == 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -427,13 +443,23 @@ def test_non_finite_tail_is_unresolved(grid):
         require_resolved(spec, 1.0)
 
 
-def test_flux_rejects_unresolved_field(grid):
-    bg = ZeroBackground()
-    nl = AnalyticNonlinearity.kdv()
+def test_require_resolved_rejects_unresolved_field(grid):
     noisy = PhysicalField(grid,
                           np.cos(grid.xi_max * 0.9 * grid.x))
     with pytest.raises(UnresolvedFieldError):
-        rhs(noisy, bg, nl, 0.0, tail_threshold=1e-6)
+        require_resolved(transform(noisy), 1e-6)
+
+
+def test_require_resolved_names_the_first_row_in_breach(grid):
+    smooth = np.exp(-grid.x ** 2)
+    noise = np.cos(grid.xi_max * 0.9 * grid.x)
+    rows = np.array([smooth, smooth + 1e-2 * noise, smooth + noise, smooth])
+    require_resolved(transform(PhysicalField(grid, rows[[0, 3]])), 1e-6)
+    with pytest.raises(UnresolvedFieldError) as want:
+        require_resolved(transform(PhysicalField(grid, rows[1])), 1e-6)
+    with pytest.raises(UnresolvedFieldError) as got:
+        require_resolved(transform(PhysicalField(grid, rows)), 1e-6)
+    assert str(got.value) == str(want.value)
 
 
 def test_flux_transcendental_lowpass(grid):
@@ -574,22 +600,22 @@ def test_tail_fraction_rows_equal_single_calls(grid):
         assert tail == tail_fraction_of_spectrum(grid, row)
 
 
-def test_trajectory_from_matrix_keeps_its_matrix(grid):
+def test_trajectory_keeps_its_matrix(grid):
     mat = np.array([random_field(grid, seed=k).values for k in range(3)])
-    traj = Trajectory.from_matrix(grid, 0.5, 0.1, mat)
-    assert traj.values_matrix() is traj.values_matrix()
-    assert np.array_equal(traj.values_matrix(), mat)
-    assert not traj.values_matrix().flags.writeable
+    traj = Trajectory(grid, 0.5, 0.1, mat)
+    assert traj.samples.values is traj.samples.values
+    assert np.array_equal(traj.samples.values, mat)
+    assert not traj.samples.values.flags.writeable
     assert len(traj) == 3 and traj.t0 == 0.5 and traj.dt == 0.1
     for f, row in zip(traj.fields, mat):
         assert f.grid == grid and np.array_equal(f.values, row)
     with pytest.raises(SizeMismatchError):
-        Trajectory.from_matrix(grid, 0.0, 0.1, mat[:, :-1])
+        Trajectory(grid, 0.0, 0.1, mat[:, :-1])
     with pytest.raises(ValueError, match="positive"):
-        Trajectory.from_matrix(grid, 0.0, 0.0, mat)
+        Trajectory(grid, 0.0, 0.0, mat)
     mat[2, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        Trajectory.from_matrix(grid, 0.0, 0.1, mat)
+        Trajectory(grid, 0.0, 0.1, mat)
 
 
 def test_trajectory_owns_its_samples(grid):
@@ -597,16 +623,20 @@ def test_trajectory_owns_its_samples(grid):
     # neither the samples, the fields nor the cached spectra
     mat = np.array([random_field(grid, seed=k).values for k in range(3)])
     fields = [PhysicalField(grid, row.copy()) for row in mat]
-    for traj, source in ((Trajectory.from_matrix(grid, 0.0, 0.1, mat), mat),
+    for traj, source in ((Trajectory(grid, 0.0, 0.1, mat), mat),
                          (Trajectory(grid, 0.0, 0.1, fields),
                           fields[1].values)):
-        want = traj.spectra().copy()
+        want = traj.spectra().coeffs.copy()
         source[..., 5] = np.nan
-        assert np.all(np.isfinite(traj.values_matrix()))
+        assert np.all(np.isfinite(traj.samples.values))
         assert np.array_equal(traj.fields[1].values,
                               random_field(grid, seed=1).values)
-        assert np.array_equal(traj.spectra(), want)
-        assert np.array_equal(traj.spectra(), transform(traj.samples).coeffs)
+        assert traj.spectra() is traj.spectra()
+        assert traj.spectra().grid == grid
+        assert np.array_equal(traj.spectra().coeffs, want)
+        assert np.array_equal(traj.spectra().coeffs,
+                              transform(traj.samples).coeffs)
+        assert not traj.spectra().coeffs.flags.writeable
         assert not traj.samples.values.flags.writeable
         assert not traj.fields[0].values.flags.writeable
 
@@ -618,7 +648,7 @@ def test_trajectory_owns_its_samples(grid):
 def test_trajectory_rejects_bad_spacing_and_start(grid, t0, dt):
     mat = np.array([random_field(grid, seed=k).values for k in range(2)])
     with pytest.raises(ValueError, match="sample spacing"):
-        Trajectory.from_matrix(grid, t0, dt, mat)
+        Trajectory(grid, t0, dt, mat)
     with pytest.raises(ValueError, match="sample spacing"):
         Trajectory(grid, t0, dt, [PhysicalField(grid, row) for row in mat])
 
