@@ -3,7 +3,7 @@
 The package evolves a localized perturbation u of a prescribed background
 field, carries the exact-solution catalog (kinks, cnoidal and dnoidal
 waves), and provides the function-space toolkit (Sobolev, enveloped and
-modulation-weighted norms, dyadic projectors, dispersive propagators)
+modulation-weighted norms, dyadic projectors, the Airy propagator)
 needed to check conservation, growth bounds, flow continuity and
 vanishing-viscosity convergence quantitatively.
 """
@@ -40,11 +40,8 @@ from .norms import (
     bourgain_norm,
     enveloped_norm,
     extend_trajectory,
-    modulation_project,
-    resonance,
     resonance_vanishing_check,
     sobolev_norm,
-    strichartz_certificate,
 )
 from .solver import (
     SimulationState,
@@ -62,12 +59,8 @@ from .spectral import (
     Trajectory,
     airy_propagate,
     bessel_potential,
-    dissipative_propagate,
     inverse_transform,
     lp_project,
-    lp_project_below,
-    pseudoproduct,
-    riesz_potential,
     spatial_derivative,
     transform,
 )

@@ -13,7 +13,6 @@ and a verdict summary.  Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import os
@@ -24,7 +23,8 @@ import numpy as np
 
 from . import __version__
 from .background import BACKGROUNDS, forcing_S, residual_S, zhidkov_split
-from .config import INITIALS, NONLINEARITIES, ConfigError, ScenarioConfig
+from .config import INITIALS, NONLINEARITIES, ConfigError, ScenarioConfig, \
+    require_finite
 from .diagnostics import collect_report, l2_growth_monitor
 from .fieldio import read_field, read_trajectory, write_snapshot, \
     write_trajectory
@@ -131,26 +131,15 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
 
 def cmd_run(args) -> int:
     configs = [ScenarioConfig.from_file(p) for p in args.config]
+    status = EXIT_OK
     for i, cfg in enumerate(configs):
         if args.output:
             cfg.output_directory = (
                 args.output if len(configs) == 1
                 else os.path.join(args.output, f"scenario{i:02d}")
             )
-    if len(configs) == 1 or args.jobs <= 1:
-        status = EXIT_OK
-        for cfg in configs:
-            status = max(status, _run_one(cfg, args.quiet))
-        return status
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_run_one_pickled,
-                                [cfg.serialize() for cfg in configs],
-                                [args.quiet] * len(configs)))
-    return max(results)
-
-
-def _run_one_pickled(serialized: str, quiet: bool) -> int:
-    return _run_one(ScenarioConfig.parse(serialized), quiet)
+        status = max(status, _run_one(cfg, args.quiet))
+    return status
 
 
 def cmd_study(args) -> int:
@@ -216,6 +205,9 @@ def cmd_study(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    require_finite("--s", args.s)
+    require_finite("--b", args.b)
+    require_finite("--omega-eps", args.omega_eps, True)
     traj = read_trajectory(args.trajectory)
     grid = traj.grid
     omega = (WeightSequence.bracket_power(grid, args.omega_eps)
@@ -289,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, nargs="+",
                        help="scenario config path(s)")
     p_run.add_argument("--output", default=None, help="output directory override")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="run scenarios concurrently")
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=cmd_run)
 

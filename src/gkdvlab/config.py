@@ -35,7 +35,7 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> {key: attribute it sets}, in file order; None: retired, ignored
+# section -> {key: attribute it sets}, in file order
 SCHEMA = {
     "grid": {"half_length": "grid_half_length", "points": "grid_points"},
     "background": {"variant": "background_variant"},
@@ -51,8 +51,16 @@ SCHEMA = {
                "cadence": "solver.cadence"},
     "initial": {"kind": "initial_kind"},
     "diagnostics": {"s": "diagnostics_s", "omega_eps": "omega_eps"},
-    "output": {"directory": "output_directory", "seed": None},
+    "output": {"directory": "output_directory"},
 }
+
+
+def require_finite(name: str, value: float, non_negative: bool = False):
+    """Raise a ConfigError naming `name` unless `value` is finite, and
+    non-negative when asked."""
+    if not (np.isfinite(value) and (value >= 0.0 or not non_negative)):
+        rule = "finite and non-negative" if non_negative else "finite"
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 def _initial_file(grid, file):
@@ -200,7 +208,7 @@ class ScenarioConfig:
         cfg, solver = cls(), {}
         for section, keys in SCHEMA.items():
             for key, attr in keys.items():
-                if attr and parser.has_option(section, key):
+                if parser.has_option(section, key):
                     owner, _, name = attr.rpartition(".")
                     (solver if owner else vars(cfg))[name] = read(
                         section, key, _reader(cfg, attr))
@@ -208,6 +216,8 @@ class ScenarioConfig:
             cfg.solver = SolverConfig(**solver)
         except ValueError as err:
             raise ConfigError(f"invalid solver settings: {err}") from err
+        require_finite("[diagnostics] s", cfg.diagnostics_s)
+        require_finite("[diagnostics] omega_eps", cfg.omega_eps, True)
 
         entries = {attr: cfg._entry(attr) for attr in _CHOICES}
         gardner = {"beta"} if cfg.nonlinearity_kind == "gardner" else set()
@@ -239,7 +249,7 @@ class ScenarioConfig:
         parser = configparser.ConfigParser(interpolation=None)
         for section, keys in SCHEMA.items():
             values = {key: reduce(getattr, attr.split("."), self)
-                      for key, attr in keys.items() if attr}
+                      for key, attr in keys.items()}
             # the catalog parameters, background_params and initial_params
             values.update(getattr(self, f"{section}_params", {}))
             parser[section] = {  # each value is written by str()

@@ -25,7 +25,6 @@ from .spectral import (
     dyadic_bump,
     inverse_transform,
     smooth_cutoff,
-    trajectory_from_spacetime,
     trajectory_transform,
     transform,
 )
@@ -37,14 +36,10 @@ __all__ = [
     "bourgain_norm",
     "decays_at_ends",
     "modulation_band",
-    "modulation_project",
     "modulation_partition_defect",
     "extend_trajectory",
-    "resonance",
     "resonance_vanishing_check",
     "ResonanceCheck",
-    "strichartz_certificate",
-    "StrichartzCertificate",
     "trajectory_sup_sobolev",
     "trajectory_l2_sobolev",
 ]
@@ -196,7 +191,7 @@ def trajectory_sup_sobolev(traj: Trajectory, s: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# modulation projectors
+# modulation blocks
 
 def _modulation(traj: Trajectory) -> np.ndarray:
     """tau - xi^3 on the space-time lattice of :func:`trajectory_transform`."""
@@ -214,17 +209,6 @@ def modulation_band(traj: Trajectory) -> np.ndarray:
 def _modulation_cut(m: np.ndarray, L: float) -> np.ndarray:
     """Symbol of the modulation block L: eta(m) for L = 1, else phi(m/L)."""
     return smooth_cutoff(m) if L == 1.0 else dyadic_bump(m / L)
-
-
-def modulation_project(traj: Trajectory, L: float) -> Trajectory:
-    """Space-time multiplier localizing |tau - xi^3| to the block L."""
-    _check_decaying_ends(traj)
-    band = modulation_band(traj)
-    if not np.any(np.isclose(band, L)):
-        raise ValueError(f"modulation block {L} outside lattice band")
-    coeffs, _, _ = trajectory_transform(traj)
-    return trajectory_from_spacetime(
-        coeffs * _modulation_cut(_modulation(traj), L), traj)
 
 
 def modulation_partition_defect(traj: Trajectory) -> float:
@@ -276,24 +260,7 @@ def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
 
 
 # ----------------------------------------------------------------------
-# resonance arithmetic
-
-def resonance(frequencies, factorized: bool = False):
-    """Sum of cubes of the interacting frequencies.
-
-    With three frequencies summing to zero the factorization
-    3*xi1*xi2*xi3 is also returned when requested.
-    """
-    freqs = np.asarray(frequencies, dtype=float)
-    total = float(np.sum(freqs ** 3))
-    if not factorized:
-        return total
-    if freqs.size != 3:
-        raise ValueError("factorized form is defined for three frequencies")
-    if abs(np.sum(freqs)) > 1e-9 * max(np.max(np.abs(freqs)), 1.0):
-        raise ValueError("factorized form requires frequencies summing to zero")
-    return total, float(3.0 * freqs[0] * freqs[1] * freqs[2])
-
+# resonance-forced vanishing
 
 class ResonanceCheck(NamedTuple):
     magnitude: float
@@ -424,63 +391,3 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
         vanishing_expected=closed == 0,
         n_terms=n_rows * sizes[col],
     )
-
-
-# ----------------------------------------------------------------------
-# refined-Strichartz certificate
-
-class StrichartzCertificate(NamedTuple):
-    lhs: float
-    rhs_state: float
-    rhs_forcing: float
-
-    def ratio(self) -> float:
-        denom = self.rhs_state + self.rhs_forcing
-        if denom == 0.0:
-            return 0.0
-        return self.lhs / denom
-
-
-def strichartz_certificate(traj: Trajectory, forcing: Trajectory,
-                           delta: float, theta: float,
-                           residual_tol: float = 1e-4) -> StrichartzCertificate:
-    """Smoothing-estimate certificate for a forced dispersive trajectory.
-
-    Checks that traj solves u_t + u_xxx = forcing on its lattice (one-step
-    Duhamel residual against the stated tolerance), then returns the triple
-
-        ( ||u||_{L^2_T L^inf},
-          T^(3/8) ||J^(-(1-delta)/4 + theta) u||_{L^inf_T L^2},
-          T^(3/8) ||J^(-(1+3delta)/4 + theta) F||_{L^2_T L^2} ).
-
-    A configuration passes when lhs <= C (rhs1 + rhs2) for the pinned C.
-    Each term reads the stacked samples or ``Trajectory.spectra()`` once.
-    """
-    if delta < 0 or theta <= 0:
-        raise ValueError("need delta >= 0 and theta > 0")
-    if len(traj) != len(forcing) or abs(traj.dt - forcing.dt) > 1e-15:
-        raise ValueError("state and forcing trajectories must share a lattice")
-
-    # U(h) (u_m + h/2 F_m) + h/2 F_{m+1} predicts u_{m+1}, all m at once
-    h, mat = traj.dt, traj.samples.values
-    u_hat, half_f = traj.spectra().coeffs, 0.5 * h * forcing.spectra().coeffs
-    step = np.exp(1j * h * traj.grid.xi ** 3) * (u_hat[:-1] + half_f[:-1])
-    predicted = inverse_transform(SpectralField(traj.grid,
-                                                step + half_f[1:])).values
-    worst = float(np.max(np.abs(predicted - mat[1:]), initial=0.0))
-    peak = max(np.max(np.abs(mat)), 1e-300)
-    if worst > residual_tol * peak:
-        raise ValueError(
-            f"trajectory does not solve the forced dispersive equation: "
-            f"residual {worst:.3e} vs tolerance {residual_tol:.1e} * {peak:.3e}"
-        )
-
-    T = traj.duration
-    kappa = 3.0 / 8.0
-    sups = np.max(np.abs(mat), axis=1).tolist()      # L^2_t L^inf
-    lhs = np.sqrt(h * np.sum([v ** 2 for v in sups]))
-    s_state = -(1.0 - delta) / 4.0 + theta
-    s_forcing = -(1.0 + 3.0 * delta) / 4.0 + theta
-    rhs_state = T ** kappa * trajectory_sup_sobolev(traj, s_state)
-    rhs_forcing = T ** kappa * trajectory_l2_sobolev(forcing, s_forcing)
-    return StrichartzCertificate(float(lhs), float(rhs_state), float(rhs_forcing))

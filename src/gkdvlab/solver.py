@@ -102,7 +102,7 @@ class SolverConfig:
     cadence: int = 1
 
     def __post_init__(self):
-        if self.scheme not in ("etdrk4", "ifrk4"):
+        if self.scheme != "etdrk4":
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.dealias not in ("auto", "lowpass"):
             raise ValueError(f"unknown dealias rule {self.dealias!r}")
@@ -290,12 +290,10 @@ class SpectralCore:
         return self.flux_term(spec, stage) - stage.forcing
 
     def advance(self, spec: np.ndarray, t: float, dt: float,
-                scheme: str = "etdrk4", mu: float = 0.0) -> np.ndarray:
-        """One step of signed size dt from time t; dt < 0 needs mu = 0."""
-        key = (scheme, dt, mu)
+                mu: float = 0.0) -> np.ndarray:
+        """One ETDRK4 step of signed size dt from time t; dt < 0 needs mu = 0."""
+        key = (dt, mu)
         if key not in self._tables:
-            if scheme not in ("etdrk4", "ifrk4"):
-                raise ValueError(f"unknown scheme {scheme!r}")
             if mu < 0:
                 raise ValueError("viscosity must be non-negative")
             if mu > 0 and dt < 0:
@@ -308,23 +306,15 @@ class SpectralCore:
                 dt * (p1 - 3.0 * p2 + 4.0 * p3), dt * (p2 - 2.0 * p3),
                 dt * (4.0 * p3 - p2))
         e_full, e_half, q_half, w1, w2, w3 = self._tables[key]
-        h = dt
-        s0, s_mid, s_end = self.stage(t), self.stage(t + h / 2.0), self.stage(t + h)
-        if scheme == "etdrk4":
-            n0 = self.n_hat(spec, s0)
-            a = e_half * spec + q_half * n0
-            na = self.n_hat(a, s_mid)
-            b = e_half * spec + q_half * na
-            nb = self.n_hat(b, s_mid)
-            c = e_half * a + q_half * (2.0 * nb - n0)
-            nc = self.n_hat(c, s_end)
-            return e_full * spec + w1 * n0 + 2.0 * w2 * (na + nb) + w3 * nc
-        k1 = self.n_hat(spec, s0)
-        k2 = self.n_hat(e_half * (spec + 0.5 * h * k1), s_mid)
-        k3 = self.n_hat(e_half * spec + 0.5 * h * k2, s_mid)
-        k4 = self.n_hat(e_full * spec + e_half * h * k3, s_end)
-        return e_full * spec + h / 6.0 * (
-            e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+        s0, s_mid, s_end = self.stage(t), self.stage(t + dt / 2.0), self.stage(t + dt)
+        n0 = self.n_hat(spec, s0)
+        a = e_half * spec + q_half * n0
+        na = self.n_hat(a, s_mid)
+        b = e_half * spec + q_half * na
+        nb = self.n_hat(b, s_mid)
+        c = e_half * a + q_half * (2.0 * nb - n0)
+        nc = self.n_hat(c, s_end)
+        return e_full * spec + w1 * n0 + 2.0 * w2 * (na + nb) + w3 * nc
 
 
 def step(state: SimulationState, config: SolverConfig, bg: Background,
@@ -346,7 +336,7 @@ def step(state: SimulationState, config: SolverConfig, bg: Background,
             f"{config.tail_threshold:.2e} at step {state.step_index}"))
     try:
         coeffs = core.advance(state.spectrum.coeffs, state.t, config.dt,
-                              config.scheme, config.mu)
+                              config.mu)
     except InstabilityError as err:
         raise InstabilityError(state.step_index + 1) from err
     if not np.all(np.isfinite(coeffs)):

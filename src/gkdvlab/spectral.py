@@ -17,10 +17,9 @@ the transforms apply exactly by negating the odd bins; other modules reach
 samples only through them, stacked spectra included.  Only the real part
 of the Nyquist bin, which stands for both modes +-n/2, reaches a field.
 
-All operators in this module are Fourier multipliers except the
-pseudoproduct and the nonlinear flux (:func:`flux_coefficients`, its one
-entry), which are genuinely bilinear or pointwise and are dealiased;
-polynomial fluxes run in Taylor form on a zero-padded grid.
+All operators in this module are Fourier multipliers except the nonlinear
+flux (:func:`flux_coefficients`, its one entry), which is pointwise and
+dealiased; polynomial fluxes run in Taylor form on a zero-padded grid.
 """
 
 from __future__ import annotations
@@ -44,24 +43,19 @@ __all__ = [
     "l2_norm",
     "spatial_derivative",
     "bessel_potential",
-    "riesz_potential",
     "smooth_cutoff",
     "dyadic_bump",
     "dyadic_band",
     "lp_project",
-    "lp_project_below",
     "lp_low_block",
     "airy_propagate",
-    "dissipative_propagate",
     "smoothing_constant",
-    "pseudoproduct",
     "flux_grid",
     "flux_tables",
     "flux_coefficients",
     "require_resolved",
     "tail_fraction_of_spectrum",
     "trajectory_transform",
-    "trajectory_from_spacetime",
 ]
 
 
@@ -215,11 +209,6 @@ class Trajectory:
         self.completed, self.abort_reason = completed, abort_reason
         self._spectra = None
 
-    @cached_property
-    def fields(self) -> tuple:
-        """The samples as fields, views of the store's rows."""
-        return tuple(PhysicalField(self.grid, row) for row in self.samples.values)
-
     @property
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self))
@@ -291,15 +280,6 @@ def bessel_potential(F: SpectralField, s: float) -> SpectralField:
     return F.apply_multiplier((1.0 + F.grid.xi ** 2) ** (s / 2.0))
 
 
-def riesz_potential(F: SpectralField, s: float) -> SpectralField:
-    """Multiplier |xi|^s; the zero mode is annihilated for every s."""
-    xi = F.grid.xi
-    symbol = np.zeros_like(xi)
-    nz = xi != 0
-    symbol[nz] = np.abs(xi[nz]) ** s
-    return F.apply_multiplier(symbol)
-
-
 # ----------------------------------------------------------------------
 # Littlewood-Paley machinery
 
@@ -343,11 +323,6 @@ def lp_project(F: SpectralField, N: float) -> SpectralField:
     return F.apply_multiplier(dyadic_bump(F.grid.xi / N))
 
 
-def lp_project_below(F: SpectralField, N: float) -> SpectralField:
-    """Projector onto frequencies below the block N, symbol eta(xi/N)."""
-    return F.apply_multiplier(smooth_cutoff(F.grid.xi / N))
-
-
 def lp_low_block(F: SpectralField) -> SpectralField:
     """Residual low block completing the dyadic partition on the grid."""
     nmin = dyadic_band(F.grid)[0]
@@ -360,16 +335,6 @@ def lp_low_block(F: SpectralField) -> SpectralField:
 def airy_propagate(F: SpectralField, t: float) -> SpectralField:
     """Exact solution operator of u_t + u_xxx = 0: multiplier e^{i t xi^3}."""
     return F.apply_multiplier(np.exp(1j * t * F.grid.xi ** 3))
-
-
-def dissipative_propagate(F: SpectralField, t: float, mu: float) -> SpectralField:
-    """Multiplier e^{(i xi^3 - mu xi^2) t}; mu=0 recovers the Airy group."""
-    if mu < 0:
-        raise ValueError("viscosity must be non-negative")
-    if mu > 0 and t < 0:
-        raise ValueError("dissipative propagation is forward-only for mu > 0")
-    xi = F.grid.xi
-    return F.apply_multiplier(np.exp((1j * xi ** 3 - mu * xi ** 2) * t))
 
 
 def smoothing_constant(r: float, a_lo: float = 1e-6, a_hi: float = 1e3) -> float:
@@ -386,37 +351,7 @@ def smoothing_constant(r: float, a_lo: float = 1e-6, a_hi: float = 1e3) -> float
 
 
 # ----------------------------------------------------------------------
-# bilinear machinery
-
-def pseudoproduct(f: SpectralField, g: SpectralField, chi=None) -> SpectralField:
-    """Bilinear operator with spectral symbol chi(xi, xi1).
-
-    Output bin xi holds sum_{xi1} f_hat(xi1) g_hat(xi - xi1) chi(xi, xi1),
-    the plane-wave coefficient convolution of the defining integral.  The
-    sum runs over the true (unwrapped) modes -n/2..n/2-1, so the result is
-    free of aliasing; contributions beyond the grid band are dropped.  The
-    Nyquist bin is computed as the mode -n/2.  With chi identically 1 this
-    is the dealiased pointwise product f*g.
-    """
-    if f.grid != g.grid:
-        raise SizeMismatchError("pseudoproduct factors live on different grids")
-    grid = f.grid
-    h = grid.n // 2
-    modes = np.arange(-h, grid.n - h)           # xi1
-    out = np.append(np.arange(h), -h)           # xi, one per bin
-
-    def signed(c, m):
-        # a real field's coefficient of mode m: a negative one is conjugate
-        v = c[np.minimum(np.abs(m), h)]
-        return np.where(m < 0, np.conj(v), v)
-
-    diff = out[:, None] - modes[None, :]        # mode of g_hat(xi - xi1)
-    terms = np.where((diff >= -h) & (diff < h), signed(g.coeffs, diff), 0.0)
-    if chi is not None:
-        terms = terms * chi(np.pi * out[:, None] / grid.half_length,
-                            np.pi * modes[None, :] / grid.half_length)
-    return SpectralField(grid, terms @ signed(f.coeffs, modes))
-
+# resolution monitors and the nonlinear flux
 
 def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray,
                               floor: float = 1e-20):
@@ -494,7 +429,7 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
 
 
 # ----------------------------------------------------------------------
-# space-time transforms for trajectories
+# space-time transform of a trajectory
 
 def trajectory_transform(traj: Trajectory):
     """Space-time plane-wave coefficients of a trajectory.
@@ -511,12 +446,3 @@ def trajectory_transform(traj: Trajectory):
     coeffs *= np.exp(-1j * taus * traj.t0)[:, None]
     return coeffs, taus, traj.grid.xi
 
-
-def trajectory_from_spacetime(coeffs: np.ndarray, traj_like: Trajectory) -> Trajectory:
-    """Inverse of :func:`trajectory_transform` onto the same lattice."""
-    nt, nx = coeffs.shape[0], traj_like.grid.n
-    taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj_like.dt)
-    mat = np.fft.irfft2(_left_end_phase(
-        coeffs / np.exp(-1j * taus * traj_like.t0)[:, None] * (nt * nx)),
-        s=(nt, nx))
-    return Trajectory(traj_like.grid, traj_like.t0, traj_like.dt, mat)

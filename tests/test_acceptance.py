@@ -110,7 +110,7 @@ def test_criterion_02_zero_perturbation_persistence(desk_grid):
     worst = 0.0
     for name, bg, nl in EXACT_CATALOG:
         traj = evolve(PhysicalField.zero(desk_grid), bg, nl, cfg)
-        sup = max(l2_norm(f) for f in traj.fields)
+        sup = max(l2_norm(traj.samples).tolist())
         worst = max(worst, sup)
     announce(2, "zero-perturbation persistence", worst <= 1e-8,
              f"sup_t ||u||_L2 = {worst:.3e} over the exact catalog (tol 1e-8)")
@@ -119,8 +119,7 @@ def test_criterion_02_zero_perturbation_persistence(desk_grid):
 def test_criterion_03_conservation(desk_grid):
     cfg = SolverConfig(dt=DESK_DT, horizon=DESK_T, cadence=500)
     traj = evolve(soliton(desk_grid), ZeroBackground(), KDV, cfg)
-    series = [invariants_I(f, KDV) for f in traj.fields]
-    i1s, i2s, i3s = zip(*series)
+    i1s, i2s, i3s = (v.tolist() for v in invariants_I(traj.samples, KDV))
     d1 = max(abs(v - i1s[0]) for v in i1s)
     d2 = max(abs(v - i2s[0]) for v in i2s) / abs(i2s[0])
     d3 = max(abs(v - i3s[0]) for v in i3s) / (1.0 + abs(i3s[0]))
@@ -136,13 +135,13 @@ def test_criterion_04_temporal_order():
 
     def final(dt):
         cfg = SolverConfig(dt=dt, horizon=T, cadence=int(round(T / dt)))
-        return evolve(u0, ZeroBackground(), KDV, cfg).fields[-1]
+        return evolve(u0, ZeroBackground(), KDV, cfg).samples.values[-1]
 
     ref = final(T / 4096)
     dts, errs = [], []
     for m in (128, 256, 512):
         dts.append(T / m)
-        errs.append(float(np.max(np.abs(final(T / m).values - ref.values))))
+        errs.append(float(np.max(np.abs(final(T / m) - ref))))
     order = float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
     announce(4, "temporal order", abs(order - 4.0) <= 0.3,
              f"fitted order {order:.3f} (target 4 +- 0.3), errors {errs}")
@@ -154,14 +153,13 @@ def test_criterion_05_spatial_spectral_accuracy():
                        tail_threshold=1.0, boundary_threshold=1.0)
     ref_grid = Grid(20.0, 512)
     ref = evolve(gaussian(ref_grid, width=0.8), ZeroBackground(), KDV,
-                 cfg).fields[-1]
+                 cfg).samples.values[-1]
     errs = []
     for n in (64, 128, 256):
         grid = Grid(20.0, n)
         out = evolve(gaussian(grid, width=0.8), ZeroBackground(), KDV,
-                     cfg).fields[-1]
-        errs.append(float(np.max(np.abs(
-            out.values - ref.values[::ref_grid.n // n]))))
+                     cfg).samples.values[-1]
+        errs.append(float(np.max(np.abs(out - ref[::ref_grid.n // n]))))
     ok = all(b <= a / 10.0 or b < 1e-12 for a, b in zip(errs, errs[1:]))
     announce(5, "spatial spectral accuracy", ok,
              f"errors per doubling {errs} (>=10x to the 1e-12 floor)")
@@ -318,8 +316,7 @@ def test_criterion_14_picard_cross_validation():
                                 t_small=t_small, n_nodes=257)
     cfg = SolverConfig(dt=t_small / 1280, horizon=t_small, mu=mu, cadence=5)
     other = evolve(u0, ZeroBackground(), KDV, cfg)
-    worst = max(sobolev_norm(a - b, 0.0)
-                for a, b in zip(traj.fields, other.fields))
+    worst = max(sobolev_norm(traj.samples - other.samples, 0.0).tolist())
     contracting = all(f < 1.0 for f in report.contraction_factors[1:])
     ok = worst <= 1e-8 and contracting
     announce(14, "fixed-point/integrator cross-validation", ok,

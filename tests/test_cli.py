@@ -127,7 +127,7 @@ def config_texts(draw):
         lines.append("coefficients = " + " ".join(map(repr, coeffs)))
     lines += [
         "[solver]",
-        f"scheme = {draw(st.sampled_from(['etdrk4', 'ifrk4']))}",
+        "scheme = etdrk4",
         f"dt = {dt!r}",
         f"horizon = {steps * dt!r}",
         f"cadence = {cadence}",
@@ -175,12 +175,29 @@ def test_readme_example_config_parses():
     assert cfg.solver.dealias == "auto" and cfg.initial_kind == "gaussian"
 
 
-def test_config_with_retired_seed_parses():
-    # [output] seed was never read; configs that still carry it must load
-    text = BASE_CFG.replace("PLACEHOLDER", "out") + "seed = 7\n"
-    cfg = ScenarioConfig.parse(text)
-    assert cfg.output_directory == "out"
-    assert "seed" not in cfg.serialize()
+def test_config_with_seed_is_rejected(tmp_path, capsys):
+    # [output] seed was never read, and was accepted and ignored
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")) + "seed = 7\n"
+    with pytest.raises(ConfigError, match=r"unknown key \[output\] seed"):
+        ScenarioConfig.parse(text)
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    assert "[output] seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_removed_jobs_option_and_ifrk4_scheme_exit_2(tmp_path, capsys):
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    cfg = write_cfg(tmp_path, text)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", cfg, "--jobs", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, text.replace("[solver]",
+                                           "[solver]\nscheme = ifrk4"))
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("config error: invalid solver "
+                                       "settings: unknown scheme 'ifrk4'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unknown_variant():
@@ -202,16 +219,25 @@ def test_config_rejects_bad_solver_values():
     ("horizon", "inf"), ("horizon", "nan"), ("dt", "nan"), ("dt", "inf"),
     ("viscosity", "nan"), ("viscosity", "inf"), ("tail_threshold", "nan"),
     ("boundary_threshold", "nan"), ("boundary_threshold", "-1e-3"),
+    # [diagnostics]: s = nan ran to the horizon and then failed on its
+    # report, after run_metadata.txt; omega_eps = -1 or nan ran with unit
+    # weights
+    ("s", "nan"), ("s", "inf"), ("omega_eps", "nan"), ("omega_eps", "-1"),
+    ("omega_eps", "inf"),
 ])
 def test_run_rejects_invalid_solver_settings(tmp_path, capsys, key, value):
+    section = "diagnostics" if key in ("s", "omega_eps") else "solver"
     text = "\n".join(line for line in BASE_CFG.splitlines()
                      if not line.startswith(f"{key} ="))
     text = text.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
-        "[solver]", f"[solver]\n{key} = {value}")
+        f"[{section}]", f"[{section}]\n{key} = {value}")
     assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("config error: invalid solver settings: ")
+    assert err.startswith("config error: invalid solver settings: "
+                          if section == "solver" else
+                          f"config error: [diagnostics] {key} must be finite")
+    assert not (tmp_path / "out" / "run_metadata.txt").exists()
 
 
 README_SERIALIZED = """\
@@ -419,7 +445,7 @@ directory = OUT
     assert "background-exactness: PASS" in verdicts
     assert "zero-perturbation-persistence: PASS" in verdicts
     traj = read_trajectory(str(tmp_path / "kink" / "trajectory"))
-    assert len(traj.fields) == 6
+    assert len(traj) == 6
 
 
 def test_run_unresolved_grid_fails_cleanly(tmp_path):
@@ -513,7 +539,7 @@ def test_run_batch_jobs(tmp_path):
     text = text.replace(GAUSSIAN, "kind = zero")
     cfg_a = write_cfg(tmp_path, text, "a.cfg")
     cfg_b = write_cfg(tmp_path, text, "b.cfg")
-    status = main(["run", "--config", cfg_a, cfg_b, "--jobs", "2",
+    status = main(["run", "--config", cfg_a, cfg_b,
                    "--output", str(tmp_path / "batch"), "--quiet"])
     assert status == 0
     assert (tmp_path / "batch" / "scenario00" / "diagnostics.csv").exists()
@@ -651,12 +677,12 @@ def test_norms_one_transform_for_the_hs_rows(tmp_path, monkeypatch):
         power = np.abs(transform(f).coeffs) ** 2
         return float(np.sqrt(np.sum(_envelope_weight(grid, s, omega) * power)))
 
-    h_s = [per_field_hs(f) for f in stored.fields]
+    fields = [PhysicalField(grid, row) for row in stored.samples.values]
+    h_s = [per_field_hs(f) for f in fields]
     want = [("sup_t_sobolev", max(h_s)),
             ("l2_t_sobolev",
              float(np.sqrt(stored.dt * np.sum([v ** 2 for v in h_s])))),
-            ("sup_t_enveloped",
-             max(per_field_enveloped(f) for f in stored.fields))]
+            ("sup_t_enveloped", max(per_field_enveloped(f) for f in fields))]
     calls = []
     for module in (spectral, norms):
         real = module.transform
@@ -785,6 +811,26 @@ MALFORMED = {
                         "garbage\n# dt "),
         "trajectory.txt, line 2: expected 'key = value', got 'garbage'"),
 }
+
+
+@pytest.mark.parametrize("option, value", [
+    # each used to exit 0: nan and -1 weights read as unit weights, and
+    # a nan s or b wrote nan rows
+    ("--omega-eps", "nan"), ("--omega-eps", "-1"), ("--omega-eps", "inf"),
+    ("--s", "nan"), ("--s", "-inf"), ("--b", "nan"), ("--b", "inf"),
+])
+def test_norms_rejects_non_finite_settings(tmp_path, capsys, option, value):
+    fields = [PhysicalField.sample(
+        MALFORMED_GRID, lambda x: k * (2 - k) * np.exp(-x ** 2))
+        for k in range(3)]
+    directory = str(tmp_path / "traj")
+    write_trajectory(directory, Trajectory(MALFORMED_GRID, 0.0, 0.1, fields))
+    out_csv = tmp_path / "norms.csv"
+    assert main(["norms", "--trajectory", directory, f"{option}={value}",
+                 "--output", str(out_csv)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: {option} must be finite")
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -36,6 +36,12 @@ def gaussian(grid, amp=1.0, width=1.0):
                                 lambda x: amp * np.exp(-(x / width) ** 2))
 
 
+def sample_fields(traj):
+    """The stored samples one field at a time, as the per-sample
+    references below take them."""
+    return [PhysicalField(traj.grid, row) for row in traj.samples.values]
+
+
 # ----------------------------------------------------------------------
 # invariants
 
@@ -64,8 +70,7 @@ def test_invariants_drift_on_soliton_run():
         grid, lambda x: 1.5 * c / np.cosh(np.sqrt(c) / 2.0 * x) ** 2)
     cfg = SolverConfig(dt=2e-4, horizon=0.25, cadence=250)
     traj = evolve(u0, ZeroBackground(), KDV, cfg)
-    series = [invariants_I(f, KDV) for f in traj.fields]
-    i1s, i2s, i3s = zip(*series)
+    i1s, i2s, i3s = (v.tolist() for v in invariants_I(traj.samples, KDV))
     assert max(abs(v - i1s[0]) for v in i1s) < 1e-12
     assert max(abs(v - i2s[0]) for v in i2s) / abs(i2s[0]) < 1e-8
     assert max(abs(v - i3s[0]) for v in i3s) / (1 + abs(i3s[0])) < 1e-8
@@ -122,11 +127,11 @@ def test_modified_energy_time_reversibility():
     dt, T, cad = 2e-4, 0.1, 100
     cfg = SolverConfig(dt=dt, horizon=T, cadence=cad)
     fwd = evolve(u0, bg, nl, cfg)
-    energies_fwd = [modified_energy(f, bg, nl, float(t))
-                    for t, f in zip(fwd.times, fwd.fields)]
+    energies_fwd = modified_energy(fwd.samples, bg, nl,
+                                   fwd.times[:, None]).tolist()
 
     core = SpectralCore(grid, bg, nl)
-    coeffs = transform(fwd.fields[-1]).coeffs
+    coeffs = fwd.spectra().coeffs[-1]
     t = T
     energies_back = [energies_fwd[-1]]
     for k in range(int(round(T / dt))):
@@ -259,7 +264,8 @@ def test_lipschitz_separations_are_the_per_pair_norms(s):
         shifted = PhysicalField(grid, u0.values + delta * g.values)
         run = evolve(shifted, bg, nl, cfg)
         seps = np.array([sobolev_norm(a - b, s - 1.0)
-                         for a, b in zip(run.fields, base.fields)]
+                         for a, b in zip(sample_fields(run),
+                                         sample_fields(base))]
                         ) / sobolev_norm(shifted - u0, s - 1.0)
         assert ratio == float(np.max(seps))
         assert series == tuple(seps[1:].tolist())
@@ -317,7 +323,7 @@ def block_loop_tails(traj, s, omega):
     transform back and take the L^2 norm of every block."""
     blocks = np.asarray(omega.blocks)
     tails = {float(nstar): 0.0 for nstar in blocks}
-    for f in traj.fields:
+    for f in sample_fields(traj):
         spec = transform(f)
         masses = [weight ** 2 * (1.0 + block ** 2) ** s *
                   l2_norm(inverse_transform(lp_project(spec, block))) ** 2
@@ -334,7 +340,7 @@ def per_field_tails(traj, s, omega):
     blocks = np.asarray(omega.blocks)
     table = ((np.asarray(omega.weights) ** 2 * (1.0 + blocks ** 2) ** s)
              [:, None] * _block_masses(traj.grid, omega.blocks))
-    power = np.abs([transform(f).coeffs for f in traj.fields]) ** 2
+    power = np.abs([transform(f).coeffs for f in sample_fields(traj)]) ** 2
     above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
     tails = np.append(np.max(above, axis=0)[1:], 0.0)
     return dict(zip(blocks.tolist(), tails.tolist()))
@@ -375,7 +381,7 @@ def test_report_round_trip(tmp_path):
     report.write_csv(path)
     rows = open(path).read().strip().splitlines()
     assert rows[0].startswith("t,I1,I2,I3,E,Hs")
-    assert len(rows) == len(traj.fields) + 1
+    assert len(rows) == len(traj) + 1
     report.verdicts["demo"] = (True, "ok")
     vpath = tmp_path / "verdicts.txt"
     report.write_verdicts(vpath)
@@ -438,7 +444,7 @@ def test_report_is_the_per_sample_functionals(monkeypatch, bg, nl):
         per_sample = [(*invariants_I(f, nl),
                        modified_energy(f, bg, nl, t),
                        boundary_mass_fraction(f, 0.1))
-                      for t, f in zip(report.times, traj.fields)]
+                      for t, f in zip(report.times, sample_fields(traj))]
         columns = (report.i1, report.i2, report.i3, report.energy,
                    report.boundary)
         assert list(zip(*columns)) == per_sample
@@ -464,9 +470,10 @@ def _growth_by_sample(traj, bg, nl):
     forcing = forcing_S(jet, nl)
     l2 = np.atleast_1d(np.sqrt(grid.dx * np.sum(forcing ** 2, axis=-1)))
     A = max(v ** 2 for v in l2.tolist())
-    mass0 = _l2_by_sample(traj.fields[0]) ** 2
+    fields = sample_fields(traj)
+    mass0 = _l2_by_sample(fields[0]) ** 2
     worst, worst_t, holds = np.inf, float("nan"), True
-    for i, (t, f) in enumerate(zip(traj.times, traj.fields)):
+    for i, (t, f) in enumerate(zip(traj.times, fields)):
         bound = (mass0 + float(t) * A) * np.exp(B * float(t))
         mass = _l2_by_sample(f) ** 2
         if mass - bound > 1e-9 * max(bound, 1.0):
@@ -498,4 +505,4 @@ def test_growth_and_sup_l2_are_the_per_sample_loops(bg, nl):
         assert l2_growth_monitor(traj, bg, nl) == _growth_by_sample(traj, bg,
                                                                     nl)
         assert max(l2_norm(traj.samples).tolist()) == max(
-            _l2_by_sample(f) for f in traj.fields)
+            _l2_by_sample(f) for f in sample_fields(traj))

@@ -17,11 +17,8 @@ from gkdvlab.norms import (
     extend_trajectory,
     modulation_band,
     modulation_partition_defect,
-    modulation_project,
-    resonance,
     resonance_vanishing_check,
     sobolev_norm,
-    strichartz_certificate,
     trajectory_l2_sobolev,
     trajectory_sup_sobolev,
 )
@@ -38,6 +35,7 @@ from gkdvlab.spectral import (
     lp_low_block,
     lp_project,
     smooth_cutoff,
+    trajectory_transform,
     transform,
 )
 
@@ -226,8 +224,6 @@ def test_bourgain_plane_wave_on_characteristic():
     traj = Trajectory(grid, 0.0, dt, fields)
     # the wave is genuinely time-periodic, so read the lattice spectrum
     # directly instead of going through the decay precondition
-    from gkdvlab.spectral import trajectory_transform
-
     coeffs, taus, xis = trajectory_transform(traj)
     mod = 1.0 + np.abs(taus[:, None] - xis[None, :] ** 3)
     mass = np.abs(coeffs) ** 2
@@ -254,32 +250,13 @@ def test_free_solution_bound_pinned():
 
 
 # ----------------------------------------------------------------------
-# modulation projectors
+# modulation blocks
 
 def test_modulation_partition_exact():
     grid = Grid(20.0, 128)
     u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
     traj = extend_trajectory(free_trajectory(grid, u0, 0.5, 256))
     assert modulation_partition_defect(traj) < 1e-12
-
-
-def test_modulation_reconstruction():
-    grid = Grid(20.0, 64)
-    u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
-    traj = extend_trajectory(free_trajectory(grid, u0, 0.5, 128))
-    total = np.zeros((len(traj), grid.n))
-    for L in modulation_band(traj):
-        piece = modulation_project(traj, L)
-        total += piece.samples.values
-    assert np.max(np.abs(total - traj.samples.values)) < 1e-10
-
-
-def test_modulation_zero_trajectory():
-    grid = Grid(20.0, 64)
-    fields = [PhysicalField.zero(grid) for _ in range(64)]
-    traj = Trajectory(grid, -1.0, 2.0 / 64, fields)
-    out = modulation_project(traj, 1.0)
-    assert np.max(np.abs(out.samples.values)) == 0.0
 
 
 def test_windowed_free_solution_concentrates_at_low_modulation():
@@ -295,16 +272,12 @@ def test_windowed_free_solution_concentrates_at_low_modulation():
         fields.append(PhysicalField(
             grid, w * inverse_transform(airy_propagate(spec, t)).values))
     traj = Trajectory(grid, -K * dt, dt, fields)
-
-    def mass(tr):
-        return sum(np.sum(f.values ** 2) for f in tr.fields)
-
-    q1 = modulation_project(traj, 1.0)
-    q2 = modulation_project(traj, 2.0)
-    low = Trajectory(grid, traj.t0, traj.dt,
-                     [PhysicalField(grid, a.values + b.values)
-                      for a, b in zip(q1.fields, q2.fields)])
-    assert mass(low) / mass(traj) >= 0.99
+    coeffs, taus, xis = trajectory_transform(traj)
+    # the modulation blocks L = 1 and 2 sum to the symbol eta(m/2), and by
+    # Parseval the space-time mass is sum mult_j |c|^2
+    low = smooth_cutoff((taus[:, None] - xis ** 3) / 2.0)
+    mass = grid.multiplicity * np.abs(coeffs) ** 2
+    assert np.sum(low ** 2 * mass) / np.sum(mass) >= 0.99
 
 
 # ----------------------------------------------------------------------
@@ -316,18 +289,17 @@ def test_extension_restriction_identity():
     traj = free_trajectory(grid, u0, 0.5, 64)
     ext = extend_trajectory(traj)
     offset = int(round(-ext.t0 / ext.dt))
-    for k in range(len(traj)):
-        assert np.array_equal(ext.fields[offset + k].values,
-                              traj.fields[k].values)
+    assert np.array_equal(ext.samples.values[offset:offset + len(traj)],
+                          traj.samples.values)
 
 
 def test_extension_vanishes_outside_support():
     grid = Grid(20.0, 128)
     u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
     ext = extend_trajectory(free_trajectory(grid, u0, 0.5, 64))
-    for t, f in zip(ext.times, ext.fields):
-        if abs(t) >= 2.0:
-            assert np.max(np.abs(f.values)) == 0.0
+    outside = np.abs(ext.times) >= 2.0
+    assert np.any(outside)
+    assert np.max(np.abs(ext.samples.values[outside])) == 0.0
 
 
 def test_extension_of_free_solution_is_windowed_free_solution():
@@ -338,10 +310,10 @@ def test_extension_of_free_solution_is_windowed_free_solution():
     from gkdvlab.spectral import smooth_cutoff
 
     spec = transform(u0)
-    for t, f in zip(ext.times, ext.fields):
+    for t, row in zip(ext.times, ext.samples.values):
         w = float(smooth_cutoff(np.array([t]))[0])
         expected = w * inverse_transform(airy_propagate(spec, float(t))).values
-        assert np.max(np.abs(f.values - expected)) < 1e-12
+        assert np.max(np.abs(row - expected)) < 1e-12
 
 
 def per_sample_extension(traj, window_half=2.0):
@@ -351,7 +323,8 @@ def per_sample_extension(traj, window_half=2.0):
     k_half = int(np.ceil(window_half / traj.dt))
     while smooth_cutoff(np.array([(k_half - 1) * traj.dt]))[0] > 1e-10:
         k_half += 1
-    first, last = transform(traj.fields[0]), transform(traj.fields[-1])
+    first, last = (transform(PhysicalField(traj.grid, traj.samples.values[k]))
+                   for k in (0, -1))
     rows = []
     for k in range(-k_half, k_half):
         t = k * traj.dt
@@ -364,7 +337,7 @@ def per_sample_extension(traj, window_half=2.0):
             rows.append(cut * inverse_transform(
                 airy_propagate(last, t - T)).values)
         else:
-            rows.append(cut * traj.fields[k].values)
+            rows.append(cut * traj.samples.values[k])
     return -k_half * traj.dt, np.array(rows)
 
 
@@ -383,33 +356,6 @@ def test_extension_rejects_long_windows():
     u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
     with pytest.raises(ValueError):
         extend_trajectory(free_trajectory(grid, u0, 2.5, 64))
-
-
-# ----------------------------------------------------------------------
-# resonance arithmetic
-
-def test_resonance_trivial_cancellation():
-    assert resonance([1.3, -1.3, 0.0]) == 0.0
-
-
-def test_resonance_integer_identity():
-    total, fact = resonance([1.0, 2.0, -3.0], factorized=True)
-    assert total == -18.0
-    assert fact == -18.0
-
-
-def test_resonance_random_triples():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a, b = rng.uniform(-5, 5, size=2)
-        c = -(a + b)
-        total, fact = resonance([a, b, c], factorized=True)
-        assert abs(total - fact) < 1e-10 * max(abs(total), 1.0)
-
-
-def test_resonance_factorization_needs_zero_sum():
-    with pytest.raises(ValueError):
-        resonance([1.0, 2.0, 3.0], factorized=True)
 
 
 # ----------------------------------------------------------------------
@@ -624,68 +570,3 @@ def test_norm_values_regression_fixture():
     for key, want in pinned.items():
         assert abs(got[key] - want) <= 1e-10 * want, (key, got[key])
 
-
-# ----------------------------------------------------------------------
-# smoothing certificate
-
-def test_strichartz_zero_trajectory():
-    grid = Grid(20.0, 128)
-    fields = [PhysicalField.zero(grid) for _ in range(33)]
-    traj = Trajectory(grid, 0.0, 0.5 / 32, fields)
-    forcing = Trajectory(grid, 0.0, 0.5 / 32,
-                         [PhysicalField.zero(grid) for _ in range(33)])
-    cert = strichartz_certificate(traj, forcing, delta=0.0, theta=0.01)
-    assert cert.lhs == 0.0 and cert.rhs_state == 0.0 and cert.rhs_forcing == 0.0
-
-
-def test_strichartz_free_gaussian_pinned():
-    grid = Grid(20.0, 256)
-    u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
-    m = 128
-    traj = free_trajectory(grid, u0, 0.5, m)
-    zero = Trajectory(grid, 0.0, 0.5 / m,
-                      [PhysicalField.zero(grid) for _ in range(m + 1)])
-    cert = strichartz_certificate(traj, zero, delta=0.0, theta=0.01,
-                                  residual_tol=1e-10)
-    # measured once: ratio about 0.72; pinned with a regression band
-    assert 0.4 < cert.ratio() < 1.5
-    # L^2_t L^inf from the sample matrix is the per-field sum, bit for bit
-    sups = [np.max(np.abs(f.values)) ** 2 for f in traj.fields]
-    assert cert.lhs == float(np.sqrt(traj.dt * np.sum(sups)))
-
-
-def test_strichartz_forced_solver_run():
-    from gkdvlab.background import ZeroBackground
-    from gkdvlab.nonlinearity import AnalyticNonlinearity
-    from gkdvlab.solver import SolverConfig, SpectralCore, evolve
-
-    bg = ZeroBackground()
-    nl = AnalyticNonlinearity.kdv()
-    grid = Grid(50.0, 512)
-    u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
-    cfg = SolverConfig(dt=1e-4, horizon=0.5, cadence=5)
-    run = evolve(u0, bg, nl, cfg)
-    # F = -d/dx (f(u+Psi) - f(Psi)) at every sample, one stage per time
-    core = SpectralCore(grid, bg, nl)
-    flux = core.flux_term(run.spectra().coeffs,
-                          core.check_background(run.times))
-    forcing = Trajectory(grid, 0.0, run.dt, inverse_transform(
-        SpectralField(grid, flux)).values)
-    cert = strichartz_certificate(run, forcing, delta=1.0, theta=0.01,
-                                  residual_tol=1e-5)
-    # measured once: ratio about 0.53; the pinned constant 1.5 covers the
-    # free and the forced configurations
-    assert cert.ratio() <= 1.5
-
-
-def test_strichartz_rejects_non_solutions():
-    grid = Grid(20.0, 128)
-    rng = np.random.default_rng(4)
-    fields = [PhysicalField(grid, rng.standard_normal(grid.n))
-              for _ in range(17)]
-    traj = Trajectory(grid, 0.0, 0.5 / 16, fields)
-    zero = Trajectory(grid, 0.0, 0.5 / 16,
-                      [PhysicalField.zero(grid) for _ in range(17)])
-    with pytest.raises(ValueError):
-        strichartz_certificate(traj, zero, delta=0.0, theta=0.01,
-                               residual_tol=1e-6)

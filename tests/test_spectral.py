@@ -14,7 +14,6 @@ from gkdvlab.spectral import (
     UnresolvedFieldError,
     airy_propagate,
     bessel_potential,
-    dissipative_propagate,
     dyadic_band,
     dyadic_bump,
     flux_coefficients,
@@ -24,10 +23,7 @@ from gkdvlab.spectral import (
     l2_norm,
     lp_low_block,
     lp_project,
-    lp_project_below,
-    pseudoproduct,
     require_resolved,
-    riesz_potential,
     smooth_cutoff,
     smoothing_constant,
     spatial_derivative,
@@ -211,13 +207,6 @@ def test_bessel_single_mode_amplitude(grid):
     assert abs(out.coeffs[j] - (1.0 + xi1 ** 2) ** 0.35) < 1e-14
 
 
-def test_riesz_annihilates_zero_mode(grid):
-    f = PhysicalField(grid, np.full(grid.n, 1.0))
-    for s in (0.5, -0.5):
-        out = riesz_potential(transform(f), s)
-        assert np.max(np.abs(out.coeffs)) < 1e-14
-
-
 # ----------------------------------------------------------------------
 # dyadic projectors
 
@@ -262,14 +251,6 @@ def test_block_annihilates_far_modes(grid):
     assert np.max(np.abs(out.coeffs)) == 0.0
 
 
-def test_project_below_is_complementary(grid):
-    f = random_field(grid, seed=5)
-    spec = transform(f)
-    band = dyadic_band(grid)
-    below = lp_project_below(spec, band[-1]).coeffs
-    assert np.max(np.abs(below - spec.coeffs)) < 1e-12
-
-
 # ----------------------------------------------------------------------
 # propagators
 
@@ -291,28 +272,6 @@ def test_airy_single_mode_phase(grid):
     assert abs(out.coeffs[j] - np.exp(1j * 0.2 * xi1 ** 3)) < 1e-14
 
 
-def test_dissipative_reduces_to_airy(grid):
-    f = random_field(grid, seed=7)
-    spec = transform(f)
-    a = airy_propagate(spec, 0.11).coeffs
-    b = dissipative_propagate(spec, 0.11, 0.0).coeffs
-    assert np.array_equal(a, b)
-
-
-def test_dissipative_mass_decay(grid):
-    f = random_field(grid, seed=8)
-    spec = transform(f)
-    norms = [l2_norm(inverse_transform(dissipative_propagate(spec, t, 0.3)))
-             for t in (0.0, 0.1, 0.2, 0.5)]
-    assert all(a >= b - 1e-14 for a, b in zip(norms, norms[1:]))
-
-
-def test_dissipative_rejects_backward_time(grid):
-    f = random_field(grid, seed=8)
-    with pytest.raises(ValueError):
-        dissipative_propagate(transform(f), -0.1, 0.5)
-
-
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 def test_smoothing_bound_samples(r):
     C = smoothing_constant(r)
@@ -322,79 +281,6 @@ def test_smoothing_bound_samples(r):
             lhs = np.max((1.0 + xi ** 2) ** (r / 2.0) * np.exp(-mu * xi ** 2 * t))
             rhs = C * np.sqrt(1.0 + (2.0 * mu * t) ** (-r))
             assert lhs <= rhs * (1.0 + 1e-9)
-
-
-# ----------------------------------------------------------------------
-# pseudoproduct
-
-def test_pseudoproduct_unit_symbol_is_product(grid):
-    f = random_field(grid, seed=9, band=grid.n // 8)
-    g = random_field(grid, seed=10, band=grid.n // 8)
-    product = pseudoproduct(transform(f), transform(g))
-    direct = PhysicalField(grid, f.values * g.values)
-    out = inverse_transform(product)
-    assert np.max(np.abs(out.values - direct.values)) < 1e-10
-
-
-def test_pseudoproduct_duality_general_symbol(grid):
-    # moving the operator off the first slot: the adjoint symbol under this
-    # transform convention is chi1(xi, xi1) = chi(xi1 - xi, -xi)
-    def chi(xi, xi1):
-        return np.exp(-0.01 * xi1 ** 2) / (1.0 + xi ** 2)
-
-    def chi1(xi, xi1):
-        return chi(xi1 - xi, -xi)
-
-    f = random_field(grid, seed=13, band=grid.n // 8)
-    g = random_field(grid, seed=14, band=grid.n // 8)
-    h = random_field(grid, seed=15, band=grid.n // 8)
-
-    def integral(a, b):
-        return grid.dx * np.sum(a.values * b.values)
-
-    lhs = integral(inverse_transform(pseudoproduct(transform(f), transform(g),
-                                                   chi)), h)
-    rhs = integral(f, inverse_transform(pseudoproduct(transform(g), transform(h),
-                                                      chi1)))
-    assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
-
-
-def test_pseudoproduct_duality_product_symbol(grid):
-    # for even product symbols sigma(xi1) sigma(xi - xi1) the conjugate
-    # third-slot form chi2(xi, xi1) = conj(chi)(xi - xi1, xi) is exact
-    def sigma(xi):
-        return np.exp(-0.02 * xi ** 2) * (1.0 + 0.3 * np.cos(xi))
-
-    def chi(xi, xi1):
-        return sigma(xi1) * sigma(xi - xi1)
-
-    def chi2(xi, xi1):
-        return np.conj(chi(xi - xi1, xi))
-
-    f = random_field(grid, seed=23, band=grid.n // 8)
-    g = random_field(grid, seed=24, band=grid.n // 8)
-    h = random_field(grid, seed=25, band=grid.n // 8)
-
-    def integral(a, b):
-        return grid.dx * np.sum(a.values * b.values)
-
-    lhs = integral(inverse_transform(pseudoproduct(transform(f), transform(g),
-                                                   chi)), h)
-    rhs = integral(inverse_transform(pseudoproduct(transform(f), transform(h),
-                                                   chi2)), g)
-    assert abs(lhs - rhs) < 1e-10 * max(abs(lhs), 1.0)
-
-
-def test_pseudoproduct_bilinearity(grid):
-    f1 = random_field(grid, seed=16, band=grid.n // 8)
-    f2 = random_field(grid, seed=17, band=grid.n // 8)
-    g = random_field(grid, seed=18, band=grid.n // 8)
-    a, b = 1.3, -0.7
-    combo = PhysicalField(grid, a * f1.values + b * f2.values)
-    lhs = pseudoproduct(transform(combo), transform(g)).coeffs
-    rhs = (a * pseudoproduct(transform(f1), transform(g)).coeffs
-           + b * pseudoproduct(transform(f2), transform(g)).coeffs)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +404,6 @@ def test_multipliers_commute(grid):
         lambda s: bessel_potential(s, 0.8),
         lambda s: lp_project(s, band[3]),
         lambda s: airy_propagate(s, 0.21),
-        lambda s: dissipative_propagate(s, 0.1, 0.2),
     ]
     for i, op_a in enumerate(ops):
         for op_b in ops[i + 1:]:
@@ -538,7 +423,6 @@ def test_multipliers_preserve_realness(grid):
         bessel_potential(spec, 1.2),
         lp_project(spec, band[2]),
         airy_propagate(spec, 0.3),
-        dissipative_propagate(spec, 0.2, 0.4),
     ]
     for out in outs:
         # the squared-frequency multipliers amplify round-trip rounding
@@ -607,8 +491,7 @@ def test_trajectory_keeps_its_matrix(grid):
     assert np.array_equal(traj.samples.values, mat)
     assert not traj.samples.values.flags.writeable
     assert len(traj) == 3 and traj.t0 == 0.5 and traj.dt == 0.1
-    for f, row in zip(traj.fields, mat):
-        assert f.grid == grid and np.array_equal(f.values, row)
+    assert traj.samples.grid == grid
     with pytest.raises(SizeMismatchError):
         Trajectory(grid, 0.0, 0.1, mat[:, :-1])
     with pytest.raises(ValueError, match="positive"):
@@ -620,7 +503,7 @@ def test_trajectory_keeps_its_matrix(grid):
 
 def test_trajectory_owns_its_samples(grid):
     # the store is a copy: later writes to the caller's arrays reach
-    # neither the samples, the fields nor the cached spectra
+    # neither the samples nor the cached spectra
     mat = np.array([random_field(grid, seed=k).values for k in range(3)])
     fields = [PhysicalField(grid, row.copy()) for row in mat]
     for traj, source in ((Trajectory(grid, 0.0, 0.1, mat), mat),
@@ -629,7 +512,7 @@ def test_trajectory_owns_its_samples(grid):
         want = traj.spectra().coeffs.copy()
         source[..., 5] = np.nan
         assert np.all(np.isfinite(traj.samples.values))
-        assert np.array_equal(traj.fields[1].values,
+        assert np.array_equal(traj.samples.values[1],
                               random_field(grid, seed=1).values)
         assert traj.spectra() is traj.spectra()
         assert traj.spectra().grid == grid
@@ -638,7 +521,6 @@ def test_trajectory_owns_its_samples(grid):
                               transform(traj.samples).coeffs)
         assert not traj.spectra().coeffs.flags.writeable
         assert not traj.samples.values.flags.writeable
-        assert not traj.fields[0].values.flags.writeable
 
 
 @pytest.mark.parametrize("t0, dt", [
