@@ -24,12 +24,11 @@ import numpy as np
 from . import __version__
 from .background import BACKGROUNDS, forcing_S, residual_S, zhidkov_split
 from .config import INITIALS, NONLINEARITIES, ConfigError, ScenarioConfig, \
-    require_finite
+    envelope_weights, require_finite
 from .diagnostics import collect_report, l2_growth_monitor
 from .fieldio import read_field, read_trajectory, write_snapshot, \
     write_trajectory
 from .norms import (
-    WeightSequence,
     bourgain_norm,
     decays_at_ends,
     enveloped_norm,
@@ -96,10 +95,8 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
         _say(quiet, f"run aborted immediately: {traj.abort_reason}")
         return EXIT_INSTABILITY
 
-    omega = (WeightSequence.bracket_power(grid, config.omega_eps)
-             if config.omega_eps > 0 else WeightSequence.ones(grid))
-    report = collect_report(traj, bg, nl, config.diagnostics_s, omega,
-                            config.solver.boundary_buffer)
+    report = collect_report(traj, bg, nl, config.diagnostics_s,
+                            config.omega(), config.solver.boundary_buffer)
 
     growth = l2_growth_monitor(traj, bg, nl)
     verdicts["l2-growth-bound"] = (
@@ -207,11 +204,9 @@ def cmd_study(args) -> int:
 def cmd_norms(args) -> int:
     require_finite("--s", args.s)
     require_finite("--b", args.b)
-    require_finite("--omega-eps", args.omega_eps, True)
     traj = read_trajectory(args.trajectory)
     grid = traj.grid
-    omega = (WeightSequence.bracket_power(grid, args.omega_eps)
-             if args.omega_eps > 0 else WeightSequence.ones(grid))
+    omega = envelope_weights("--omega-eps", grid, args.omega_eps)
     s, b = args.s, args.b
 
     decaying = decays_at_ends(traj)

@@ -24,6 +24,7 @@ import numpy as np
 from .background import BACKGROUNDS, Background
 from .fieldio import read_field
 from .nonlinearity import AnalyticNonlinearity
+from .norms import WeightSequence
 from .solver import SolverConfig
 from .spectral import Grid, PhysicalField
 
@@ -61,6 +62,17 @@ def require_finite(name: str, value: float, non_negative: bool = False):
     if not (np.isfinite(value) and (value >= 0.0 or not non_negative)):
         rule = "finite and non-negative" if non_negative else "finite"
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
+def envelope_weights(name: str, grid: Grid, eps: float) -> WeightSequence:
+    """(1 + N^2)^(eps/2) on the grid's dyadic band, unit weights at eps = 0;
+    a ConfigError naming `name` unless eps and every weight are finite."""
+    require_finite(name, eps, True)
+    try:
+        return WeightSequence.bracket_power(grid, eps)
+    except ValueError as err:
+        raise ConfigError(f"{name} = {eps!r} overflows the weights on "
+                          f"this grid: {err}") from err
 
 
 def _initial_file(grid, file):
@@ -157,6 +169,10 @@ class ScenarioConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
+    def omega(self) -> WeightSequence:
+        return envelope_weights("[diagnostics] omega_eps", self.grid(),
+                                self.omega_eps)
+
     def background(self) -> Background:
         build, defaults = self._entry("background_variant")
         args = _arguments(defaults, self.background_params, "background")
@@ -217,7 +233,7 @@ class ScenarioConfig:
         except ValueError as err:
             raise ConfigError(f"invalid solver settings: {err}") from err
         require_finite("[diagnostics] s", cfg.diagnostics_s)
-        require_finite("[diagnostics] omega_eps", cfg.omega_eps, True)
+        cfg.omega()
 
         entries = {attr: cfg._entry(attr) for attr in _CHOICES}
         gardner = {"beta"} if cfg.nonlinearity_kind == "gardner" else set()

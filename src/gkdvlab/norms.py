@@ -78,8 +78,8 @@ class WeightSequence:
         weights = tuple(float(w) for w in self.weights)
         if len(blocks) != len(weights):
             raise ValueError("one weight per dyadic block required")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError("weights must be positive and finite")
         growth = 2.0 ** self.eps
         for w0, w1 in zip(weights, weights[1:]):
             if not (w0 <= w1 * (1 + 1e-12) and w1 <= growth * w0 * (1 + 1e-12)):
@@ -102,10 +102,12 @@ class WeightSequence:
 
     @classmethod
     def bracket_power(cls, grid: Grid, eps: float) -> "WeightSequence":
-        """w_N = (1 + N^2)^(eps/2), strictly increasing, ratio below 2^eps."""
+        """w_N = (1 + N^2)^(eps/2), strictly increasing, ratio below 2^eps;
+        a ValueError when a weight overflows."""
         blocks = dyadic_band(grid)
-        low = (1.0 + blocks[0] ** 2) ** (eps / 2.0)
-        weights = ((1.0 + blocks ** 2) ** (eps / 2.0)) / low
+        with np.errstate(over="ignore", invalid="ignore"):
+            low = (1.0 + blocks[0] ** 2) ** (eps / 2.0)
+            weights = ((1.0 + blocks ** 2) ** (eps / 2.0)) / low
         return cls(tuple(blocks), tuple(weights), eps=eps)
 
 
@@ -285,6 +287,13 @@ def _block_support(N: float, L: float, dxi: float, dtau: float):
             first + np.arange(counts.sum(), dtype=np.int64))
 
 
+def _runs(j, k):
+    """(j, min k, max k, first index, length) per run of equal j."""
+    first = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
+    return (j[first], np.minimum.reduceat(k, first),
+            np.maximum.reduceat(k, first), first, np.diff(np.r_[first, j.size]))
+
+
 def _synthetic_coeff(j, k, N, L, dxi, dtau, phase_t, phase_x):
     """Closed-form spectrum of a real field on the prescribed block."""
     xi = j * dxi
@@ -311,9 +320,10 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
     Each block is tabulated once on its nonzero support.  The block with
     the largest support (lowest index on ties) is gathered from a sorted
     key table at (-sum j, -sum k); a lattice point outside the table is an
-    exact zero.  Every other block is summed over, so the cost is one
-    integer lookup per k-tuple formed, prod_{i != largest} |supp_i| of
-    them, in chunks of at most 2e6; `n_terms` is that count.
+    exact zero.  The sum ranges over the `n_terms` = prod_{i != largest}
+    |supp_i| k-tuples of the others, but looks up only those in a tuple of
+    runs of equal j that can close: the cost is one integer interval test
+    per run tuple and one lookup per k-tuple formed, 2e6 at most at once.
     """
     Ns = [float(N) for N in space_blocks]
     Ls = [float(L) for L in modulation_blocks]
@@ -351,24 +361,64 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
     free = [i for i in range(k_factors) if i != g]
     col = max(free, key=lambda i: sizes[i])
     rows = [i for i in free if i != col]
-    row_shape = tuple(sizes[i] for i in rows)
-    n_rows = math.prod(row_shape)
+    summed = rows + [col]       # a k-tuple's flat index: rows, then column
+    chunk = 2_000_000           # run tuples or k-tuples formed at a time
+    shape = tuple(sizes[i] for i in summed)
 
+    runs = [_runs(js[i], ks[i]) for i in summed]
+    run_shape = tuple(r[0].size for r in runs)
+    # [lo, hi] spans -k of the gathered block at j = -J, in slot J - J_min
+    # for each reachable J; lo > hi where the block has no support
+    J_min = min(sum(int(r[0].min()) for r in runs), -int(js[g].max()))
+    at = -js[g] - J_min
+    lo, hi = np.full((2, max(sum(int(r[0].max()) for r in runs) - J_min,
+                             int(at.max())) + 1), [[stride], [-stride]])
+    np.minimum.at(lo, at, -ks[g])
+    np.maximum.at(hi, at, -ks[g])
+
+    # run tuples in a rows x column matrix, at most 2e6 at a time
+    last = (runs[-1][0] - J_min,) + runs[-1][1:3]
+    n_outer, step = math.prod(run_shape[:-1]), max(1, chunk // run_shape[-1])
+    found = [np.zeros((2, 0), np.int64)]
+    for start in range(0, n_outer, step):
+        tup = np.unravel_index(
+            np.arange(start, min(start + step, n_outer)), run_shape[:-1])
+        at, k_lo, k_hi = (
+            np.add.outer(sum(r[q][t] for r, t in zip(runs, tup)), last[q])
+            for q in range(3))
+        # necessary for any k-tuple of the run tuple to close: no match lost
+        o, c = np.nonzero((k_lo <= hi[at]) & (lo[at] <= k_hi))
+        tup = [t[o] for t in tup] + [c]
+        # the k-tuples of the surviving run tuples, each row-major over its
+        # runs: formed k-tuple e is number e - (ends - counts)[t] of tuple t
+        counts = math.prod(r[4][t] for r, t in zip(runs, tup))
+        ends, n_formed = np.cumsum(counts), int(np.sum(counts))
+        for e0 in range(0, n_formed, chunk):
+            e = np.arange(e0, min(e0 + chunk, n_formed))
+            owner = np.searchsorted(ends, e, side="right")
+            rest, elem = e - (ends - counts)[owner], []
+            for r, t in zip(runs[::-1], tup[::-1]):
+                length = r[4][t[owner]]
+                elem.insert(0, r[3][t[owner]] + rest % length)
+                rest //= length
+            target = -sum(keys[i][ix] for i, ix in zip(summed, elem))
+            pos = np.minimum(np.searchsorted(table_keys, target),
+                             table_keys.size - 1)
+            hit = table_keys[pos] == target
+            found.append([np.ravel_multi_index([ix[hit] for ix in elem],
+                                               shape), pos[hit]])
+
+    # the closing k-tuples in (row, column) order and per row chunk of at
+    # most 2e6 k-tuples: each np.sum, so every bit, is a full loop's
+    found = np.concatenate(found, axis=1)
+    flat, pos = found[:, np.argsort(found[0])]
+    bounds = np.flatnonzero(np.diff(
+        flat // sizes[col] // max(1, chunk // sizes[col]))) + 1
     total = 0.0 + 0.0j
     abs_total = 0.0
-    closed = 0
-    chunk = max(1, int(2e6 // sizes[col]))
-    for start in range(0, n_rows, chunk):
-        row_idx = np.unravel_index(
-            np.arange(start, min(start + chunk, n_rows)), row_shape)
-        target = -(sum(keys[i][ix] for i, ix in zip(rows, row_idx))[:, None]
-                   + keys[col][None, :])
-        pos = np.minimum(np.searchsorted(table_keys, target),
-                         table_keys.size - 1)
-        r, c = np.nonzero(table_keys[pos] == target)
-        closed += r.size
-        picked = {col: c, **{i: ix[r] for i, ix in zip(rows, row_idx)}}
-        term = table_vals[pos[r, c]]
+    for part, p in zip(np.split(flat, bounds), np.split(pos, bounds)):
+        picked = dict(zip(summed, np.unravel_index(part, shape)))
+        term = table_vals[p]
         for i in free:
             term = term * vals[i][picked[i]]
         if chi is not None:
@@ -377,6 +427,7 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
             term = term * chi((j_of[0] + j_of[1]) * dxi, j_of[0] * dxi)
         total += np.sum(term)
         abs_total += np.sum(np.abs(term))
+    closed = flat.size
 
     measure = (2.0 * domain_half_length) * (2.0 * window_half_length)
     magnitude = float(np.abs(total)) * measure
@@ -389,5 +440,5 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
         magnitude=magnitude,
         scale=scale,
         vanishing_expected=closed == 0,
-        n_terms=n_rows * sizes[col],
+        n_terms=math.prod(shape),
     )

@@ -249,17 +249,27 @@ def test_criterion_10_dissipative_smoothing_bound():
              f"worst symbol-sup ratio {worst:.6f} over the 3x3x3 sample")
 
 
+def vanishes(chk):
+    """Criterion 11's rule for one lattice sum."""
+    return chk.magnitude <= 1e-12 * chk.scale
+
+
 def test_criterion_11_resonance_vanishing():
     chk3 = resonance_vanishing_check([32, 32, 16], [1, 1, 1])
     chk4 = resonance_vanishing_check(
         [32, 32, 16, 1], [1, 1, 1, 1],
         domain_half_length=4.0 * np.pi, window_half_length=np.pi / 2.0)
-    ok = (chk3.magnitude <= 1e-12 * chk3.scale
-          and chk4.magnitude <= 1e-12 * chk4.scale)
+    ok = vanishes(chk3) and vanishes(chk4)
     announce(11, "resonance-forced vanishing", ok,
              f"three-factor |I|/scale = "
              f"{chk3.magnitude / chk3.scale:.2e}, four-factor "
              f"{chk4.magnitude / chk4.scale:.2e} (tol 1e-12)")
+
+
+def test_criterion_11_negative_control():
+    # a sum that came out empty on every block list would pass #11 by
+    # construction; on a list whose resonance closes, the rule must fail
+    assert not vanishes(resonance_vanishing_check([4, 4, 2], [1, 1, 32]))
 
 
 def test_criterion_12_gaussian_split(desk_grid):

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -831,6 +832,39 @@ def test_norms_rejects_non_finite_settings(tmp_path, capsys, option, value):
     assert capsys.readouterr().err.startswith(
         f"config error: {option} must be finite")
     assert not out_csv.exists()
+
+
+def test_norms_rejects_overflowing_omega_eps(tmp_path, capsys):
+    # the weights overflowed: three numpy RuntimeWarnings, then a
+    # sup_t_enveloped row of nan and exit 0
+    fields = [PhysicalField.sample(
+        MALFORMED_GRID, lambda x: k * (2 - k) * np.exp(-x ** 2))
+        for k in range(3)]
+    directory = str(tmp_path / "traj")
+    write_trajectory(directory, Trajectory(MALFORMED_GRID, 0.0, 0.1, fields))
+    out_csv = tmp_path / "norms.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["norms", "--trajectory", directory, "--omega-eps", "400",
+                     "--output", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: --omega-eps = 400.0 overflows")
+    assert not out_csv.exists()
+
+
+def test_run_rejects_overflowing_omega_eps(tmp_path, capsys):
+    # the run evolved to the horizon with overflowing envelope weights
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "[diagnostics]", "[diagnostics]\nomega_eps = 400")
+    with pytest.raises(ConfigError, match=r"^\[diagnostics\] omega_eps = 400"):
+        ScenarioConfig.parse(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: [diagnostics] omega_eps = 400.0 overflows")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

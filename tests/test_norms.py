@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -98,6 +99,18 @@ def test_weight_sequence_validation():
     ratios = [b / a for a, b in zip(ws.weights, ws.weights[1:])]
     assert all(r <= 2 ** 0.25 + 1e-12 for r in ratios)
     assert abs(ws.weights[0] - 1.0) < 1e-6
+
+
+def test_weight_sequence_rejects_non_finite_weights():
+    # each ordering check held for inf <= inf, so both were accepted
+    grid = Grid(20.0, 256)
+    with pytest.raises(ValueError, match="finite"):
+        WeightSequence((1.0, 2.0), (1.0, math.inf), eps=math.inf)
+    # eps = 400 overflows (1 + N^2)^(eps/2) on this band, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            WeightSequence.bracket_power(grid, 400.0)
 
 
 def test_enveloped_zero_field():
@@ -454,11 +467,87 @@ def test_resonance_matches_brute_force(Ns, Ls, D, W, chi):
     assert abs(chk.scale - scale) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("Ns, Ls, expected", [
-    ([16, 16, 8], [1, 1, 1], True),
-    ([16, 16, 8, 1], [1, 1, 1, 1], True),
-    ([16, 16, 16, 1, 1], [1, 1, 1, 1, 1], True),
-])
+def element_loop_resonance(Ns, Ls, chi=None, domain_half_length=8.0 * np.pi,
+                           window_half_length=np.pi, seed=0):
+    """The lattice sum with one table lookup per k-tuple of the summed
+    blocks, in row chunks of at most 2e6 (the loop that run-tuple pruning
+    replaced).  Returns the four ResonanceCheck fields."""
+    k_factors = len(Ns)
+    dxi = np.pi / domain_half_length
+    dtau = np.pi / window_half_length
+    phases = np.random.default_rng(seed).uniform(-1.0, 1.0,
+                                                 size=(k_factors, 2))
+    js, ks, vals = zip(*_nonzero_supports(Ns, Ls, dxi, dtau, phases))
+    stride = 2 * sum(int(np.max(np.abs(k))) for k in ks) + 1
+    keys = [j * stride + k for j, k in zip(js, ks)]
+
+    sizes = [v.size for v in vals]
+    g = int(np.argmax(sizes))
+    order = np.argsort(keys[g])
+    table_keys, table_vals = keys[g][order], vals[g][order]
+    free = [i for i in range(k_factors) if i != g]
+    col = max(free, key=lambda i: sizes[i])
+    rows = [i for i in free if i != col]
+    row_shape = tuple(sizes[i] for i in rows)
+    n_rows = math.prod(row_shape)
+
+    total = 0.0 + 0.0j
+    abs_total = 0.0
+    closed = 0
+    chunk = max(1, int(2e6 // sizes[col]))
+    for start in range(0, n_rows, chunk):
+        row_idx = np.unravel_index(
+            np.arange(start, min(start + chunk, n_rows)), row_shape)
+        target = -(sum(keys[i][ix] for i, ix in zip(rows, row_idx))[:, None]
+                   + keys[col][None, :])
+        pos = np.minimum(np.searchsorted(table_keys, target),
+                         table_keys.size - 1)
+        r, c = np.nonzero(table_keys[pos] == target)
+        closed += r.size
+        picked = {col: c, **{i: ix[r] for i, ix in zip(rows, row_idx)}}
+        term = table_vals[pos[r, c]]
+        for i in free:
+            term = term * vals[i][picked[i]]
+        if chi is not None:
+            j_of = {i: js[i][picked[i]] for i in free}
+            j_of[g] = -sum(j_of.values())
+            term = term * chi((j_of[0] + j_of[1]) * dxi, j_of[0] * dxi)
+        total += np.sum(term)
+        abs_total += np.sum(np.abs(term))
+
+    measure = (2.0 * domain_half_length) * (2.0 * window_half_length)
+    magnitude = float(np.abs(total)) * measure
+    scale = float(abs_total) * measure
+    if scale == 0.0:
+        block_norms = [float(np.sqrt(np.sum(np.abs(v) ** 2))) for v in vals]
+        scale = float(np.prod(block_norms)) * measure
+    return magnitude, scale, closed == 0, n_rows * sizes[col]
+
+
+EXACT_ZERO = [([16, 16, 8], [1, 1, 1]), ([16, 16, 8, 1], [1, 1, 1, 1]),
+              ([16, 16, 16, 1, 1], [1, 1, 1, 1, 1])]
+# the witnesses, the exact zeros and the benchmark's two lattices
+ORACLE_CASES = WITNESSES + [
+    (Ns, Ls, 2.0 * np.pi, np.pi / 2.0) for Ns, Ls in EXACT_ZERO] + [
+    ([32, 32, 16], [1, 1, 1], 4.0 * np.pi, np.pi),
+    ([32, 32, 16, 1], [1, 1, 1, 1], 1.5 * np.pi, np.pi / 2.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 77])
+@pytest.mark.parametrize("chi", [None, _chi], ids=["plain", "chi"])
+@pytest.mark.parametrize("Ns, Ls, D, W", ORACLE_CASES,
+                         ids=[f"k{len(c[0])}-{i}" for i, c in
+                              enumerate(ORACLE_CASES)])
+def test_resonance_matches_element_loop(Ns, Ls, D, W, chi, seed):
+    # pruning run tuples changes which k-tuples are formed, not one bit
+    # of what is summed
+    kw = dict(chi=chi, domain_half_length=D, window_half_length=W, seed=seed)
+    assert (tuple(resonance_vanishing_check(Ns, Ls, **kw))
+            == element_loop_resonance(Ns, Ls, **kw))
+
+
+@pytest.mark.parametrize("Ns, Ls, expected",
+                         [(Ns, Ls, True) for Ns, Ls in EXACT_ZERO])
 def test_resonance_vanishing_is_exact_zero(Ns, Ls, expected):
     kw = dict(domain_half_length=2.0 * np.pi, window_half_length=np.pi / 2.0)
     for chi in (None, _chi):
