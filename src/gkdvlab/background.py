@@ -1,7 +1,7 @@
 """Catalog of background fields and their pointwise jets.
 
-Each background knows its full jet (value, time derivative and the first
-three space derivatives) in closed form, so the traveling-wave forcing
+Each background knows its jet (value, time derivative and the first and
+third space derivatives) in closed form, so the traveling-wave forcing
 
     S(t, x) = Psi_t + Psi_xxx + f'(Psi) Psi_x
 
@@ -58,7 +58,6 @@ class Jet(NamedTuple):
     psi: np.ndarray
     psi_t: np.ndarray
     psi_x: np.ndarray
-    psi_xx: np.ndarray
     psi_xxx: np.ndarray
 
 
@@ -66,26 +65,28 @@ class ParameterResolutionError(RuntimeError):
     """No admissible traveling-wave parameters."""
 
 
-def _tanh_jet(x, t, amplitude, steepness, drift, offset):
+def _tanh_jet(x, t, amplitude, steepness, drift, offset, stride=1):
     """Jet of offset + A*tanh(k*(x + v*t))."""
-    theta = steepness * (np.asarray(x, dtype=float) + drift * t)
-    T = np.tanh(theta)
-    S2 = 1.0 - T * T
+    T = np.tanh(steepness * (np.asarray(x, dtype=float) + drift * t))
     psi = offset + amplitude * T
+    T = T[..., ::stride]
+    S2 = 1.0 - T * T
     psi_x = amplitude * steepness * S2
-    psi_xx = -2.0 * amplitude * steepness ** 2 * S2 * T
     psi_xxx = 2.0 * amplitude * steepness ** 3 * S2 * (2.0 * T * T - S2)
     psi_t = drift * psi_x
-    return Jet(psi, psi_t, psi_x, psi_xx, psi_xxx)
+    return Jet(psi, psi_t, psi_x, psi_xxx)
 
 
 class Background:
-    """Base interface: closed-form jet evaluation at (t, x)."""
+    """Base interface: closed-form jets.  ``jet(t, x, stride)``, which every
+    subclass must accept, gives Psi on x and Psi_t, Psi_x, Psi_xxx on
+    x[..., ::stride] only, each bit for bit its value at stride 1; t is a
+    scalar or a column against x."""
 
     variant = "abstract"
     wave_speed: float | None = None
 
-    def jet(self, t: float, x) -> Jet:
+    def jet(self, t: float, x, stride: int = 1) -> Jet:
         raise NotImplementedError
 
     def profile(self, t: float, x) -> np.ndarray:
@@ -95,17 +96,14 @@ class Background:
         """The nonlinearity this background solves exactly, if any."""
         return None
 
-    def describe(self) -> str:
-        return self.variant
-
 
 @dataclass(frozen=True)
 class ZeroBackground(Background):
     variant = "zero"
 
-    def jet(self, t, x):
+    def jet(self, t, x, stride=1):
         z = np.zeros_like(np.asarray(x, dtype=float))
-        return Jet(z, z.copy(), z.copy(), z.copy(), z.copy())
+        return Jet(z, *(z[..., ::stride].copy() for _ in range(3)))
 
     def profile(self, t, x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -129,9 +127,9 @@ class MKdVKink(Background):
     def wave_speed(self):
         return -self.c
 
-    def jet(self, t, x):
+    def jet(self, t, x, stride=1):
         return _tanh_jet(x, t, self.sign * np.sqrt(self.c),
-                         np.sqrt(self.c / 2.0), self.c, 0.0)
+                         np.sqrt(self.c / 2.0), self.c, 0.0, stride)
 
     def associated_nonlinearity(self):
         return AnalyticNonlinearity.mkdv_defocusing()
@@ -156,14 +154,11 @@ class GardnerKink(Background):
     def wave_speed(self):
         return 1.0 / (3.0 * self.beta) - self.c
 
-    def jet(self, t, x):
-        return _tanh_jet(
-            x, t,
-            self.sign * np.sqrt(self.c / self.beta),
-            np.sqrt(self.c / 2.0),
-            self.c - 1.0 / (3.0 * self.beta),
-            1.0 / (3.0 * self.beta),
-        )
+    def jet(self, t, x, stride=1):
+        pedestal = 1.0 / (3.0 * self.beta)
+        return _tanh_jet(x, t, self.sign * np.sqrt(self.c / self.beta),
+                         np.sqrt(self.c / 2.0), self.c - pedestal, pedestal,
+                         stride)
 
     def associated_nonlinearity(self):
         return AnalyticNonlinearity.gardner(self.beta)
@@ -176,22 +171,20 @@ class CnoidalParameters(NamedTuple):
 
 
 def _cn2_derivatives(s, c_, d, kappa):
-    """cn^2 and its first three derivatives from the triple (sn, cn, dn)."""
+    """cn^2 and its first and third derivatives from the triple (sn, cn, dn)."""
     scd = s * c_ * d
     cn2 = c_ * c_
     d1 = -2.0 * scd
-    d2 = -2.0 * (c_ ** 2 * d ** 2 - s ** 2 * d ** 2 - kappa ** 2 * s ** 2 * c_ ** 2)
     d3 = 8.0 * scd * (kappa ** 2 * (c_ ** 2 - s ** 2) + d ** 2)
-    return cn2, d1, d2, d3
+    return cn2, d1, d3
 
 
 def _dn_derivatives(s, c_, d, kappa):
-    """dn and its first three derivatives from the triple (sn, cn, dn)."""
+    """dn and its first and third derivatives from the triple (sn, cn, dn)."""
     k2 = kappa ** 2
     d1 = -k2 * s * c_
-    d2 = -k2 * d * (c_ ** 2 - s ** 2)
     d3 = k2 * s * c_ * (k2 * (c_ ** 2 - s ** 2) + 4.0 * d ** 2)
-    return d, d1, d2, d3
+    return d, d1, d3
 
 
 def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
@@ -236,7 +229,7 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
         )
 
     ys = np.linspace(0.0, 2.0 * complete_elliptic_k(kappa) / gamma, 257)
-    p0, p1, _, p3 = derivatives(*jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
+    p0, p1, p3 = derivatives(*jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
     q = alpha + beta * p0
     qp = beta * gamma * p1
     residual = -c * qp + beta * gamma ** 3 * p3 + nl.fp(q) * qp
@@ -255,8 +248,9 @@ class _PeriodicWave(Background):
     """Periodic wave alpha + beta*phi(gamma*(x - c*t)) of modulus kappa.
 
     A subclass names its associated nonlinearity, for which the parameters
-    are resolved, and the profile phi by the function that gives phi and
-    its first three derivatives from the triple (sn, cn, dn).
+    are resolved, the index `jacobi` in (sn, cn, dn) of the function phi
+    is built from (cn^2 or dn), and the function that gives phi and its
+    first and third derivatives from the triple.
     """
 
     c: float
@@ -275,8 +269,9 @@ class _PeriodicWave(Background):
     def wave_speed(self):
         return self.c
 
-    def _triple(self, t, x):
-        """(sn, cn, dn) at gamma*(x - c*t).
+    def _triple(self, t, x, stride):
+        """The profile's Jacobi function at gamma*(x - c*t) on all of x,
+        and the triple (sn, cn, dn) there on x[..., ::stride].
 
         The triple at gamma*x is evaluated once per sample array and kept
         on the wave, keyed by a copy of the array's content, so a new array
@@ -296,25 +291,27 @@ class _PeriodicWave(Background):
         s2, c2, d2 = jacobi_sn_cn_dn(-gamma * self.c * t, kappa)
         k2s2 = kappa * kappa * s2
         den = 1.0 / (1.0 - (k2s2 * s2) * ss1)
-        return ((s1 * (c2 * d2) + cd1 * s2) * den,
-                (c1 * c2 - sd1 * (s2 * d2)) * den,
-                (d1 * d2 - sc1 * (k2s2 * c2)) * den)
+        shifted = (lambda i: (s1[i] * (c2 * d2) + cd1[i] * s2) * den[i],
+                   lambda i: (c1[i] * c2 - sd1[i] * (s2 * d2)) * den[i],
+                   lambda i: (d1[i] * d2 - sc1[i] * (k2s2 * c2)) * den[i])
+        phi, every = shifted[self.jacobi](...), (..., slice(None, None, stride))
+        return phi, [phi[every] if k == self.jacobi else shifted[k](every)
+                     for k in range(3)]
 
-    def jet(self, t, x):
+    def jet(self, t, x, stride=1):
         alpha, beta, gamma = self._params
-        p0, p1, p2, p3 = self.derivatives(*self._triple(t, x), self.kappa)
-        psi = alpha + beta * p0
+        phi, triple = self._triple(t, x, stride)
+        _, p1, p3 = self.derivatives(*triple, self.kappa)
         psi_x = beta * gamma * p1
-        psi_xx = beta * gamma ** 2 * p2
-        psi_xxx = beta * gamma ** 3 * p3
-        psi_t = -self.c * psi_x
-        return Jet(psi, psi_t, psi_x, psi_xx, psi_xxx)
+        return Jet(alpha + beta * (phi * phi if self.jacobi == 1 else phi),
+                   -self.c * psi_x, psi_x, beta * gamma ** 3 * p3)
 
 
 class KdVCnoidal(_PeriodicWave):
     """Periodic cnoidal wave of the quadratic nonlinearity."""
 
     variant = "kdv_cnoidal"
+    jacobi = 1
     derivatives = staticmethod(_cn2_derivatives)
 
     def associated_nonlinearity(self):
@@ -325,6 +322,7 @@ class MKdVDnoidal(_PeriodicWave):
     """Periodic dnoidal wave of the focusing cubic nonlinearity."""
 
     variant = "mkdv_dnoidal"
+    jacobi = 2
     derivatives = staticmethod(_dn_derivatives)
 
     def associated_nonlinearity(self):
@@ -337,25 +335,26 @@ class SyntheticBackground(Background):
 
     variant = "synthetic"
 
-    def jet(self, t, x):
+    def jet(self, t, x, stride=1):
         x = np.asarray(x, dtype=float)
-        kink = _tanh_jet(x, t, 4.0, 1.0, 1.0, 1.0)
-
+        kink = _tanh_jet(x, t, 4.0, 1.0, 1.0, 1.0, stride)
         w = 1.0 + x * x + t * t
         g = np.log(w)
+        cos_g = np.cos(g)
+        psi = kink.psi + cos_g
+        # contiguous as at stride 1, so a vectorized pow or sin rounds alike
+        x, w, g, cos_g = (np.ascontiguousarray(a[..., ::stride])
+                          for a in (x, w, g, cos_g))
         g_x = 2.0 * x / w
         g_xx = 2.0 / w - 4.0 * x * x / w ** 2
         g_xxx = (-12.0 * x * w + 16.0 * x ** 3) / w ** 3
         g_t = 2.0 * t / w
-        sin_g, cos_g = np.sin(g), np.cos(g)
-        h = cos_g
+        sin_g = np.sin(g)
         h_x = -sin_g * g_x
-        h_xx = -cos_g * g_x ** 2 - sin_g * g_xx
         h_xxx = sin_g * g_x ** 3 - 3.0 * cos_g * g_x * g_xx - sin_g * g_xxx
         h_t = -sin_g * g_t
-
-        return Jet(kink.psi + h, kink.psi_t + h_t, kink.psi_x + h_x,
-                   kink.psi_xx + h_xx, kink.psi_xxx + h_xxx)
+        return Jet(psi, kink.psi_t + h_t, kink.psi_x + h_x,
+                   kink.psi_xxx + h_xxx)
 
 
 class TabulatedBackground(Background):
@@ -398,16 +397,11 @@ class TabulatedBackground(Background):
                 "flux samples up to x = L, so the table must reach it")
         return x
 
-    def jet(self, t, x):
+    def jet(self, t, x, stride=1):
         x = self._check_range(x)
-        psi = self._spline(x)
-        return Jet(
-            psi,
-            np.zeros_like(psi),
-            self._spline(x, 1),
-            self._spline(x, 2),
-            self._spline(x, 3),
-        )
+        psi, x = self._spline(x), x[..., ::stride]
+        return Jet(psi, np.zeros_like(x), self._spline(x, 1),
+                   self._spline(x, 3))
 
 
 # variant -> (constructor, {parameter: default}), None marking a required

@@ -160,11 +160,14 @@ class AnalyticNonlinearity:
         """[c_1(x), ..., c_d(x)] with f(x + u) - f(x) = sum_k c_k(x) u^k, of
         the polynomial kind: c_k = f^(k)/k! = sum_j C(j, k) a_j x^(j-k)."""
         a, d, out = self.coeffs, self.order, []
-        for k in range(1, d + 1):
-            out.append(np.full(np.shape(x), math.comb(d, k) * a[d]))
+        for k in range(1, d + 1):   # Horner from the first product c*x
+            acc = (math.comb(d, k) * a[d] * x if k < d
+                   else np.full(np.shape(x), a[d]))
             for j in range(d - 1, k - 1, -1):
-                out[-1] *= x
-                out[-1] += math.comb(j, k) * a[j]
+                acc += math.comb(j, k) * a[j]
+                if j > k:
+                    acc *= x
+            out.append(acc)
         return out
 
     def F(self, x):

@@ -89,12 +89,6 @@ class WeightSequence:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "weights", weights)
 
-    def __getitem__(self, block: float) -> float:
-        for b, w in zip(self.blocks, self.weights):
-            if np.isclose(b, block):
-                return w
-        raise KeyError(f"block {block} not in weight sequence")
-
     @classmethod
     def ones(cls, grid: Grid) -> "WeightSequence":
         blocks = dyadic_band(grid)

@@ -17,8 +17,9 @@ construction, signed-`dt` integration) evaluates its nonlinear term in one
 :class:`SpectralCore` on the spectrum ``SpectralField.coeffs``: the right
 side is ``linear_symbol(mu) * spec + n_hat(spec, stage(t))``.  It computes
 run constants once and stage-time data once per time: one background jet
-on the flux grid gives the flux tables (Taylor coefficients f^(k)(Psi)/k!
-of a polynomial f) and, through its samples x_big[::p] = x, the forcing.
+``bg.jet(t, x_big, p)`` gives Psi on the flux grid, for the flux tables
+(Taylor coefficients f^(k)(Psi)/k! of a polynomial f), and Psi_t, Psi_x,
+Psi_xxx on its samples x_big[::p] = x only, for the forcing.
 A step has two new stage times, t + dt/2 and t + dt, so two jets; the
 Picard lattice takes one jet over all its node times.  The Nyquist bin is
 zeroed in the linear symbol, the derivative and the forcing.
@@ -27,6 +28,7 @@ zeroed in the linear symbol, the derivative and the forcing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -120,6 +122,13 @@ class SolverConfig:
             raise ValueError("cadence must be a positive step count")
 
 
+@lru_cache(maxsize=32)
+def _edge_mask(grid: Grid, buffer_fraction: float) -> np.ndarray:
+    mask = np.abs(grid.x) >= (1.0 - buffer_fraction) * grid.half_length
+    mask.flags.writeable = False
+    return mask
+
+
 def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float):
     """Relative L^2 mass within the buffer strip at the domain ends, as a
     float, or one value per row of a stacked field.
@@ -127,10 +136,10 @@ def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float):
     Solutions below L^2 norm 1e-10 are treated as empty; contamination is
     only meaningful against a non-negligible solution scale.
     """
-    mask = np.abs(u.grid.x) >= (1.0 - buffer_fraction) * u.grid.half_length
     sq = u.values ** 2
-    total = np.sum(sq, axis=-1)
-    edge = np.sum(sq.compress(mask, axis=-1), axis=-1)  # rows stay contiguous
+    total = sq.sum(axis=-1)
+    edge = sq.compress(_edge_mask(u.grid, buffer_fraction),
+                       axis=-1).sum(axis=-1)      # rows stay contiguous
     frac = np.sqrt(edge / np.where(np.sqrt(total * u.grid.dx) < 1e-10, np.inf,
                                    total))
     return frac if frac.ndim else float(frac)
@@ -240,9 +249,8 @@ class SpectralCore:
             return self.stage(t)
         times = np.asarray(t, dtype=float)
         try:
-            jet = self.bg.jet(times[:, None], self.flux_grid.x)
-            require_resolved_background(jet.psi_x[..., ::self._stride],
-                                        self.grid, threshold)
+            jet = self.bg.jet(times[:, None], self.flux_grid.x, self._stride)
+            require_resolved_background(jet.psi_x, self.grid, threshold)
             tables, forcing = self._stage(jet)
         except (ValueError, ArithmeticError):
             for t_m in times.tolist():      # the first failing time raises
@@ -261,17 +269,17 @@ class SpectralCore:
     def stage(self, t: float) -> Stage:
         """Background data at time t, from one jet per new time."""
         if t not in self._stages:
-            stage = self._stage(self.bg.jet(t, self.flux_grid.x))
+            stage = self._stage(self.bg.jet(t, self.flux_grid.x, self._stride))
             if len(self._stages) == 3:
                 del self._stages[next(iter(self._stages))]
             self._stages[t] = stage
         return self._stages[t]
 
     def _stage(self, jet: Jet) -> Stage:
-        """Stage data of a jet on the flux grid, row by row; a polynomial
-        flux's Taylor table c_1 is f'(Psi)."""
+        """Stage data of a stride-p jet on the flux grid, row by row; a
+        polynomial flux's Taylor table c_1 is f'(Psi), any other has p = 1."""
         p, tables = self._stride, flux_tables(self.nl, jet.psi)
-        forcing = forcing_S(Jet(*(a[..., ::p] for a in jet)), self.nl, fp=(
+        forcing = forcing_S(jet, self.nl, fp=(
             tables[1][..., ::p] if self.nl.polynomial_degree() else None))
         forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
         return Stage(tables, _without_nyquist(forcing_hat))
@@ -303,18 +311,19 @@ class SpectralCore:
             p1, p2, p3 = phi1(z), phi2(z), phi3(z)
             self._tables[key] = (
                 np.exp(z), np.exp(z / 2.0), 0.5 * dt * phi1(z / 2.0),
-                dt * (p1 - 3.0 * p2 + 4.0 * p3), dt * (p2 - 2.0 * p3),
+                dt * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * (dt * (p2 - 2.0 * p3)),
                 dt * (4.0 * p3 - p2))
-        e_full, e_half, q_half, w1, w2, w3 = self._tables[key]
+        e_full, e_half, q_half, w1, w2x2, w3 = self._tables[key]
         s0, s_mid, s_end = self.stage(t), self.stage(t + dt / 2.0), self.stage(t + dt)
+        half = e_half * spec
         n0 = self.n_hat(spec, s0)
-        a = e_half * spec + q_half * n0
+        a = half + q_half * n0
         na = self.n_hat(a, s_mid)
-        b = e_half * spec + q_half * na
+        b = half + q_half * na
         nb = self.n_hat(b, s_mid)
         c = e_half * a + q_half * (2.0 * nb - n0)
         nc = self.n_hat(c, s_end)
-        return e_full * spec + w1 * n0 + 2.0 * w2 * (na + nb) + w3 * nc
+        return e_full * spec + w1 * n0 + w2x2 * (na + nb) + w3 * nc
 
 
 def step(state: SimulationState, config: SolverConfig, bg: Background,
@@ -339,7 +348,7 @@ def step(state: SimulationState, config: SolverConfig, bg: Background,
                               config.mu)
     except InstabilityError as err:
         raise InstabilityError(state.step_index + 1) from err
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise InstabilityError(state.step_index + 1)
     new = SimulationState(state.t + config.dt, SpectralField(grid, coeffs),
                           state.step_index + 1)

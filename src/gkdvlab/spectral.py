@@ -125,7 +125,7 @@ class PhysicalField:
             raise SizeMismatchError(
                 f"field shape {vals.shape} does not match grid size {self.grid.n}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("field contains non-finite samples")
         object.__setattr__(self, "values", vals)
 
@@ -359,8 +359,8 @@ def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray,
     # fields below amplitude ~sqrt(floor) are roundoff noise and count as
     # resolved; a genuine resolution breach happens at O(1) amplitudes
     mass = grid.multiplicity * np.abs(coeffs) ** 2
-    tail = np.sum(mass[..., (3 * (grid.n // 2)) // 4:], axis=-1)
-    return np.sqrt(tail / np.maximum(np.sum(mass, axis=-1), floor))
+    tail = mass[..., (3 * (grid.n // 2)) // 4:].sum(axis=-1)
+    return np.sqrt(tail / np.maximum(mass.sum(axis=-1), floor))
 
 
 def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
@@ -418,7 +418,7 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
         for c in tables[-2:0:-1]:
             raw += c
             raw *= u
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise NonFiniteResultError("non-finite nonlinear flux")
     out = _left_end_phase(np.fft.rfft(raw, norm="forward")[..., :m + 1])
     if n_big > 2 * m:

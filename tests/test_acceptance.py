@@ -105,15 +105,33 @@ def test_criterion_01_background_exactness(desk_grid):
              f"max|S|/scale = {worst_rel:.3e} (tol 1e-10)")
 
 
+def zero_data_sup(grid, bg, nl, cfg):
+    """sup_t ||u||_L2 of the run from zero data, criterion 2's measure."""
+    traj = evolve(PhysicalField.zero(grid), bg, nl, cfg)
+    return max(l2_norm(traj.samples).tolist())
+
+
+def persists(sup):
+    """Criterion 2's rule: zero data stays zero."""
+    return sup <= 1e-8
+
+
 def test_criterion_02_zero_perturbation_persistence(desk_grid):
     cfg = SolverConfig(dt=DESK_DT, horizon=DESK_T, cadence=500)
     worst = 0.0
     for name, bg, nl in EXACT_CATALOG:
-        traj = evolve(PhysicalField.zero(desk_grid), bg, nl, cfg)
-        sup = max(l2_norm(traj.samples).tolist())
-        worst = max(worst, sup)
-    announce(2, "zero-perturbation persistence", worst <= 1e-8,
+        worst = max(worst, zero_data_sup(desk_grid, bg, nl, cfg))
+    announce(2, "zero-perturbation persistence", persists(worst),
              f"sup_t ||u||_L2 = {worst:.3e} over the exact catalog (tol 1e-8)")
+
+
+def test_criterion_02_negative_control():
+    # the kink solves mKdV, not KdV, so under the KdV flux its forcing S
+    # is O(1) and drives zero data away from zero; a forcing assembled as
+    # zero, or dropped, would pass #2 by construction
+    cfg = SolverConfig(dt=DESK_DT, horizon=0.01, cadence=10)
+    assert not persists(zero_data_sup(Grid(DESK_L / 2, 512), MKdVKink(c=2.0),
+                                      KDV, cfg))
 
 
 def test_criterion_03_conservation(desk_grid):

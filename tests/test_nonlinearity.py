@@ -129,6 +129,36 @@ def test_series_tail_proxy_satisfied_for_catalog():
             assert a_top ** (1.0 / nl.order) <= 0.1
 
 
+def filled_loop_taylor(nl, x):
+    """Taylor tables with each Horner chain started from a filled array."""
+    from math import comb
+
+    a, d, out = nl.coeffs, nl.order, []
+    for k in range(1, d + 1):
+        out.append(np.full(np.shape(x), comb(d, k) * a[d]))
+        for j in range(d - 1, k - 1, -1):
+            out[-1] *= x
+            out[-1] += comb(j, k) * a[j]
+    return out
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.3, -1.7], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, -0.5],
+    [1.0, -2.0, 3.0, 5.0, -1.0], [0.1, 0.2, -0.3, 0.7, 1.3],
+], ids=["deg1", "kdv", "mkdv", "gardner", "deg4", "deg4b"])
+def test_taylor_is_the_filled_array_loop(coeffs):
+    rng = np.random.default_rng(4)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300],
+                        3.0 * rng.standard_normal(250)]).reshape(4, 64)
+    nl = AnalyticNonlinearity.polynomial(coeffs)
+    got, want = nl.taylor(x), filled_loop_taylor(nl, x)
+    assert len(got) == len(want) == nl.order
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_taylor_coefficients_integer_exact():
     # c_k(x) = f^(k)(x)/k! = sum_j C(j, k) a_j x^(j-k), exact on integers
     from math import comb

@@ -149,7 +149,9 @@ def test_enveloped_single_mode_structure():
     xi1 = np.pi * j / grid.half_length
     f = PhysicalField(grid, np.cos(xi1 * grid.x))
     ws = WeightSequence.bracket_power(grid, 0.3)
-    expected = ws[N] * (1.0 + xi1 ** 2) ** 0.5 * np.sqrt(grid.half_length)
+    assert ws.blocks[len(band) // 2] == N
+    expected = (ws.weights[len(band) // 2] * (1.0 + xi1 ** 2) ** 0.5
+                * np.sqrt(grid.half_length))
     # the mode sits at a block center where only one block contributes
     assert abs(enveloped_norm(f, 1.0, ws) - expected) < 1e-8 * expected
 

@@ -368,9 +368,9 @@ class CountingKink(MKdVKink):
         super().__init__(c=c)
         object.__setattr__(self, "times", [])
 
-    def jet(self, t, x):
+    def jet(self, t, x, stride=1):
         self.times.append(t)
-        return super().jet(t, x)
+        return super().jet(t, x, stride)
 
 
 def test_nyquist_bin_keeps_state_hermitian():
@@ -629,10 +629,8 @@ def per_node_lattice(core, times, tail_threshold=1e-10):
                         np.array([st.forcing for st in stages]))
 
 
-@pytest.mark.parametrize("variant", sorted(BACKGROUNDS))
-def test_batched_background_check_is_the_per_node_lattice(variant, tmp_path):
-    # one jet over the node times, static backgrounds broadcast, against
-    # the per-node checks it replaced: bit for bit, tables and forcing
+def catalog_background(variant, tmp_path):
+    """A catalog background at its defaults; the table reaches x = 50."""
     build, params = BACKGROUNDS[variant]
     if variant == "tabulated":
         xs = np.linspace(-50.0, 50.0, 1001)
@@ -640,7 +638,14 @@ def test_batched_background_check_is_the_per_node_lattice(variant, tmp_path):
         np.savetxt(path, np.c_[xs, 0.1 * np.tanh(xs / 4.0)],
                    header="t-dependence: static")
         params = {"file": str(path)}
-    bg = build(**params)
+    return build(**params)
+
+
+@pytest.mark.parametrize("variant", sorted(BACKGROUNDS))
+def test_batched_background_check_is_the_per_node_lattice(variant, tmp_path):
+    # one jet over the node times, static backgrounds broadcast, against
+    # the per-node checks it replaced: bit for bit, tables and forcing
+    bg = catalog_background(variant, tmp_path)
     grid = Grid(50.0, 1024)
     times = 0.05 / 16 * np.arange(17)
     for nl in (bg.associated_nonlinearity() or KDV,
@@ -655,13 +660,49 @@ def test_batched_background_check_is_the_per_node_lattice(variant, tmp_path):
                 assert a.shape == b.shape and np.array_equal(a, b)
 
 
+def stride_one_stage(core, jet):
+    """The stage recipe of the stride-1 jet: every field sliced [..., ::p],
+    then forcing_S and transform, the Nyquist bin zeroed."""
+    p, tables = core.flux_grid.n // core.grid.n, flux_tables(core.nl, jet.psi)
+    forcing = background.forcing_S(
+        background.Jet(*(a[..., ::p] for a in jet)), core.nl,
+        fp=tables[1][..., ::p] if core.nl.polynomial_degree() else None)
+    forcing_hat = transform(PhysicalField(core.grid, forcing)).coeffs
+    forcing_hat[..., -1] = 0.0
+    return solver.Stage(tables, forcing_hat)
+
+
+@pytest.mark.parametrize("variant", sorted(BACKGROUNDS))
+def test_stage_is_the_stride_one_recipe(variant, tmp_path):
+    # a stage asks its jet for the derivatives at stride p only; the tables
+    # and forcing must be those of the full jet sliced, bit for bit, at a
+    # scalar time and in every row of a batched check
+    bg = catalog_background(variant, tmp_path)
+    grid = Grid(50.0, 1024)
+    times = np.array([0.0, 1e-3, 0.0375, 0.25])
+    for nl in (AnalyticNonlinearity.mkdv_defocusing(), KDV,
+               AnalyticNonlinearity.sine()):
+        core = SpectralCore(grid, bg, nl)
+        for t in times.tolist():
+            got = core.stage(t)
+            want = stride_one_stage(core, bg.jet(t, core.flux_grid.x))
+            for a, b in zip(got.tables + [got.forcing],
+                            want.tables + [want.forcing], strict=True):
+                assert np.array_equal(a, b), (nl.label, t)
+        got = core.check_background(times, 1e-6)
+        want = stride_one_stage(core, bg.jet(times[:, None], core.flux_grid.x))
+        for a, b in zip(got.tables + [got.forcing],
+                        want.tables + [want.forcing], strict=True):
+            assert np.array_equal(a, np.broadcast_to(b, a.shape)), nl.label
+
+
 class SteepeningKink(Background):
     """tanh(k x) with k = 0.4 + 50 t: resolved on Grid(50, 512) up to k of
     about 0.75, which it reaches at t of about 7e-3."""
 
-    def jet(self, t, x):
+    def jet(self, t, x, stride=1):
         return background._tanh_jet(x, 0.0, 1.0, 0.4 + 50.0 * np.asarray(t),
-                                    0.0, 0.0)
+                                    0.0, 0.0, stride)
 
 
 def test_batched_background_check_names_the_first_unresolved_node():
