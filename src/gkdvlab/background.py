@@ -26,7 +26,7 @@ from .spectral import (
     bessel_potential,
     inverse_transform,
     l2_norm,
-    tail_fraction_of_spectrum,
+    require_resolved,
     transform,
 )
 
@@ -89,9 +89,6 @@ class Background:
     def jet(self, t: float, x, stride: int = 1) -> Jet:
         raise NotImplementedError
 
-    def profile(self, t: float, x) -> np.ndarray:
-        return self.jet(t, x).psi
-
     def associated_nonlinearity(self) -> AnalyticNonlinearity | None:
         """The nonlinearity this background solves exactly, if any."""
         return None
@@ -104,9 +101,6 @@ class ZeroBackground(Background):
     def jet(self, t, x, stride=1):
         z = np.zeros_like(np.asarray(x, dtype=float))
         return Jet(z, *(z[..., ::stride].copy() for _ in range(3)))
-
-    def profile(self, t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -260,10 +254,6 @@ class _PeriodicWave(Background):
         params = resolve_cnoidal(self.c, self.kappa,
                                  self.associated_nonlinearity())
         object.__setattr__(self, "_params", params)
-
-    @property
-    def parameters(self) -> CnoidalParameters:
-        return self._params
 
     @property
     def wave_speed(self):
@@ -435,28 +425,23 @@ def smooth_window(grid: Grid) -> np.ndarray:
     return up / (up + down + 1e-300)
 
 
-def forcing_S(jet: Jet, nl: AnalyticNonlinearity, *, fp=None,
-              magnitude: bool = False) -> np.ndarray:
+def forcing_S(jet: Jet, nl: AnalyticNonlinearity, *, fp=None) -> np.ndarray:
     """S = Psi_t + Psi_xxx + f'(Psi) Psi_x at a jet's samples, any shape,
-    with f'(Psi) = `fp` where the caller has it, else nl.fp(Psi); with
-    `magnitude`, the scale |Psi_t| + |Psi_xxx| + |f'(Psi) Psi_x|."""
+    with f'(Psi) = `fp` where the caller has it, else nl.fp(Psi)."""
     fp = nl.fp(jet.psi) if fp is None else fp
-    terms = (jet.psi_t, jet.psi_xxx, fp * jet.psi_x)
-    a, b, c = map(np.abs, terms) if magnitude else terms
-    return a + b + c
+    return jet.psi_t + jet.psi_xxx + fp * jet.psi_x
 
 
 def require_resolved_background(psi_x: np.ndarray, grid: Grid,
                                 tail_threshold: float) -> None:
     """Raise UnresolvedFieldError unless every row of Psi_x, windowed,
-    resolves on the grid; the error names the first row in breach."""
-    tails = np.atleast_1d(tail_fraction_of_spectrum(grid, transform(
-        PhysicalField(grid, psi_x * smooth_window(grid))).coeffs))
-    tail = tails[np.argmax(tails > tail_threshold)]
-    if tail > tail_threshold:
-        raise UnresolvedFieldError(
-            f"background derivative tail {tail:.2e} exceeds "
-            f"{tail_threshold:.2e}; grid does not resolve the background")
+    passes `require_resolved`; the error names the first row in breach."""
+    try:
+        require_resolved(transform(
+            PhysicalField(grid, psi_x * smooth_window(grid))), tail_threshold)
+    except UnresolvedFieldError as err:
+        raise UnresolvedFieldError(f"background derivative: {err}; grid "
+                                   "does not resolve the background") from err
 
 
 def residual_S(bg: Background, nl: AnalyticNonlinearity, t: float,

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .background import Background, forcing_S, require_resolved_background
+from .background import Background, forcing_S, require_resolved_background, \
+    residual_S
 from .nonlinearity import AnalyticNonlinearity
 from .norms import WeightSequence, _block_masses, enveloped_norm, sobolev_norm
 from .solver import SolverConfig, boundary_mass_fraction, evolve
@@ -27,6 +28,8 @@ from .spectral import (
 )
 
 __all__ = [
+    "background_exactness",
+    "zero_perturbation_persistence",
     "invariants_I",
     "modified_energy",
     "l2_growth_monitor",
@@ -37,6 +40,27 @@ __all__ = [
     "DiagnosticsReport",
     "collect_report",
 ]
+
+EXACTNESS_TOLERANCE = 1e-10     # verdict #1: max|S| per unit of its scale
+PERSISTENCE_TOLERANCE = 1e-8    # verdict #2: sup_t ||u||_L2 from zero data
+
+
+def background_exactness(bg: Background, nl: AnalyticNonlinearity, t: float,
+                         grid: Grid):
+    """Verdict #1 at time t: (max|S| <= EXACTNESS_TOLERANCE * scale, max|S|,
+    scale), with scale = max(|Psi_t| + |Psi_xxx| + |f'(Psi) Psi_x|)."""
+    worst = float(np.max(np.abs(residual_S(bg, nl, t, grid).values)))
+    jet = bg.jet(t, grid.x)
+    scale = float(np.max(np.abs(jet.psi_t) + np.abs(jet.psi_xxx)
+                         + np.abs(nl.fp(jet.psi) * jet.psi_x)))
+    return worst <= EXACTNESS_TOLERANCE * scale, worst, scale
+
+
+def zero_perturbation_persistence(traj: Trajectory):
+    """Verdict #2, zero data on an exact Psi stays zero: (sup_t ||u||_L2
+    <= PERSISTENCE_TOLERANCE, sup_t ||u||_L2)."""
+    sup_l2 = max(l2_norm(traj.samples).tolist())
+    return sup_l2 <= PERSISTENCE_TOLERANCE, sup_l2
 
 
 def _integrate(grid: Grid, values: np.ndarray):
@@ -72,7 +96,7 @@ def modified_energy(u: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     :func:`l2_growth_monitor`), and E comes one value per row.
     """
     grid = u.grid
-    psi = bg.profile(t, grid.x)
+    psi = bg.jet(t, grid.x).psi
     u_x = inverse_transform(spatial_derivative(transform(u), 1)).values
     bulk = nl.F(u.values + psi) - nl.F(psi) - u.values * nl.f(psi)
     return 0.5 * _integrate(grid, u_x ** 2) - _integrate(grid, bulk)

@@ -368,10 +368,10 @@ def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
     most the threshold (a NaN is not); the error names the first row in
     breach."""
     tails = np.ravel(tail_fraction_of_spectrum(spec.grid, spec.coeffs))
-    tail = tails[np.argmin(tails <= tail_threshold)]
-    if not tail <= tail_threshold:
-        raise UnresolvedFieldError(f"spectral tail {tail:.2e} exceeds "
-                                   f"threshold {tail_threshold:.2e}")
+    for tail in tails.tolist():
+        if not tail <= tail_threshold:
+            raise UnresolvedFieldError(f"spectral tail {tail:.2e} exceeds "
+                                       f"threshold {tail_threshold:.2e}")
 
 
 @lru_cache(maxsize=32)

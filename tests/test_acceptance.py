@@ -8,6 +8,7 @@ per-criterion lines inline.
 import numpy as np
 import pytest
 
+from gkdvlab import diagnostics
 from gkdvlab.background import (
     GardnerKink,
     KdVCnoidal,
@@ -15,13 +16,17 @@ from gkdvlab.background import (
     MKdVKink,
     SyntheticBackground,
     ZeroBackground,
-    residual_S,
     zhidkov_split,
 )
+from gkdvlab.cli import main
 from gkdvlab.diagnostics import (
+    EXACTNESS_TOLERANCE,
+    PERSISTENCE_TOLERANCE,
+    background_exactness,
     flow_lipschitz_experiment,
     invariants_I,
     l2_growth_monitor,
+    zero_perturbation_persistence,
 )
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.norms import (
@@ -45,7 +50,6 @@ from gkdvlab.spectral import (
     airy_propagate,
     dyadic_band,
     inverse_transform,
-    l2_norm,
     lp_low_block,
     lp_project,
     smoothing_constant,
@@ -92,37 +96,72 @@ EXACT_CATALOG = [
 
 
 def test_criterion_01_background_exactness(desk_grid):
-    worst_rel = 0.0
-    for name, bg, nl in [EXACT_CATALOG[0], EXACT_CATALOG[1]]:
-        for t in (0.0, 0.5, 1.0):
-            jet = bg.jet(t, desk_grid.x)
-            scale = float(np.max(np.abs(jet.psi_t) + np.abs(jet.psi_xxx)
-                                 + np.abs(nl.fp(jet.psi) * jet.psi_x)))
-            forcing = residual_S(bg, nl, t, desk_grid)
-            worst_rel = max(worst_rel,
-                            float(np.max(np.abs(forcing.values))) / scale)
-    announce(1, "background exactness", worst_rel <= 1e-10,
+    checks = [background_exactness(bg, nl, t, desk_grid)
+              for _, bg, nl in EXACT_CATALOG[:2] for t in (0.0, 0.5, 1.0)]
+    worst_rel = max(worst / scale for _, worst, scale in checks)
+    announce(1, "background exactness", all(c[0] for c in checks),
              f"max|S|/scale = {worst_rel:.3e} (tol 1e-10)")
+    assert EXACTNESS_TOLERANCE == 1e-10     # the tolerance printed above
 
 
-def zero_data_sup(grid, bg, nl, cfg):
-    """sup_t ||u||_L2 of the run from zero data, criterion 2's measure."""
-    traj = evolve(PhysicalField.zero(grid), bg, nl, cfg)
-    return max(l2_norm(traj.samples).tolist())
+def test_criterion_01_negative_control(desk_grid):
+    # the kink solves mKdV, not KdV, so under the KdV flux its S is O(1)
+    holds, worst, scale = background_exactness(MKdVKink(c=2.0), KDV, 0.0,
+                                               desk_grid)
+    assert not holds and worst > 1e-3 * scale
 
 
-def persists(sup):
-    """Criterion 2's rule: zero data stays zero."""
-    return sup <= 1e-8
+KINK_RUN = """
+[grid]
+half_length = 50
+points = 1024
+[background]
+variant = mkdv_kink
+c = 2.0
+[nonlinearity]
+kind = mkdv_defocusing
+[solver]
+dt = 5e-4
+horizon = 5e-3
+cadence = 10
+[initial]
+kind = zero
+[output]
+directory = OUT
+"""
+
+
+def test_verdict_rules_have_one_spelling(desk_grid, tmp_path, monkeypatch,
+                                         capsys):
+    # with no tolerance left, rounding-level S and u fail the rules, and
+    # both criterion 1 and `gkdvlab run` read them from diagnostics
+    monkeypatch.setattr(diagnostics, "EXACTNESS_TOLERANCE", 0.0)
+    monkeypatch.setattr(diagnostics, "PERSISTENCE_TOLERANCE", 0.0)
+    with pytest.raises(AssertionError, match="criterion 1 "):
+        test_criterion_01_background_exactness(desk_grid)
+    assert "[criterion  1] FAIL" in capsys.readouterr().out
+    config = tmp_path / "kink.cfg"
+    config.write_text(KINK_RUN.replace("OUT", str(tmp_path / "out")))
+    assert main(["run", "--config", str(config), "--quiet"]) == 4
+    verdicts = (tmp_path / "out" / "verdicts.txt").read_text()
+    assert "background-exactness: FAIL" in verdicts
+    assert "zero-perturbation-persistence: FAIL" in verdicts
+
+
+def zero_data_persistence(grid, bg, nl, cfg):
+    """Criterion 2's verdict on the run from zero data."""
+    return zero_perturbation_persistence(
+        evolve(PhysicalField.zero(grid), bg, nl, cfg))
 
 
 def test_criterion_02_zero_perturbation_persistence(desk_grid):
     cfg = SolverConfig(dt=DESK_DT, horizon=DESK_T, cadence=500)
-    worst = 0.0
-    for name, bg, nl in EXACT_CATALOG:
-        worst = max(worst, zero_data_sup(desk_grid, bg, nl, cfg))
-    announce(2, "zero-perturbation persistence", persists(worst),
+    checks = [zero_data_persistence(desk_grid, bg, nl, cfg)
+              for _, bg, nl in EXACT_CATALOG]
+    worst = max(sup for _, sup in checks)
+    announce(2, "zero-perturbation persistence", all(c[0] for c in checks),
              f"sup_t ||u||_L2 = {worst:.3e} over the exact catalog (tol 1e-8)")
+    assert PERSISTENCE_TOLERANCE == 1e-8    # the tolerance printed above
 
 
 def test_criterion_02_negative_control():
@@ -130,8 +169,9 @@ def test_criterion_02_negative_control():
     # is O(1) and drives zero data away from zero; a forcing assembled as
     # zero, or dropped, would pass #2 by construction
     cfg = SolverConfig(dt=DESK_DT, horizon=0.01, cadence=10)
-    assert not persists(zero_data_sup(Grid(DESK_L / 2, 512), MKdVKink(c=2.0),
-                                      KDV, cfg))
+    holds, _ = zero_data_persistence(Grid(DESK_L / 2, 512), MKdVKink(c=2.0),
+                                     KDV, cfg)
+    assert not holds
 
 
 def test_criterion_03_conservation(desk_grid):

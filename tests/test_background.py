@@ -85,7 +85,7 @@ def test_mkdv_kink_center_and_limits():
     t = 0.37
     assert abs(bg.jet(t, np.array([-c * t])).psi[0]) < 1e-14
     grid = Grid(20.0 / np.sqrt(c) + 5.0, 512)
-    psi = bg.profile(0.0, grid.x)
+    psi = bg.jet(0.0, grid.x).psi
     assert abs(psi[-1] - np.sqrt(c)) < 1e-10
     assert abs(psi[0] + np.sqrt(c)) < 1e-10
 
@@ -113,7 +113,8 @@ def test_traveling_wave_identity(bg):
 def _direct_jet(bg, t, x):
     """Jet components of a cnoidal or dnoidal wave, Jacobi functions taken
     at gamma*(x - c*t) directly."""
-    alpha, beta, gamma = bg.parameters
+    alpha, beta, gamma = resolve_cnoidal(bg.c, bg.kappa,
+                                         bg.associated_nonlinearity())
     triple = jacobi_sn_cn_dn(gamma * (x - bg.c * t), bg.kappa)
     if isinstance(bg, KdVCnoidal):
         q, d1, d3 = _cn2_derivatives(*triple, bg.kappa)
@@ -325,7 +326,7 @@ def test_resolve_cnoidal_kdv():
     grid = Grid(50.0, 1024)
     nl = AnalyticNonlinearity.kdv()
     out = residual_S(bg, nl, 0.0, grid)
-    scale = sobolev_norm(PhysicalField(grid, bg.profile(0.0, grid.x)), 0.0)
+    scale = sobolev_norm(PhysicalField(grid, bg.jet(0.0, grid.x).psi), 0.0)
     assert np.max(np.abs(out.values)) <= 1e-8 * scale
     assert params.beta > 0 and params.gamma > 0
 
@@ -335,7 +336,7 @@ def test_resolve_dnoidal_mkdv():
     grid = Grid(50.0, 1024)
     nl = AnalyticNonlinearity.mkdv_focusing()
     out = residual_S(bg, nl, 0.0, grid)
-    scale = sobolev_norm(PhysicalField(grid, bg.profile(0.0, grid.x)), 0.0)
+    scale = sobolev_norm(PhysicalField(grid, bg.jet(0.0, grid.x).psi), 0.0)
     assert np.max(np.abs(out.values)) <= 1e-8 * scale
 
 
@@ -346,7 +347,7 @@ def test_resolve_cnoidal_small_modulus():
     bg = KdVCnoidal(1.0, 0.05)
     grid = Grid(50.0, 1024)
     out = residual_S(bg, AnalyticNonlinearity.kdv(), 0.0, grid)
-    scale = sobolev_norm(PhysicalField(grid, bg.profile(0.0, grid.x)), 0.0)
+    scale = sobolev_norm(PhysicalField(grid, bg.jet(0.0, grid.x).psi), 0.0)
     assert np.max(np.abs(out.values)) <= 1e-8 * scale
 
 
@@ -473,7 +474,7 @@ def test_tabulated_header_is_the_declaration(tmp_path, header, static):
         for x in xs:
             fh.write(f"{float(x)!r} {float(np.tanh(x))!r}\n")
     if static:
-        assert TabulatedBackground.from_file(str(path)).profile(0.0, xs)[4] \
+        assert TabulatedBackground.from_file(str(path)).jet(0.0, xs).psi[4] \
             == pytest.approx(0.0, abs=1e-15)
     else:
         with pytest.raises(ValueError, match="t-dependence: static"):

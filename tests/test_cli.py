@@ -492,6 +492,22 @@ def test_run_overflow_exits_instability(tmp_path, capfd):
     assert "RuntimeWarning" not in capfd.readouterr().err
 
 
+def test_run_nan_boundary_fraction_exits_instability(tmp_path):
+    # the NaN boundary fraction of overflowing data used to pass the
+    # monitor, and the run exited 2 on a non-finite report instead
+    grid = Grid(50.0, 1024)
+    snap = str(tmp_path / "u0.f64")
+    write_snapshot(snap, PhysicalField(grid, 2e154 * sum(
+        np.exp(-(grid.x + c) ** 2) for c in (0.0, 50.0, -50.0))), 0.0)
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        GAUSSIAN, f"kind = file\nfile = {snap}").replace(
+        "half_length = 20\npoints = 256", "half_length = 50\npoints = 1024"
+        ).replace("kind = kdv", "kind = sine").replace(
+        "horizon = 0.05", "horizon = 0.01")
+    assert main(["run", "--config", write_cfg(tmp_path, text),
+                 "--quiet"]) == 3
+
+
 def test_run_config_error_exit_code(tmp_path):
     status = main(["run", "--config",
                    write_cfg(tmp_path, "[background]\nvariant = bogus\n")])

@@ -105,7 +105,7 @@ def test_modified_energy_small_amplitude_scaling():
     from gkdvlab.spectral import spatial_derivative
 
     u_x = inverse_transform(spatial_derivative(transform(u), 1)).values
-    psi = bg.profile(0.0, grid.x)
+    psi = bg.jet(0.0, grid.x).psi
     quad_exact = (0.5 * grid.dx * np.sum(u_x ** 2)
                   - 0.5 * grid.dx * np.sum(nl.fp(psi) * u.values ** 2))
     for h in (1e-2, 1e-3):

@@ -264,6 +264,21 @@ def test_instability_flagged_not_raised():
     assert traj.abort_reason
 
 
+def test_boundary_monitor_fails_a_nan_fraction():
+    # bumps at the centre and at both ends put 0.707 of the L^2 mass in the
+    # boundary buffer; at amplitude 2e154 the squares overflow and the
+    # fraction is inf/inf = NaN, which used to pass and run all 10 steps
+    grid = Grid(50.0, 1024)
+    bumps = sum(np.exp(-(grid.x + c) ** 2) for c in (0.0, 50.0, -50.0))
+    cfg = SolverConfig(dt=1e-3, horizon=1e-2)
+    for amp, share in ((1.0, "7.071e-01"), (2e154, "nan")):
+        traj = evolve(PhysicalField(grid, amp * bumps), ZERO_BG,
+                      AnalyticNonlinearity.sine(), cfg, raise_on_failure=False)
+        assert len(traj) == 1 and not traj.completed
+        assert traj.abort_reason.startswith(
+            f"boundary buffer holds {share} of the solution mass at step 1")
+
+
 def test_instability_raised_by_default():
     grid = Grid(20.0, 128)
     huge = gaussian(grid, amp=80.0, width=0.4)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkdvlab.background import GardnerKink, MKdVKink, ZeroBackground
+from gkdvlab.background import GardnerKink, MKdVKink, ZeroBackground, \
+    require_resolved_background
 from gkdvlab.nonlinearity import AnalyticNonlinearity
 from gkdvlab.solver import SpectralCore
 from gkdvlab.spectral import (
@@ -315,7 +316,7 @@ def test_flux_kink_expansion():
     nl = AnalyticNonlinearity.kdv()
     f = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
     out = flux_samples(f, bg, nl, 0.2)
-    psi = bg.profile(0.2, grid.x)
+    psi = bg.jet(0.2, grid.x).psi
     exact = f.values ** 2 + 2.0 * psi * f.values
     assert np.max(np.abs(out.values - exact)) < 1e-10
 
@@ -327,6 +328,16 @@ def test_non_finite_tail_is_unresolved(grid):
         grid.xi_max * 0.9 * grid.x)))
     with pytest.raises(UnresolvedFieldError, match="nan"):
         require_resolved(spec, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_non_finite_background_tail_is_unresolved(grid):
+    # the background check is the same rule: a finite Psi_x whose squared
+    # spectrum overflows fails it too
+    with pytest.raises(UnresolvedFieldError, match="background derivative: "
+                       "spectral tail nan exceeds threshold 1.00e\\+00; "
+                       "grid does not resolve the background"):
+        require_resolved_background(1e200 * np.exp(-grid.x ** 2), grid, 1.0)
 
 
 def test_require_resolved_rejects_unresolved_field(grid):
@@ -375,7 +386,7 @@ def test_flux_free_of_cancellation(bg, nl):
     u = PhysicalField.sample(grid, lambda x: 1e-8 * np.exp(-x ** 2))
     half = transform(u).coeffs
     big = flux_grid(grid, nl)
-    psi = bg.profile(0.3, big.x)
+    psi = bg.jet(0.3, big.x).psi
     got = flux_coefficients(half, nl, flux_tables(nl, psi))
     padded = np.zeros(big.xi.size, dtype=complex)
     padded[:m] = half[:m]
@@ -466,7 +477,7 @@ def test_flux_rows_equal_single_calls(bg, nl, rule):
     big = flux_grid(grid, nl, rule)
     rows = np.array([transform(random_field(grid, seed=k, band=40)).coeffs
                      * 0.05 for k in range(5)])
-    tables = [flux_tables(nl, bg.profile(0.1 * k, big.x)) for k in range(5)]
+    tables = [flux_tables(nl, bg.jet(0.1 * k, big.x).psi) for k in range(5)]
     stacked = [np.array(col) for col in zip(*tables)]
     got = flux_coefficients(rows, nl, stacked, rule)
     assert got.shape == rows.shape
