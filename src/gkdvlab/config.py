@@ -41,11 +41,9 @@ SCHEMA = {
     "grid": {"half_length": "grid_half_length", "points": "grid_points"},
     "background": {"variant": "background_variant"},
     "nonlinearity": {"kind": "nonlinearity_kind",
-                     "order": "nonlinearity_order",
                      "coefficients": "nonlinearity_coefficients"},
     "solver": {"scheme": "solver.scheme", "dt": "solver.dt",
                "horizon": "solver.horizon", "viscosity": "solver.mu",
-               "dealias": "solver.dealias",
                "boundary_buffer": "solver.boundary_buffer",
                "boundary_threshold": "solver.boundary_threshold",
                "tail_threshold": "solver.tail_threshold",
@@ -105,10 +103,9 @@ NONLINEARITIES = {
                                   BACKGROUNDS["gardner_kink"][1]["beta"])),
     "polynomial": lambda cfg: AnalyticNonlinearity.polynomial(
         cfg.nonlinearity_coefficients),
-    "exponential": lambda cfg: AnalyticNonlinearity.exponential(
-        cfg.nonlinearity_order),
-    "sine": lambda cfg: AnalyticNonlinearity.sine(cfg.nonlinearity_order),
-    "cosine": lambda cfg: AnalyticNonlinearity.cosine(cfg.nonlinearity_order),
+    "exponential": lambda cfg: AnalyticNonlinearity.exponential(),
+    "sine": lambda cfg: AnalyticNonlinearity.sine(),
+    "cosine": lambda cfg: AnalyticNonlinearity.cosine(),
     "series": lambda cfg: AnalyticNonlinearity.from_series(
         cfg.nonlinearity_coefficients),
 }
@@ -149,7 +146,6 @@ class ScenarioConfig:
 
     nonlinearity_kind: str = "kdv"
     nonlinearity_coefficients: tuple = ()
-    nonlinearity_order: int = 30
 
     solver: SolverConfig = field(default_factory=SolverConfig)
 

@@ -175,12 +175,11 @@ class LipschitzTable:
 
 def flow_lipschitz_experiment(u0: PhysicalField, bg: Background,
                               nl: AnalyticNonlinearity, config: SolverConfig,
-                              deltas, s: float = 1.0,
-                              profile: PhysicalField | None = None) -> LipschitzTable:
+                              deltas, s: float = 1.0) -> LipschitzTable:
     """Growth ratio of solution separation against data separation.
 
-    For each delta, runs the flow from u0 and from u0 + delta*g (g a fixed
-    unit-H^(s-1) profile) and records
+    For each delta, runs the flow from u0 and from u0 + delta*g (g the
+    bump exp(-((x + 3)/1.5)^2) scaled to unit H^(s-1)) and records
 
         R(delta) = sup_{t<=T} ||u - v||_{H^(s-1)} / ||u0 - v0||_{H^(s-1)}.
 
@@ -196,11 +195,8 @@ def flow_lipschitz_experiment(u0: PhysicalField, bg: Background,
     if any(d <= 0 for d in deltas):
         raise ValueError("perturbation sizes must be positive")
     grid = u0.grid
-    if profile is None:
-        bump = np.exp(-((grid.x + 3.0) / 1.5) ** 2)
-        profile = PhysicalField(grid, bump)
-    norm_g = sobolev_norm(profile, s - 1.0)
-    g = PhysicalField(grid, profile.values / norm_g)
+    profile = PhysicalField(grid, np.exp(-((grid.x + 3.0) / 1.5) ** 2))
+    g = PhysicalField(grid, profile.values / sobolev_norm(profile, s - 1.0))
 
     base = evolve(u0, bg, nl, config)
     times = base.times[1:]

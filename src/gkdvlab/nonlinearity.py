@@ -3,7 +3,9 @@
 Closed-form kinds (polynomial, exponential, sine, cosine) evaluate their
 closed forms directly; a custom series kind evaluates the truncated Taylor
 sum in Horner form.  Every kind carries its coefficient list so diagnostics
-can inspect growth and the stored-series invariants are checkable.
+can inspect growth and the stored-series invariants are checkable; the
+exponential, sine and cosine lists stop at SERIES_ORDER_DEFAULT and are
+never summed.
 """
 
 from __future__ import annotations
@@ -92,12 +94,14 @@ class AnalyticNonlinearity:
         return cls.polynomial([0.0, 0.0, 1.0, -float(beta)], label="gardner")
 
     @classmethod
-    def exponential(cls, order: int = SERIES_ORDER_DEFAULT) -> "AnalyticNonlinearity":
+    def exponential(cls) -> "AnalyticNonlinearity":
+        order = SERIES_ORDER_DEFAULT
         coeffs = [1.0 / math.factorial(k) for k in range(order + 1)]
         return cls("exponential", tuple(coeffs), order, "exponential")
 
     @classmethod
-    def sine(cls, order: int = SERIES_ORDER_DEFAULT) -> "AnalyticNonlinearity":
+    def sine(cls) -> "AnalyticNonlinearity":
+        order = SERIES_ORDER_DEFAULT
         coeffs = [
             0.0 if k % 2 == 0 else (-1.0) ** ((k - 1) // 2) / math.factorial(k)
             for k in range(order + 1)
@@ -105,7 +109,8 @@ class AnalyticNonlinearity:
         return cls("sine", tuple(coeffs), order, "sine")
 
     @classmethod
-    def cosine(cls, order: int = SERIES_ORDER_DEFAULT) -> "AnalyticNonlinearity":
+    def cosine(cls) -> "AnalyticNonlinearity":
+        order = SERIES_ORDER_DEFAULT
         coeffs = [
             (-1.0) ** (k // 2) / math.factorial(k) if k % 2 == 0 else 0.0
             for k in range(order + 1)
@@ -113,9 +118,9 @@ class AnalyticNonlinearity:
         return cls("cosine", tuple(coeffs), order, "cosine")
 
     @classmethod
-    def from_series(cls, coeffs, label="series") -> "AnalyticNonlinearity":
+    def from_series(cls, coeffs) -> "AnalyticNonlinearity":
         coeffs = tuple(float(a) for a in coeffs)
-        return cls("series", coeffs, len(coeffs) - 1, label)
+        return cls("series", coeffs, len(coeffs) - 1, "series")
 
     # -- evaluation ------------------------------------------------------
 
@@ -183,15 +188,15 @@ class AnalyticNonlinearity:
 
     # -- diagnostics -----------------------------------------------------
 
-    def gwp_bound(self, lo: float, hi: float, samples: int = 4097) -> GwpBound:
-        """sup |f''| over a dense sample of [lo, hi].
+    def gwp_bound(self, lo: float, hi: float) -> GwpBound:
+        """sup |f''| over 4097 equispaced samples of [lo, hi].
 
         The flag records whether |f''| is bounded on all of R, which for
         stored-series data means no coefficient beyond the quadratic one.
         """
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise ValueError("range must be a bounded interval")
-        xs = np.linspace(lo, hi, samples)
+        xs = np.linspace(lo, hi, 4097)
         M = float(np.max(np.abs(self.fpp(xs))))
         if self.kind in ("sine", "cosine"):
             globally_bounded = True

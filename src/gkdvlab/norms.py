@@ -218,7 +218,7 @@ def modulation_partition_defect(traj: Trajectory) -> float:
 # ----------------------------------------------------------------------
 # compact extension of a time-restricted trajectory
 
-def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
+def extend_trajectory(traj: Trajectory) -> Trajectory:
     """Extend a trajectory on [0, T] to a compactly supported window.
 
     Implements  t -> U(t) eta(t) U(-clamp(t)) u(clamp(t))  on the lattice
@@ -234,7 +234,7 @@ def extend_trajectory(traj: Trajectory, window_half: float = 2.0) -> Trajectory:
         raise ValueError("extension expects a trajectory starting at t = 0")
     # a coarse dt leaves the last sample where the cutoff is not yet
     # negligible; grow the window to the level decays_at_ends uses
-    k_half = int(np.ceil(window_half / traj.dt))
+    k_half = int(np.ceil(2.0 / traj.dt))
     while smooth_cutoff(np.array([(k_half - 1) * traj.dt]))[0] > 1e-10:
         k_half += 1
     grid, n_in = traj.grid, len(traj) - 1
@@ -296,7 +296,7 @@ def _synthetic_coeff(j, k, N, L, dxi, dtau, phase_t, phase_x):
             np.exp(1j * (phase_t * tau + phase_x * xi)))
 
 
-def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
+def resonance_vanishing_check(space_blocks, modulation_blocks,
                               domain_half_length: float = 8.0 * np.pi,
                               window_half_length: float = np.pi,
                               seed: int = 0) -> ResonanceCheck:
@@ -305,11 +305,11 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
     Synthesizes one real space-time field per block pair (space block N_i,
     modulation block L_i) with an analytic spectrum supported exactly where
     the block multipliers are nonzero, and evaluates the k-linear integral
-    of their product (the first pair weighted by chi) as an exact lattice
-    convolution, for any k >= 3.  Support arithmetic makes the integral
-    vanish identically whenever every achievable resonance level exceeds
-    the combined modulation budget: then no k-tuple of support points sums
-    to zero in space and time, which `vanishing_expected` reports.
+    of their product as an exact lattice convolution, for any k >= 3.
+    Support arithmetic makes the integral vanish identically whenever
+    every achievable resonance level exceeds the combined modulation
+    budget: then no k-tuple of support points sums to zero in space and
+    time, which `vanishing_expected` reports.
 
     Each block is tabulated once on its nonzero support.  The block with
     the largest support (lowest index on ties) is gathered from a sorted
@@ -415,10 +415,6 @@ def resonance_vanishing_check(space_blocks, modulation_blocks, chi=None,
         term = table_vals[p]
         for i in free:
             term = term * vals[i][picked[i]]
-        if chi is not None:
-            j_of = {i: js[i][picked[i]] for i in free}
-            j_of[g] = -sum(j_of.values())
-            term = term * chi((j_of[0] + j_of[1]) * dxi, j_of[0] * dxi)
         total += np.sum(term)
         abs_total += np.sum(np.abs(term))
     closed = flat.size

@@ -97,7 +97,6 @@ class SolverConfig:
     dt: float = 1e-3
     horizon: float = 1.0
     mu: float = 0.0
-    dealias: str = "auto"
     boundary_buffer: float = 0.1
     boundary_threshold: float = 1e-3
     tail_threshold: float = 1e-6
@@ -106,8 +105,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme != "etdrk4":
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dealias not in ("auto", "lowpass"):
-            raise ValueError(f"unknown dealias rule {self.dealias!r}")
         # each comparison is False for NaN, so NaN fails every check
         if not (0 < self.dt < np.inf and 0 < self.horizon < np.inf):
             raise ValueError("time step and horizon must be finite and "
@@ -134,7 +131,8 @@ def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float):
     float, or one value per row of a stacked field.
 
     Solutions below L^2 norm 1e-10 are treated as empty; contamination is
-    only meaningful against a non-negligible solution scale.
+    only meaningful against a non-negligible solution scale.  A mass that
+    overflows gives NaN, which no threshold passes.
     """
     sq = u.values ** 2
     total = sq.sum(axis=-1)
@@ -142,6 +140,7 @@ def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float):
                        axis=-1).sum(axis=-1)      # rows stay contiguous
     frac = np.sqrt(edge / np.where(np.sqrt(total * u.grid.dx) < 1e-10, np.inf,
                                    total))
+    frac = np.where(np.isfinite(total), frac, np.nan)
     return frac if frac.ndim else float(frac)
 
 
@@ -156,8 +155,9 @@ class SimulationState:
         return inverse_transform(self.spectrum)
 
     @classmethod
-    def from_field(cls, u0: PhysicalField, t0: float = 0.0) -> "SimulationState":
-        return cls(t=t0, spectrum=transform(u0))
+    def from_field(cls, u0: PhysicalField) -> "SimulationState":
+        """The state of u0 at t = 0."""
+        return cls(t=0.0, spectrum=transform(u0))
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +217,7 @@ def _without_nyquist(symbol: np.ndarray) -> np.ndarray:
 
 
 class SpectralCore:
-    """Nonlinear term -d/dx(f(u+Psi) - f(Psi)) - S of one (grid, bg, nl, dealias).
+    """Nonlinear term -d/dx(f(u+Psi) - f(Psi)) - S of one (grid, bg, nl).
 
     Spectra are ``SpectralField.coeffs`` arrays, bins 0..n/2 on the last
     axis; a leading axis is a batch of spectra, each row evaluated as alone.
@@ -225,10 +225,9 @@ class SpectralCore:
     of a step, the last of which opens the next step.
     """
 
-    def __init__(self, grid: Grid, bg: Background, nl: AnalyticNonlinearity,
-                 dealias: str = "auto"):
-        self.grid, self.bg, self.nl, self.dealias = grid, bg, nl, dealias
-        self.flux_grid = flux_grid(grid, nl, dealias)
+    def __init__(self, grid: Grid, bg: Background, nl: AnalyticNonlinearity):
+        self.grid, self.bg, self.nl = grid, bg, nl
+        self.flux_grid = flux_grid(grid, nl)
         self._stride = self.flux_grid.n // grid.n     # x_big[::p] = x
         self._derivative = _without_nyquist(-1j * grid.xi)
         self._stages: dict[float, Stage] = {}
@@ -289,7 +288,7 @@ class SpectralCore:
         (..., n/2+1); a non-finite flux is an InstabilityError."""
         try:
             return self._derivative * flux_coefficients(
-                spec, self.nl, stage.tables, self.dealias)
+                spec, self.nl, stage.tables)
         except NonFiniteResultError as err:
             raise InstabilityError(-1, "non-finite nonlinear flux") from err
 
@@ -336,7 +335,7 @@ def step(state: SimulationState, config: SolverConfig, bg: Background,
     """
     grid = state.spectrum.grid
     if core is None:
-        core = SpectralCore(grid, bg, nl, config.dealias)
+        core = SpectralCore(grid, bg, nl)
         core.check_background(state.t, config.tail_threshold)
     try:
         require_resolved(state.spectrum, config.tail_threshold)
@@ -372,7 +371,7 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         raise ValueError("horizon must be an integer number of steps")
     if n_steps % config.cadence != 0:
         raise ValueError("cadence must divide the number of steps")
-    core = SpectralCore(grid, bg, nl, config.dealias)
+    core = SpectralCore(grid, bg, nl)
     core.check_background(0.0, config.tail_threshold)
     state = SimulationState.from_field(u0)
     fields = [u0]
@@ -431,14 +430,14 @@ def _duhamel_quadrature(integrand: np.ndarray, E: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is an instability
 def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
-                 mu: float, t_small: float, n_nodes: int = 65, s: float = 1.0,
+                 mu: float, t_small: float, n_nodes: int = 65,
                  tol: float = 1e-10, max_iter: int = 50):
     """Fixed-point iteration of the Duhamel map for the regularized flow.
 
     Iterates  u <- W_mu(t) u0 + int_0^t W_mu(t - t') [ -d/dx(f(u+Psi)-f(Psi))
     - S ](t') dt'  on a uniform lattice over [0, t_small], with fourth-order
     prefix quadrature, until successive iterates differ by at most `tol` in
-    sup-in-time H^(s-1).  Returns the fixed-point trajectory and the
+    sup-in-time L^2.  Returns the fixed-point trajectory and the
     per-iteration contraction report.
 
     The iterate is one (n_nodes, n/2+1) array of half spectra.  The node
@@ -466,13 +465,12 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     free = np.exp(symbol * times[:, None]) * transform(u0).coeffs  # W(t) u0
     lattice = core.check_background(times)
 
-    # sup-in-time H^(s-1) distance by Parseval; interior bins count twice
-    weights = (1.0 + grid.xi ** 2) ** (s - 1.0) * grid.multiplicity
+    # sup-in-time L^2 distance by Parseval; interior bins count twice
     iterate, updates = np.zeros_like(free), []
     for _ in range(max_iter):
         require_resolved(SpectralField(grid, iterate), 1e-6)
         new = free + _duhamel_quadrature(core.n_hat(iterate, lattice), E, h)
-        mass = np.sum(weights * np.abs(new - iterate) ** 2, axis=1)
+        mass = np.sum(grid.multiplicity * np.abs(new - iterate) ** 2, axis=1)
         updates.append(float(np.sqrt(2.0 * grid.half_length * np.max(mass))))
         iterate = new
         if updates[-1] <= tol:

@@ -107,8 +107,9 @@ class Grid:
     def xi_max(self) -> float:
         return np.pi * (self.n // 2) / self.half_length
 
-    def refine(self, factor: int = 2) -> "Grid":
-        return Grid(self.half_length, self.n * factor)
+    def refine(self) -> "Grid":
+        """The grid of twice the points on the same interval."""
+        return Grid(self.half_length, 2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -337,13 +338,14 @@ def airy_propagate(F: SpectralField, t: float) -> SpectralField:
     return F.apply_multiplier(np.exp(1j * t * F.grid.xi ** 3))
 
 
-def smoothing_constant(r: float, a_lo: float = 1e-6, a_hi: float = 1e3) -> float:
+def smoothing_constant(r: float) -> float:
     """Uniform constant C_r with sup_xi <xi>^r e^{-a xi^2} <= C_r (1 + a^-r)^(1/2),
-    a = mu*t, obtained by one-dimensional maximization over xi and a."""
+    a = mu*t, obtained by one-dimensional maximization over xi and over a
+    in [1e-6, 1e3]."""
     if r < 0:
         raise ValueError("smoothing order must be non-negative")
 
-    a = np.logspace(np.log10(a_lo), np.log10(a_hi), 4001)
+    a = np.logspace(-6.0, 3.0, 4001)
     # maximize (r/2) log(1+y) - a*y over y >= 0; critical y = r/(2a) - 1
     y_star = np.maximum(r / (2.0 * a) - 1.0, 0.0)
     symbol_sup = np.exp(0.5 * r * np.log1p(y_star) - a * y_star)
@@ -353,14 +355,13 @@ def smoothing_constant(r: float, a_lo: float = 1e-6, a_hi: float = 1e3) -> float
 # ----------------------------------------------------------------------
 # resolution monitors and the nonlinear flux
 
-def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray,
-                              floor: float = 1e-20):
+def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray):
     """Top-quarter share of the L^2 mass of each spectrum on the last axis."""
-    # fields below amplitude ~sqrt(floor) are roundoff noise and count as
+    # fields below amplitude ~1e-10 are roundoff noise and count as
     # resolved; a genuine resolution breach happens at O(1) amplitudes
     mass = grid.multiplicity * np.abs(coeffs) ** 2
     tail = mass[..., (3 * (grid.n // 2)) // 4:].sum(axis=-1)
-    return np.sqrt(tail / np.maximum(mass.sum(axis=-1), floor))
+    return np.sqrt(tail / np.maximum(mass.sum(axis=-1), 1e-20))
 
 
 def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
@@ -375,14 +376,12 @@ def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
 
 
 @lru_cache(maxsize=32)
-def flux_grid(grid: Grid, nl, rule: str = "auto") -> Grid:
+def flux_grid(grid: Grid, nl) -> Grid:
     """Grid, one object per size, on which the flux of `nl` is evaluated:
-    under rule "auto" a polynomial flux of degree d >= 2 is padded to the
-    power of two at or above n*(d+1)/2; any other flux uses `grid`."""
-    if rule not in ("auto", "lowpass"):
-        raise ValueError(f"unknown dealias rule {rule!r}")
+    a polynomial flux of degree d >= 2 is padded to the power of two at or
+    above n*(d+1)/2; any other flux uses `grid`."""
     degree = nl.polynomial_degree()
-    if rule == "lowpass" or degree is None or degree < 2:
+    if degree is None or degree < 2:
         return grid
     pad = 1 << int(np.ceil(np.log2(grid.n * (degree + 1) / 2.0)))
     return Grid(grid.half_length, pad)
@@ -395,18 +394,17 @@ def flux_tables(nl, psi: np.ndarray) -> list:
             else [psi] + nl.taylor(psi))
 
 
-def flux_coefficients(half: np.ndarray, nl, tables: list,
-                      rule: str = "auto") -> np.ndarray:
+def flux_coefficients(half: np.ndarray, nl, tables: list) -> np.ndarray:
     """Half spectrum of the dealiased flux f(u+Psi) - f(Psi).
 
     `half` holds bins 0..n/2 of real spectra on its last axis; `tables` are
-    ``flux_tables(nl, psi)`` for Psi sampled on ``flux_grid(grid, nl,
-    rule)``, broadcast against the leading axes, and each row is bit for
-    bit the call on that row alone.  A polynomial flux is sum_k c_k u^k
-    by Horner in u, free of the cancellation in f(u+Psi) - f(Psi).  A
-    padded flux drops the Nyquist bin on input and output; an unpadded
-    transcendental or "lowpass" one is cut at 2/3 of the band.  A
-    non-finite flux raises NonFiniteResultError.
+    ``flux_tables(nl, psi)`` for Psi sampled on ``flux_grid(grid, nl)``,
+    broadcast against the leading axes, and each row is bit for bit the
+    call on that row alone.  A polynomial flux is sum_k c_k u^k by Horner
+    in u, free of the cancellation in f(u+Psi) - f(Psi).  A padded flux
+    drops the Nyquist bin on input and output; an unpadded transcendental
+    or series one is cut at 2/3 of the band.  A non-finite flux raises
+    NonFiniteResultError.
     """
     m, n_big = half.shape[-1] - 1, tables[0].shape[-1]
     kept = half[..., :m if n_big > 2 * m else m + 1].copy()
@@ -423,7 +421,7 @@ def flux_coefficients(half: np.ndarray, nl, tables: list,
     out = _left_end_phase(np.fft.rfft(raw, norm="forward")[..., :m + 1])
     if n_big > 2 * m:
         out[..., m] = 0.0
-    elif rule == "lowpass" or nl.polynomial_degree() is None:
+    elif nl.polynomial_degree() is None:
         out[..., 2 * m // 3 + 1:] = 0.0
     return out
 

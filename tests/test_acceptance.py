@@ -45,7 +45,6 @@ from gkdvlab.solver import (
 from gkdvlab.spectral import (
     Grid,
     PhysicalField,
-    SpectralField,
     Trajectory,
     airy_propagate,
     dyadic_band,

@@ -121,7 +121,6 @@ def config_texts(draw):
         *(f"{key} = {value(key)}" for key in BACKGROUND_PARAMS.get(variant, ())),
         "[nonlinearity]",
         f"kind = {kind}",
-        f"order = {draw(st.integers(1, 60))}",
     ]
     if kind in ("polynomial", "series"):
         coeffs = draw(st.lists(_reals(-5.0, 5.0), min_size=1, max_size=5))
@@ -133,7 +132,6 @@ def config_texts(draw):
         f"horizon = {steps * dt!r}",
         f"cadence = {cadence}",
         f"viscosity = {draw(_reals(0.0, 1.0))!r}",
-        f"dealias = {draw(st.sampled_from(['auto', 'lowpass']))}",
         f"boundary_buffer = {draw(_reals(1e-3, 0.499))!r}",
         f"boundary_threshold = {draw(_reals(1e-9, 1.0))!r}",
         f"tail_threshold = {draw(_reals(1e-12, 1.0))!r}",
@@ -173,17 +171,22 @@ def test_readme_example_config_parses():
     cfg = ScenarioConfig.parse(text)
     assert cfg.background_variant == "mkdv_kink"
     assert cfg.nonlinearity_kind == "mkdv_defocusing"
-    assert cfg.solver.dealias == "auto" and cfg.initial_kind == "gaussian"
+    assert cfg.solver.dt == 2e-4 and cfg.initial_kind == "gaussian"
 
 
 def test_config_with_seed_is_rejected(tmp_path, capsys):
-    # [output] seed was never read, and was accepted and ignored
-    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")) + "seed = 7\n"
-    with pytest.raises(ConfigError, match=r"unknown key \[output\] seed"):
-        ScenarioConfig.parse(text)
-    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
-    assert "[output] seed" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # [output] seed was never read, and was accepted and ignored; the
+    # retired [solver] dealias and [nonlinearity] order changed no result
+    base = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
+    for section, line in (("output", "seed = 7"), ("solver", "dealias = auto"),
+                          ("nonlinearity", "order = 30")):
+        text = base.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        key = f"[{section}] {line.split()[0]}"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key {key}")):
+            ScenarioConfig.parse(text)
+        assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_removed_jobs_option_and_ifrk4_scheme_exit_2(tmp_path, capsys):
@@ -253,14 +256,12 @@ sign = 1
 
 [nonlinearity]
 kind = mkdv_defocusing
-order = 30
 
 [solver]
 scheme = etdrk4
 dt = 0.0002
 horizon = 1.0
 viscosity = 0.0
-dealias = auto
 boundary_buffer = 0.1
 boundary_threshold = 0.001
 tail_threshold = 1e-06
@@ -492,20 +493,23 @@ def test_run_overflow_exits_instability(tmp_path, capfd):
     assert "RuntimeWarning" not in capfd.readouterr().err
 
 
-def test_run_nan_boundary_fraction_exits_instability(tmp_path):
-    # the NaN boundary fraction of overflowing data used to pass the
-    # monitor, and the run exited 2 on a non-finite report instead
+def test_run_nan_boundary_fraction_exits_instability(tmp_path, recwarn):
+    # the boundary fraction of overflowing data, NaN for three bumps and
+    # finite/inf = 0 for one, used to pass the monitor, and the run exited
+    # 2 on a non-finite report, after numpy's overflow warnings, instead
     grid = Grid(50.0, 1024)
     snap = str(tmp_path / "u0.f64")
-    write_snapshot(snap, PhysicalField(grid, 2e154 * sum(
-        np.exp(-(grid.x + c) ** 2) for c in (0.0, 50.0, -50.0))), 0.0)
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
         GAUSSIAN, f"kind = file\nfile = {snap}").replace(
         "half_length = 20\npoints = 256", "half_length = 50\npoints = 1024"
         ).replace("kind = kdv", "kind = sine").replace(
         "horizon = 0.05", "horizon = 0.01")
-    assert main(["run", "--config", write_cfg(tmp_path, text),
-                 "--quiet"]) == 3
+    for centres in ((0.0, 50.0, -50.0), (0.0,)):
+        write_snapshot(snap, PhysicalField(grid, 2e154 * sum(
+            np.exp(-(grid.x + c) ** 2) for c in centres)), 0.0)
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--quiet"]) == 3
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_run_config_error_exit_code(tmp_path):

@@ -19,7 +19,7 @@ def test_exponential_at_zero():
 
 
 def test_custom_series_matches_sine():
-    coeffs = AnalyticNonlinearity.sine(order=25).coeffs
+    coeffs = AnalyticNonlinearity.sine().coeffs[:26]
     series = AnalyticNonlinearity.from_series(coeffs)
     assert abs(series.f(np.pi / 2.0) - 1.0) < 1e-12
 
@@ -43,7 +43,7 @@ def test_sine_primitive_closed_form():
     AnalyticNonlinearity.sine,
     AnalyticNonlinearity.cosine,
     lambda: AnalyticNonlinearity.from_series(
-        AnalyticNonlinearity.cosine(order=28).coeffs),
+        AnalyticNonlinearity.cosine().coeffs[:29]),
 ])
 def test_fp_matches_finite_differences(maker):
     nl = maker()
@@ -72,7 +72,7 @@ def test_primitive_differentiates_back(maker):
 
 def test_custom_series_fd_oracle_at_07():
     nl = AnalyticNonlinearity.from_series(
-        AnalyticNonlinearity.exponential(order=30).coeffs)
+        AnalyticNonlinearity.exponential().coeffs)
     h = 1e-5
     fd = (nl.f(0.7 + h) - nl.f(0.7 - h)) / (2.0 * h)
     assert abs(fd - nl.fp(0.7)) / abs(nl.fp(0.7)) < 1e-8

@@ -464,25 +464,26 @@ def test_sobolev_product_bound_regression():
     assert worst < 0.1
 
 
-@pytest.mark.parametrize("bg, nl, rule", [
-    (MKdVKink(c=1.0), AnalyticNonlinearity.kdv(), "auto"),        # padded 2n
-    (MKdVKink(c=1.0), AnalyticNonlinearity.mkdv_defocusing(), "auto"),
-    (MKdVKink(c=1.0), AnalyticNonlinearity.kdv(), "lowpass"),     # unpadded
-    (MKdVKink(c=1.0), AnalyticNonlinearity.sine(), "auto"),       # unpadded
+@pytest.mark.parametrize("bg, nl", [
+    (MKdVKink(c=1.0), AnalyticNonlinearity.kdv()),                # padded 2n
+    (MKdVKink(c=1.0), AnalyticNonlinearity.mkdv_defocusing()),
+    # KdV's flux unpadded and cut at 2/3
+    (MKdVKink(c=1.0), AnalyticNonlinearity.from_series([0.0, 0.0, 1.0])),
+    (MKdVKink(c=1.0), AnalyticNonlinearity.sine()),               # unpadded
 ], ids=["quadratic", "cubic", "lowpass", "sine"])
-def test_flux_rows_equal_single_calls(bg, nl, rule):
+def test_flux_rows_equal_single_calls(bg, nl):
     # a (rows, bins) stack with one table row per spectrum, as the Picard
     # lattice passes it, is row by row the call on that row alone
     grid = Grid(50.0, 256)
-    big = flux_grid(grid, nl, rule)
+    big = flux_grid(grid, nl)
     rows = np.array([transform(random_field(grid, seed=k, band=40)).coeffs
                      * 0.05 for k in range(5)])
     tables = [flux_tables(nl, bg.jet(0.1 * k, big.x).psi) for k in range(5)]
     stacked = [np.array(col) for col in zip(*tables)]
-    got = flux_coefficients(rows, nl, stacked, rule)
+    got = flux_coefficients(rows, nl, stacked)
     assert got.shape == rows.shape
     for row, tab, out in zip(rows, tables, got):
-        assert np.array_equal(out, flux_coefficients(row, nl, tab, rule))
+        assert np.array_equal(out, flux_coefficients(row, nl, tab))
 
 
 def test_tail_fraction_rows_equal_single_calls(grid):
