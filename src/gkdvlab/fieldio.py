@@ -107,9 +107,9 @@ def read_trajectory(directory: str) -> Trajectory:
         raise ValueError(f"snapshot {store}: a trajectory needs a stack of at "
                          f"least two samples, found shape {values.shape}")
     try:
-        return Trajectory(samples.grid, t0, float(meta["dt"]), values,
-                          completed=meta.get("completed", "True") == "True",
-                          abort_reason=meta.get("abort_reason"))
+        return Trajectory._adopt(samples.grid, t0, float(meta["dt"]), values,
+                                 completed=meta.get("completed", "True") == "True",
+                                 abort_reason=meta.get("abort_reason"))
     except (KeyError, ValueError) as err:
         what = f"no {err} entry" if isinstance(err, KeyError) else err
         raise ValueError(f"{manifest}: {what}") from None

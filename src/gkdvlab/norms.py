@@ -147,8 +147,9 @@ def enveloped_norm(f: PhysicalField | SpectralField, s: float,
 
 def decays_at_ends(traj: Trajectory) -> bool:
     """Whether both end samples are at most 1e-10 times the peak."""
-    mat = np.abs(traj.samples.values)
-    return bool(max(np.max(mat[0]), np.max(mat[-1])) <= 1e-10 * np.max(mat))
+    mat = traj.samples.values
+    ends, peak = (max(np.max(a), -np.min(a)) for a in (mat[[0, -1]], mat))
+    return bool(ends <= 1e-10 * peak)
 
 
 def _check_decaying_ends(traj: Trajectory):
@@ -167,13 +168,17 @@ def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
     stands for +-xi, whose weights agree under (tau, xi) -> (-tau, -xi).
     """
     _check_decaying_ends(traj)
-    coeffs, _, xis = trajectory_transform(traj)
-    modulation = 1.0 + np.abs(_modulation(traj))
-    spatial = (1.0 + xis ** 2) ** s * traj.grid.multiplicity
+    # |c|^2 first, so the spectrum is freed before the weight is built
+    power = np.abs(trajectory_transform(traj)[0])
+    np.square(power, out=power)
+    weight = _modulation(traj)
+    np.abs(weight, out=weight)
+    weight += 1.0
+    weight **= 2.0 * b
+    weight *= (1.0 + traj.grid.xi ** 2) ** s * traj.grid.multiplicity
+    weight *= power
     window = traj.dt * len(traj)
-    mass = np.sum(modulation ** (2.0 * b) * spatial[None, :] *
-                  np.abs(coeffs) ** 2)
-    return float(np.sqrt(2.0 * traj.grid.half_length * window * mass))
+    return float(np.sqrt(2.0 * traj.grid.half_length * window * weight.sum()))
 
 
 def trajectory_l2_sobolev(traj: Trajectory, s: float) -> float:
@@ -197,7 +202,10 @@ def _modulation(traj: Trajectory) -> np.ndarray:
 
 def modulation_band(traj: Trajectory) -> np.ndarray:
     """Nonhomogeneous dyadic blocks 1, 2, 4, ... covering the lattice."""
-    m_max = np.max(np.abs(_modulation(traj)))
+    taus = 2.0 * np.pi * np.fft.fftfreq(len(traj), d=traj.dt)
+    cubes = traj.grid.xi ** 3
+    # rounding is monotone, so the largest |tau - xi^3| is at a corner
+    m_max = max(taus.max() - cubes.min(), cubes.max() - taus.min())
     l_hi = max(int(np.ceil(np.log2(max(m_max, 2.0)))), 1)
     return 2.0 ** np.arange(0, l_hi + 1)
 
@@ -243,16 +251,18 @@ def extend_trajectory(traj: Trajectory) -> Trajectory:
     cut = smooth_cutoff(times)
     mat = np.zeros((times.size, grid.n))
     inside = slice(k_half, k_half + n_in + 1)
-    mat[inside] = cut[inside, None] * traj.samples.values
+    np.multiply(cut[inside, None], traj.samples.values, out=mat[inside])
     # the first and the last field propagate freely to every outside time
-    # where the cutoff has not yet vanished, one spectrum row per time
+    # where the cutoff has not yet vanished, 64 rows at a time
     u_hat = traj.spectra().coeffs
-    for rows, end, shift in (((k < 0) & (cut > 0.0), u_hat[0], 0.0),
-                             ((k > n_in) & (cut > 0.0), u_hat[-1], T)):
-        prop = end * np.exp(1j * (times[rows] - shift)[:, None] * grid.xi ** 3)
-        mat[rows] = cut[rows, None] * inverse_transform(
-            SpectralField(grid, prop)).values
-    return Trajectory(grid, -k_half * traj.dt, traj.dt, mat)
+    for outside, end, shift in (((k < 0) & (cut > 0.0), u_hat[0], 0.0),
+                                ((k > n_in) & (cut > 0.0), u_hat[-1], T)):
+        rows = np.flatnonzero(outside)
+        for at in np.split(rows, np.arange(64, rows.size, 64)):
+            prop = end * np.exp(1j * (times[at] - shift)[:, None] * grid.xi ** 3)
+            mat[at] = cut[at, None] * inverse_transform(
+                SpectralField(grid, prop)).values
+    return Trajectory._adopt(grid, -k_half * traj.dt, traj.dt, mat)
 
 
 # ----------------------------------------------------------------------

@@ -482,7 +482,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         )
     factors = tuple(b / a for a, b in zip(updates, updates[1:]) if a > 0)
     samples = inverse_transform(SpectralField(grid, iterate)).values
-    return (Trajectory(grid, 0.0, h, samples),
+    return (Trajectory._adopt(grid, 0.0, h, samples),
             PicardReport(len(updates), factors, updates[-1]))
 
 

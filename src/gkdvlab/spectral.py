@@ -193,14 +193,25 @@ class Trajectory:
 
     def __init__(self, grid: Grid, t0: float, dt: float, fields,
                  completed: bool = True, abort_reason: str | None = None):
-        if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
-            raise ValueError(f"sample spacing must be finite and positive and "
-                             f"the start time finite, got dt = {dt}, t0 = {t0}")
         if not isinstance(fields, np.ndarray):
             if any(f.grid != grid for f in fields):
                 raise SizeMismatchError("trajectory fields live on different grids")
             fields = [f.values for f in fields]
-        values = np.array(fields, dtype=float)
+        self._keep(grid, t0, dt, np.array(fields, dtype=float),
+                   completed, abort_reason)
+
+    @classmethod
+    def _adopt(cls, grid, t0, dt, values, completed=True, abort_reason=None):
+        """The trajectory whose store is `values`, uncopied: a float matrix
+        that an in-package builder hands over and never touches again."""
+        traj = cls.__new__(cls)
+        traj._keep(grid, t0, dt, values, completed, abort_reason)
+        return traj
+
+    def _keep(self, grid, t0, dt, values, completed, abort_reason):
+        if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
+            raise ValueError(f"sample spacing must be finite and positive and "
+                             f"the start time finite, got dt = {dt}, t0 = {t0}")
         if values.ndim != 2:
             raise SizeMismatchError(f"sample matrix shape {values.shape} does "
                                     f"not match grid size {grid.n}")
@@ -440,7 +451,11 @@ def trajectory_transform(traj: Trajectory):
     mat = traj.samples.values
     nt, nx = mat.shape
     taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=traj.dt)
-    coeffs = _left_end_phase(np.fft.rfft2(mat) / (nt * nx))
+    # rfft2(mat) / (nt * nx) bit for bit, in one array
+    coeffs = np.fft.rfft(mat, axis=1)
+    np.fft.fft(coeffs, axis=0, out=coeffs)
+    coeffs /= nt * nx
+    _left_end_phase(coeffs)
     coeffs *= np.exp(-1j * taus * traj.t0)[:, None]
     return coeffs, taus, traj.grid.xi
 

@@ -260,7 +260,7 @@ kind = mkdv_defocusing
 [solver]
 scheme = etdrk4
 dt = 0.0002
-horizon = 1.0
+horizon = 0.2
 viscosity = 0.0
 boundary_buffer = 0.1
 boundary_threshold = 0.001
@@ -301,6 +301,21 @@ def test_readme_example_serializes_to_pinned_bytes():
     with open(readme) as fh:
         text = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
     assert ScenarioConfig.parse(text).serialize() == README_SERIALIZED
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    # the example reads as a working scenario, so it must complete: at
+    # horizon 1.0 it exited 3 at step 2086, with 1e-3 of the mass in the
+    # boundary buffer
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    text = text.replace("directory = out/kink_run",
+                        f"directory = {tmp_path / 'kink_run'}")
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 0
+    lines = (tmp_path / "kink_run" / "verdicts.txt").read_text().splitlines()
+    assert lines and all(": PASS " in line for line in lines)
+    assert "run complete" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text, named", [
@@ -645,6 +660,58 @@ def test_norms_extends_coarse_trajectory(tmp_path, dt):
     assert all(np.isfinite(float(row.split(",")[3])) for row in rows)
 
 
+# the five values of `gkdvlab norms` on two stored trajectories, each at
+# --omega-eps 0 and 0.5
+NORMS_PINNED = {
+    ("open", "0"): [1.5832334870861595, 1.1216995567728412,
+                    1.4370910709242963, 4.9427315493130060,
+                    1.1216995567728412],
+    ("open", "0.5"): [1.5832334870861595, 1.1216995567728412,
+                      1.7526362615175743, 4.9427315493130060,
+                      1.1216995567728412],
+    ("closed", "0"): [1.3029399867961680, 0.67283531591757439,
+                      1.1900369568374367, 2.1892247669074330,
+                      0.67283531591757439],
+    ("closed", "0.5"): [1.3029399867961680, 0.67283531591757439,
+                        1.3851856021994808, 2.1892247669074330,
+                        0.67283531591757439],
+}
+
+
+@pytest.mark.parametrize("shape, eps", sorted(NORMS_PINNED))
+def test_norms_values_are_pinned(tmp_path, capsys, shape, eps):
+    # "open": the free Airy evolution of exp(-x^2) on the benchmark's
+    # grid and lattice (n = 128, 257 samples over [0, 0.5]); it does not
+    # decay, so the space-time rows read its compact extension.  "closed":
+    # the same fields times 4k(m-k)/m^2, zero at both ends, read as stored.
+    # Every value is a square root of a sum of positive terms: a random
+    # +-1 ulp change in every stored sample moves each by at most 1 ulp
+    # (2.2e-16), so FFT builds that round a few ulps apart stay far below
+    # 1e-12, while a changed formula, e.g. a window one sample longer
+    # (1/2048), moves a value by 1e-4 or more
+    grid, m = Grid(20.0, 128), 256
+    spec = transform(PhysicalField.sample(grid, lambda x: np.exp(-x ** 2)))
+    fields = [inverse_transform(airy_propagate(spec, 0.5 * k / m))
+              for k in range(m + 1)]
+    if shape == "closed":
+        fields = [f * (4.0 * k * (m - k) / m ** 2)
+                  for k, f in enumerate(fields)]
+    directory = str(tmp_path / shape)
+    write_trajectory(directory, Trajectory(grid, 0.0, 0.5 / m, fields))
+    s, b = ("1.0", "1.0") if shape == "open" else ("0.5", "0.7")
+    assert main(["norms", "--trajectory", directory, "--s", s, "--b", b,
+                 "--omega-eps", eps, "--output", "-"]) == 0
+    rows = [row.split(",") for row in
+            capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        ["sup_t_sobolev", s, ""], ["l2_t_sobolev", s, ""],
+        ["sup_t_enveloped", s, ""], ["bourgain", s, b],
+        ["bourgain", s, "0.0"]]
+    got = [float(row[3]) for row in rows]
+    want = NORMS_PINNED[shape, eps]
+    assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want)), got
+
+
 def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
     # on a window that does not decay, the b = 0 row is the l2_t_sobolev
     # row, computed once: the sup_t and l2_t rows come from norms'
@@ -740,6 +807,7 @@ def test_trajectory_store_round_trip(values, t0, dt, completed, reason):
     assert back.samples.values.tobytes() == values.tobytes()
     assert (back.grid, back.t0, back.dt) == (traj.grid, t0, dt)
     assert (back.completed, back.abort_reason) == (completed, reason)
+    assert not back.samples.values.flags.writeable
     # the bytes of the one-file-per-sample layout, concatenated in order
     assert stored == b"".join(row.astype("<f8").tobytes() for row in values)
 

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,6 +18,7 @@ from gkdvlab.norms import (
     bourgain_norm,
     enveloped_norm,
     extend_trajectory,
+    modulation_band,
     modulation_partition_defect,
     resonance_vanishing_check,
     sobolev_norm,
@@ -264,8 +266,90 @@ def test_free_solution_bound_pinned():
     assert 2.5 < ratio < 3.8
 
 
+def test_space_time_path_holds_one_extension_and_one_spectrum():
+    # the benchmark's trajectory: n = 128, 257 samples, a 2048-row
+    # extension E.  The path must hold E (1x its bytes), then its half
+    # spectrum (2048 x 65 complex, 1.02x) and one real array of the
+    # lattice's size (0.51x): 2.52x for the norm, 1x for the extension.
+    # The rest is small: the input's spectra (0.13x) and 64-row chunks.
+    # A copy of E, a full-height propagation of the ends or one more
+    # lattice-sized array costs at least 0.5x, more than either bound
+    # leaves above what the path reads now (1.31x and 2.65x)
+    grid = Grid(20.0, 128)
+    u0 = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
+    peaks = []
+    for with_norm in (False, True):
+        traj = free_trajectory(grid, u0, 0.5, 256)
+        tracemalloc.start()
+        try:
+            ext = extend_trajectory(traj)
+            if with_norm:
+                bourgain_norm(ext, 1.0, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert ext.samples.values.shape == (2048, 128)
+    size = ext.samples.values.nbytes
+    assert peaks[0] <= 1.6 * size, peaks[0] / size
+    assert peaks[1] <= 2.9 * size, peaks[1] / size
+
+
 # ----------------------------------------------------------------------
 # modulation blocks
+
+def _lattice_band(grid, nt, dt):
+    """modulation_band as it was written, on the whole lattice: the oracle."""
+    taus = 2.0 * np.pi * np.fft.fftfreq(nt, d=dt)
+    m_max = np.max(np.abs(taus[:, None] - grid.xi[None, :] ** 3))
+    l_hi = max(int(np.ceil(np.log2(max(m_max, 2.0)))), 1)
+    return 2.0 ** np.arange(0, l_hi + 1)
+
+
+def test_modulation_band_reads_the_lattice_corners():
+    # the largest |tau - xi^3| sits at a corner of the lattice: rounded
+    # subtraction is monotone in each operand.  Bisection finds the two
+    # adjacent dt at which the oracle's band gains a block; there one unit
+    # in the last place of the maximum decides the band, and the corner
+    # rule must give the oracle's band on both sides
+    crossings = 0
+    for n, half_length, nt in ((128, 20.0, 2048), (64, 3.0, 41),
+                               (16, 0.7, 8), (2, 5.0, 3)):
+        grid = Grid(half_length, n)
+        for k in (9, 13, 17, 20):
+            if grid.xi_max ** 3 >= 2.0 ** (k - 1):
+                continue
+            below, above = 1e-12, 1e3       # the maximum falls as dt grows
+            while True:
+                mid = 0.5 * (below + above)
+                if mid in (below, above):
+                    break
+                if _lattice_band(grid, nt, mid).size > k + 1:
+                    below = mid
+                else:
+                    above = mid
+            for dt in (np.nextafter(below, 0.0), below, above,
+                       np.nextafter(above, np.inf)):
+                traj = Trajectory(grid, 0.0, dt, np.zeros((nt, n)))
+                want = _lattice_band(grid, nt, dt)
+                assert np.array_equal(modulation_band(traj), want), (n, dt)
+            assert (_lattice_band(grid, nt, below).size ==
+                    _lattice_band(grid, nt, above).size + 1 == k + 2)
+            crossings += 1
+    assert crossings == 11
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 70),
+       st.floats(-1e6, 1e6), st.floats(1e-3, 1e6))
+def test_lattice_corner_rule_is_bit_exact(nt, nx, shift, scale):
+    # the rule modulation_band uses, against the whole lattice, on random
+    # axes: tau of either sign, xi^3 >= 0
+    rng = np.random.default_rng(nt * 1000 + nx)
+    taus = shift + scale * rng.standard_normal(nt)
+    cubes = (scale * rng.random(nx)) ** 3
+    corner = max(taus.max() - cubes.min(), cubes.max() - taus.min())
+    assert corner == np.max(np.abs(taus[:, None] - cubes[None, :]))
+
 
 def test_modulation_partition_exact():
     grid = Grid(20.0, 128)
