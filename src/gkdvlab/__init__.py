@@ -36,9 +36,9 @@ from .diagnostics import (
 from .elliptic import complete_elliptic_k, jacobi_sn_cn_dn
 from .nonlinearity import AnalyticNonlinearity
 from .norms import (
-    WeightSequence,
     bourgain_norm,
     enveloped_norm,
+    envelope_weights,
     extend_trajectory,
     resonance_vanishing_check,
     sobolev_norm,

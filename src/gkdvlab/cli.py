@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .background import BACKGROUNDS, zhidkov_split
 from .config import INITIALS, NONLINEARITIES, ConfigError, ScenarioConfig, \
-    envelope_weights, require_finite
+    require_envelope, require_finite
 from .diagnostics import background_exactness, collect_report, \
     l2_growth_monitor, zero_perturbation_persistence
 from .fieldio import read_field, read_trajectory, write_snapshot, \
@@ -202,7 +202,7 @@ def cmd_norms(args) -> int:
     require_finite("--b", args.b)
     traj = read_trajectory(args.trajectory)
     grid = traj.grid
-    omega = envelope_weights("--omega-eps", grid, args.omega_eps)
+    eps = require_envelope("--omega-eps", grid, args.omega_eps)
     s, b = args.s, args.b
 
     decaying = decays_at_ends(traj)
@@ -216,7 +216,7 @@ def cmd_norms(args) -> int:
         ("sup_t_sobolev", s, "", trajectory_sup_sobolev(traj, s)),
         ("l2_t_sobolev", s, "", l2_t),
         ("sup_t_enveloped", s, "",
-         max(enveloped_norm(traj.spectra(), s, omega).tolist())),
+         max(enveloped_norm(traj.spectra(), s, eps).tolist())),
         ("bourgain", s, b, bourgain_norm(work, s, b)),
         ("bourgain", s, 0.0, bourgain_norm(work, s, 0.0) if decaying else l2_t),
     ]

@@ -24,7 +24,7 @@ import numpy as np
 from .background import BACKGROUNDS, Background
 from .fieldio import read_field
 from .nonlinearity import AnalyticNonlinearity
-from .norms import WeightSequence
+from .norms import envelope_weights
 from .solver import SolverConfig
 from .spectral import Grid, PhysicalField
 
@@ -62,15 +62,16 @@ def require_finite(name: str, value: float, non_negative: bool = False):
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
-def envelope_weights(name: str, grid: Grid, eps: float) -> WeightSequence:
-    """(1 + N^2)^(eps/2) on the grid's dyadic band, unit weights at eps = 0;
-    a ConfigError naming `name` unless eps and every weight are finite."""
+def require_envelope(name: str, grid: Grid, eps: float) -> float:
+    """`eps`, the exponent of the grid's frequency envelope; a ConfigError
+    naming `name` unless eps and every weight are finite."""
     require_finite(name, eps, True)
     try:
-        return WeightSequence.bracket_power(grid, eps)
+        envelope_weights(grid, eps)
     except ValueError as err:
         raise ConfigError(f"{name} = {eps!r} overflows the weights on "
                           f"this grid: {err}") from err
+    return eps
 
 
 def _initial_file(grid, file):
@@ -94,20 +95,21 @@ INITIALS = {
     "file": (_initial_file, {"file": None}),
 }
 
-NONLINEARITIES = {
-    "kdv": lambda cfg: AnalyticNonlinearity.kdv(),
-    "mkdv_focusing": lambda cfg: AnalyticNonlinearity.mkdv_focusing(),
-    "mkdv_defocusing": lambda cfg: AnalyticNonlinearity.mkdv_defocusing(),
-    "gardner": lambda cfg: AnalyticNonlinearity.gardner(
-        cfg.background_params.get("beta",
-                                  BACKGROUNDS["gardner_kink"][1]["beta"])),
-    "polynomial": lambda cfg: AnalyticNonlinearity.polynomial(
-        cfg.nonlinearity_coefficients),
-    "exponential": lambda cfg: AnalyticNonlinearity.exponential(),
-    "sine": lambda cfg: AnalyticNonlinearity.sine(),
-    "cosine": lambda cfg: AnalyticNonlinearity.cosine(),
-    "series": lambda cfg: AnalyticNonlinearity.from_series(
-        cfg.nonlinearity_coefficients),
+NONLINEARITIES = {  # kind -> (builder, whether it reads the coefficients)
+    "kdv": (lambda cfg: AnalyticNonlinearity.kdv(), False),
+    "mkdv_focusing": (lambda cfg: AnalyticNonlinearity.mkdv_focusing(), False),
+    "mkdv_defocusing": (lambda cfg: AnalyticNonlinearity.mkdv_defocusing(),
+                        False),
+    "gardner": (lambda cfg: AnalyticNonlinearity.gardner(
+        cfg.background_params.get(
+            "beta", BACKGROUNDS["gardner_kink"][1]["beta"])), False),
+    "polynomial": (lambda cfg: AnalyticNonlinearity.polynomial(
+        cfg.nonlinearity_coefficients), True),
+    "exponential": (lambda cfg: AnalyticNonlinearity.exponential(), False),
+    "sine": (lambda cfg: AnalyticNonlinearity.sine(), False),
+    "cosine": (lambda cfg: AnalyticNonlinearity.cosine(), False),
+    "series": (lambda cfg: AnalyticNonlinearity.from_series(
+        cfg.nonlinearity_coefficients), True),
 }
 
 _CHOICES = {  # the attribute naming each catalog choice -> its registry
@@ -165,8 +167,8 @@ class ScenarioConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
-    def omega(self) -> WeightSequence:
-        return envelope_weights("[diagnostics] omega_eps", self.grid(),
+    def omega(self) -> float:   # omega_eps, checked on the grid
+        return require_envelope("[diagnostics] omega_eps", self.grid(),
                                 self.omega_eps)
 
     def background(self) -> Background:
@@ -180,7 +182,7 @@ class ScenarioConfig:
             raise ConfigError(f"invalid background: {err}") from err
 
     def nonlinearity(self) -> AnalyticNonlinearity:
-        build = self._entry("nonlinearity_kind")
+        build, _ = self._entry("nonlinearity_kind")
         try:
             return build(self)
         except ValueError as err:
@@ -232,6 +234,10 @@ class ScenarioConfig:
         cfg.omega()
 
         entries = {attr: cfg._entry(attr) for attr in _CHOICES}
+        if (parser.has_option("nonlinearity", "coefficients")
+                and not entries["nonlinearity_kind"][1]):
+            raise ConfigError(f"[nonlinearity] coefficients does not apply "
+                              f"to kind {cfg.nonlinearity_kind!r}")
         gardner = {"beta"} if cfg.nonlinearity_kind == "gardner" else set()
         known = {"background": gardner.union(entries["background_variant"][1]),
                  "initial": entries["initial_kind"][1]}

@@ -15,12 +15,14 @@ import numpy as np
 from .background import Background, forcing_S, require_resolved_background, \
     residual_S
 from .nonlinearity import AnalyticNonlinearity
-from .norms import WeightSequence, _block_masses, enveloped_norm, sobolev_norm
+from .norms import _block_masses, enveloped_norm, envelope_weights, \
+    sobolev_norm
 from .solver import SolverConfig, boundary_mass_fraction, evolve
 from .spectral import (
     Grid,
     PhysicalField,
     Trajectory,
+    dyadic_band,
     inverse_transform,
     l2_norm,
     spatial_derivative,
@@ -215,21 +217,22 @@ def flow_lipschitz_experiment(u0: PhysicalField, bg: Background,
                           tuple(exponents))
 
 
-def envelope_tail_monitor(traj: Trajectory, s: float, omega: WeightSequence):
+def envelope_tail_monitor(traj: Trajectory, s: float, eps: float):
     """sup over time of the weighted dyadic mass above each cut block.
 
     Returns {N*: sup_t sum_{N > N*} w_N^2 <N>^2s ||P_N u(t)||_L2^2} for every
-    block in the band; tails decreasing in N* witness the equicontinuity
-    behind flow-map continuity.  The weights must increase strictly toward
-    the band edge, otherwise the tails carry no envelope information.
+    block in the band, w of exponent `eps`; tails decreasing in N* witness
+    the equicontinuity behind flow-map continuity.  The weights must
+    increase strictly toward the band edge, or the tails say nothing.
     """
-    if not all(a < b for a, b in zip(omega.weights, omega.weights[1:])):
+    weights = envelope_weights(traj.grid, eps)
+    if not np.all(weights[:-1] < weights[1:]):
         raise ValueError("tail monitoring needs strictly increasing weights")
     # by Parseval, (fields x bins) |u_hat|^2 times a (blocks x bins) table
     # gives every block mass of every field; a tail sums the blocks above
-    blocks = np.asarray(omega.blocks)
-    table = ((np.asarray(omega.weights) ** 2 * (1.0 + blocks ** 2) ** s)
-             [:, None] * _block_masses(traj.grid, omega.blocks))
+    blocks = dyadic_band(traj.grid)
+    table = ((weights ** 2 * (1.0 + blocks ** 2) ** s)[:, None]
+             * _block_masses(traj.grid))
     power = np.abs(traj.spectra().coeffs) ** 2
     above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
     tails = np.append(np.max(above, axis=0)[1:], 0.0)
@@ -281,11 +284,11 @@ class DiagnosticsReport:
 
 
 def collect_report(traj: Trajectory, bg: Background, nl: AnalyticNonlinearity,
-                   s: float, omega: WeightSequence | None = None,
+                   s: float, eps: float = 0.0,
                    buffer_fraction: float = 0.1) -> DiagnosticsReport:
     """Evaluate the standard functional series along a trajectory, each
-    functional once on the stacked samples."""
-    omega = omega or WeightSequence.ones(traj.grid)
+    functional once on the stacked samples; the enveloped norm under the
+    envelope of exponent `eps`."""
     samples, spectra = traj.samples, traj.spectra()
     i1, i2, i3 = invariants_I(samples, nl)
     report = DiagnosticsReport(
@@ -293,7 +296,7 @@ def collect_report(traj: Trajectory, bg: Background, nl: AnalyticNonlinearity,
         i3=i3.tolist(),
         energy=modified_energy(samples, bg, nl, traj.times[:, None]).tolist(),
         hs=sobolev_norm(spectra, s).tolist(),
-        hs_enveloped=enveloped_norm(spectra, s, omega).tolist(),
+        hs_enveloped=enveloped_norm(spectra, s, eps).tolist(),
         boundary=boundary_mass_fraction(samples, buffer_fraction).tolist())
     report.validate()
     return report

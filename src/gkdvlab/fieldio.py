@@ -107,7 +107,7 @@ def read_trajectory(directory: str) -> Trajectory:
         raise ValueError(f"snapshot {store}: a trajectory needs a stack of at "
                          f"least two samples, found shape {values.shape}")
     try:
-        return Trajectory._adopt(samples.grid, t0, float(meta["dt"]), values,
+        return Trajectory._adopt(samples, t0, float(meta["dt"]),
                                  completed=meta.get("completed", "True") == "True",
                                  abort_reason=meta.get("abort_reason"))
     except (KeyError, ValueError) as err:

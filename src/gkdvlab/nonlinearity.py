@@ -1,17 +1,18 @@
 """Real-analytic nonlinearities with entire Taylor expansions.
 
-Closed-form kinds (polynomial, exponential, sine, cosine) evaluate their
-closed forms directly; a custom series kind evaluates the truncated Taylor
-sum in Horner form.  Every kind carries its coefficient list so diagnostics
-can inspect growth and the stored-series invariants are checkable; the
-exponential, sine and cosine lists stop at SERIES_ORDER_DEFAULT and are
-never summed.
+Closed-form kinds (exponential, sine, cosine) take f, f', f'' and F from
+one table of closed forms; the polynomial and custom series kinds sum
+their coefficient lists in Horner form.  Every kind carries its list so
+diagnostics can inspect growth and the stored-series invariants are
+checkable; the exponential, sine and cosine lists stop at
+SERIES_ORDER_DEFAULT and are never summed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +32,7 @@ class GwpBound(NamedTuple):
 
 
 def _checked(value):
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(value)):
         raise NonFiniteResultError("nonlinearity evaluation produced a non-finite value")
     return value
 
@@ -44,23 +44,25 @@ def _horner(coeffs, x):
     return acc
 
 
+# closed kind -> (f, f', f'', F with F(0) = 0)
+_CLOSED_FORMS = {
+    "exponential": (np.exp, np.exp, np.exp, np.expm1),
+    "sine": (np.sin, np.cos, lambda x: -np.sin(x), lambda x: 1.0 - np.cos(x)),
+    "cosine": (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin),
+}
+
+
 @dataclass(frozen=True)
 class AnalyticNonlinearity:
     """The map x -> f(x) together with f', f'' and the primitive F."""
 
     kind: str
     coeffs: tuple
-    order: int
-    label: str = ""
-
-    KINDS = ("polynomial", "exponential", "sine", "cosine", "series")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in ("polynomial", "series", *_CLOSED_FORMS):
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
-        if self.order != len(self.coeffs) - 1:
-            raise ValueError("truncation order inconsistent with coefficient list")
         if self.order >= 20:
             a_top = abs(self.coeffs[-1])
             if a_top > 0 and a_top ** (1.0 / self.order) > 0.1:
@@ -68,98 +70,87 @@ class AnalyticNonlinearity:
                     "coefficient tail decays too slowly for an entire series"
                 )
 
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def polynomial(cls, coeffs, label="") -> "AnalyticNonlinearity":
-        coeffs = list(coeffs)
+    def polynomial(cls, coeffs) -> "AnalyticNonlinearity":
+        """Trailing zeros trimmed; no coefficients is the zero polynomial."""
+        coeffs = list(coeffs) or [0.0]
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
-        return cls("polynomial", tuple(coeffs), len(coeffs) - 1, label)
+        return cls("polynomial", coeffs)
 
     @classmethod
     def kdv(cls) -> "AnalyticNonlinearity":
-        return cls.polynomial([0.0, 0.0, 1.0], label="kdv")
+        return cls.polynomial([0.0, 0.0, 1.0])
 
     @classmethod
     def mkdv_defocusing(cls) -> "AnalyticNonlinearity":
-        return cls.polynomial([0.0, 0.0, 0.0, -1.0], label="mkdv-defocusing")
+        return cls.polynomial([0.0, 0.0, 0.0, -1.0])
 
     @classmethod
     def mkdv_focusing(cls) -> "AnalyticNonlinearity":
-        return cls.polynomial([0.0, 0.0, 0.0, 1.0], label="mkdv-focusing")
+        return cls.polynomial([0.0, 0.0, 0.0, 1.0])
 
     @classmethod
     def gardner(cls, beta: float) -> "AnalyticNonlinearity":
-        return cls.polynomial([0.0, 0.0, 1.0, -float(beta)], label="gardner")
+        return cls.polynomial([0.0, 0.0, 1.0, -float(beta)])
 
     @classmethod
     def exponential(cls) -> "AnalyticNonlinearity":
-        order = SERIES_ORDER_DEFAULT
-        coeffs = [1.0 / math.factorial(k) for k in range(order + 1)]
-        return cls("exponential", tuple(coeffs), order, "exponential")
+        return cls._closed("exponential", (1.0, 1.0, 1.0, 1.0))
 
     @classmethod
     def sine(cls) -> "AnalyticNonlinearity":
-        order = SERIES_ORDER_DEFAULT
-        coeffs = [
-            0.0 if k % 2 == 0 else (-1.0) ** ((k - 1) // 2) / math.factorial(k)
-            for k in range(order + 1)
-        ]
-        return cls("sine", tuple(coeffs), order, "sine")
+        return cls._closed("sine", (0.0, 1.0, 0.0, -1.0))
 
     @classmethod
     def cosine(cls) -> "AnalyticNonlinearity":
-        order = SERIES_ORDER_DEFAULT
-        coeffs = [
-            (-1.0) ** (k // 2) / math.factorial(k) if k % 2 == 0 else 0.0
-            for k in range(order + 1)
-        ]
-        return cls("cosine", tuple(coeffs), order, "cosine")
+        return cls._closed("cosine", (1.0, 0.0, -1.0, 0.0))
+
+    @classmethod
+    def _closed(cls, kind, at_zero) -> "AnalyticNonlinearity":
+        """A closed kind with its Taylor list to SERIES_ORDER_DEFAULT, from
+        the period-4 cycle `at_zero` of its derivatives at 0."""
+        return cls(kind, [at_zero[k % 4] / math.factorial(k)
+                          for k in range(SERIES_ORDER_DEFAULT + 1)])
 
     @classmethod
     def from_series(cls, coeffs) -> "AnalyticNonlinearity":
-        coeffs = tuple(float(a) for a in coeffs)
-        return cls("series", coeffs, len(coeffs) - 1, "series")
+        return cls("series", coeffs)
 
     # -- evaluation ------------------------------------------------------
 
     def polynomial_degree(self):
         """Degree for polynomial kind, None for transcendental kinds."""
-        if self.kind == "polynomial":
-            return self.order
-        return None
+        return self.order if self.kind == "polynomial" else None
+
+    @property
+    def _forms(self) -> tuple:
+        return _CLOSED_FORMS.get(self.kind) or self._series_forms
+
+    @cached_property
+    def _series_forms(self) -> tuple:
+        """(f, f', f'', F with F(0) = 0) of the coefficient list, each the
+        Horner sum of its own list, built on first use."""
+        terms = list(enumerate(self.coeffs))
+        return tuple(partial(_horner, c) for c in (
+            self.coeffs, [k * a for k, a in terms][1:] or [0.0],
+            [k * (k - 1) * a for k, a in terms][2:] or [0.0],
+            [0.0] + [a / (k + 1) for k, a in terms]))
 
     def f(self, x):
-        if self.kind == "polynomial":
-            return _checked(_horner(self.coeffs, x))
-        if self.kind == "exponential":
-            return _checked(np.exp(x))
-        if self.kind == "sine":
-            return _checked(np.sin(x))
-        if self.kind == "cosine":
-            return _checked(np.cos(x))
-        return _checked(_horner(self.coeffs, x))
+        return _checked(self._forms[0](x))
 
     def fp(self, x):
-        if self.kind == "exponential":
-            return _checked(np.exp(x))
-        if self.kind == "sine":
-            return _checked(np.cos(x))
-        if self.kind == "cosine":
-            return _checked(-np.sin(x))
-        dcoeffs = [k * a for k, a in enumerate(self.coeffs)][1:] or [0.0]
-        return _checked(_horner(dcoeffs, x))
+        return _checked(self._forms[1](x))
 
     def fpp(self, x):
-        if self.kind == "exponential":
-            return _checked(np.exp(x))
-        if self.kind == "sine":
-            return _checked(-np.sin(x))
-        if self.kind == "cosine":
-            return _checked(-np.cos(x))
-        ddcoeffs = [k * (k - 1) * a for k, a in enumerate(self.coeffs)][2:] or [0.0]
-        return _checked(_horner(ddcoeffs, x))
+        return _checked(self._forms[2](x))
 
     def taylor(self, x) -> list:
         """[c_1(x), ..., c_d(x)] with f(x + u) - f(x) = sum_k c_k(x) u^k, of
@@ -177,14 +168,7 @@ class AnalyticNonlinearity:
 
     def F(self, x):
         """Primitive with F(0) = 0."""
-        if self.kind == "exponential":
-            return _checked(np.expm1(x))
-        if self.kind == "sine":
-            return _checked(1.0 - np.cos(x))
-        if self.kind == "cosine":
-            return _checked(np.sin(x))
-        icoeffs = [0.0] + [a / (k + 1) for k, a in enumerate(self.coeffs)]
-        return _checked(_horner(icoeffs, x))
+        return _checked(self._forms[3](x))
 
     # -- diagnostics -----------------------------------------------------
 
@@ -198,8 +182,5 @@ class AnalyticNonlinearity:
             raise ValueError("range must be a bounded interval")
         xs = np.linspace(lo, hi, 4097)
         M = float(np.max(np.abs(self.fpp(xs))))
-        if self.kind in ("sine", "cosine"):
-            globally_bounded = True
-        else:
-            globally_bounded = all(a == 0.0 for a in self.coeffs[3:])
-        return GwpBound(M, globally_bounded)
+        return GwpBound(M, self.kind in ("sine", "cosine")
+                        or all(a == 0.0 for a in self.coeffs[3:]))

@@ -10,7 +10,6 @@ the dispersive characteristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,7 +29,7 @@ from .spectral import (
 )
 
 __all__ = [
-    "WeightSequence",
+    "envelope_weights",
     "sobolev_norm",
     "enveloped_norm",
     "bourgain_norm",
@@ -65,81 +64,53 @@ def sobolev_norm(f: PhysicalField | SpectralField, s: float):
                      2.0 * f.grid.half_length)
 
 
-@dataclass(frozen=True)
-class WeightSequence:
-    """Slowly varying dyadic weights {w_N} with growth exponent eps."""
-
-    blocks: tuple
-    weights: tuple
-    eps: float
-
-    def __post_init__(self):
-        blocks = tuple(float(b) for b in self.blocks)
-        weights = tuple(float(w) for w in self.weights)
-        if len(blocks) != len(weights):
-            raise ValueError("one weight per dyadic block required")
-        if not all(0 < w < math.inf for w in weights):
-            raise ValueError("weights must be positive and finite")
-        growth = 2.0 ** self.eps
-        for w0, w1 in zip(weights, weights[1:]):
-            if not (w0 <= w1 * (1 + 1e-12) and w1 <= growth * w0 * (1 + 1e-12)):
-                raise ValueError("weights must be nondecreasing with ratio <= 2^eps")
-        if abs(weights[0] - 1.0) > 1e-6:
-            raise ValueError("weights must approach 1 at the low edge")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def ones(cls, grid: Grid) -> "WeightSequence":
-        blocks = dyadic_band(grid)
-        return cls(tuple(blocks), (1.0,) * len(blocks), eps=0.0)
-
-    @classmethod
-    def bracket_power(cls, grid: Grid, eps: float) -> "WeightSequence":
-        """w_N = (1 + N^2)^(eps/2), strictly increasing, ratio below 2^eps;
-        a ValueError when a weight overflows."""
-        blocks = dyadic_band(grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            low = (1.0 + blocks[0] ** 2) ** (eps / 2.0)
-            weights = ((1.0 + blocks ** 2) ** (eps / 2.0)) / low
-        return cls(tuple(blocks), tuple(weights), eps=eps)
+@lru_cache(maxsize=32)
+def envelope_weights(grid: Grid, eps: float) -> np.ndarray:
+    """Read-only envelope w_N = ((1 + N^2) / (1 + N_min^2))^(eps/2) on
+    ``dyadic_band(grid)``: 1 at the low edge, nondecreasing, ratio at most
+    2^eps; a ValueError unless eps >= 0 and every weight are finite."""
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
+    blocks = dyadic_band(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = (1.0 + blocks[0] ** 2) ** (eps / 2.0)
+        weights = ((1.0 + blocks ** 2) ** (eps / 2.0)) / low
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be positive and finite")
+    weights.flags.writeable = False
+    return weights
 
 
 @lru_cache(maxsize=32)
-def _block_masses(grid: Grid, blocks: tuple) -> np.ndarray:
-    """Read-only (blocks x bins) table 2L mult_j phi(xi_j/N)^2: by Parseval
-    a row dotted with |u_hat|^2 is ||P_N u||_L2^2."""
-    band = dyadic_band(grid)
-    for N in blocks:
-        if not np.any(np.isclose(band, N)):
-            raise ValueError(f"block {N} outside resolvable band {band[0]}..{band[-1]}")
+def _block_masses(grid: Grid) -> np.ndarray:
+    """Read-only (blocks x bins) table 2L mult_j phi(xi_j/N)^2 of the band:
+    by Parseval a row dotted with |u_hat|^2 is ||P_N u||_L2^2."""
     table = (2.0 * grid.half_length * grid.multiplicity *
-             dyadic_bump(grid.xi / np.asarray(blocks)[:, None]) ** 2)
+             dyadic_bump(grid.xi / dyadic_band(grid)[:, None]) ** 2)
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=32)
-def _envelope_weight(grid: Grid, s: float, omega: WeightSequence) -> np.ndarray:
+def _envelope_weight(grid: Grid, s: float, eps: float) -> np.ndarray:
     """Read-only Parseval weight of :func:`enveloped_norm` per bin."""
     low = smooth_cutoff(2.0 * grid.xi / dyadic_band(grid)[0]) ** 2
-    dyadic = np.asarray(omega.weights) ** 2 @ _block_masses(grid, omega.blocks)
+    dyadic = envelope_weights(grid, eps) ** 2 @ _block_masses(grid)
     weight = (1.0 + grid.xi ** 2) ** s * (
         2.0 * grid.half_length * grid.multiplicity * low + dyadic)
     weight.flags.writeable = False
     return weight
 
 
-def enveloped_norm(f: PhysicalField | SpectralField, s: float,
-                   omega: WeightSequence):
-    """Dyadic-block weighted H^s norm; the residual low block has weight 1.
+def enveloped_norm(f: PhysicalField | SpectralField, s: float, eps: float):
+    """Dyadic-block weighted H^s norm under :func:`envelope_weights` of
+    exponent `eps`; the residual low block has weight 1.
 
     Every block is a Fourier multiplier, so by Parseval the norm squared
     is  2L sum_j mult_j <xi_j>^2s [eta(2 xi_j/N_min)^2 + sum_N w_N^2
     phi(xi_j/N)^2] |u_hat_j|^2,  one sum against a weight built once per
-    (grid, s, omega), per row of stacked spectra (see :func:`_parseval`).
-    A block outside ``dyadic_band(grid)`` raises ValueError."""
-    return _parseval(f, _envelope_weight(f.grid, s, omega))
+    (grid, s, eps), per row of stacked spectra (see :func:`_parseval`)."""
+    return _parseval(f, _envelope_weight(f.grid, s, eps))
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +233,8 @@ def extend_trajectory(traj: Trajectory) -> Trajectory:
             prop = end * np.exp(1j * (times[at] - shift)[:, None] * grid.xi ** 3)
             mat[at] = cut[at, None] * inverse_transform(
                 SpectralField(grid, prop)).values
-    return Trajectory._adopt(grid, -k_half * traj.dt, traj.dt, mat)
+    return Trajectory._adopt(PhysicalField(grid, mat), -k_half * traj.dt,
+                             traj.dt)
 
 
 # ----------------------------------------------------------------------

@@ -465,13 +465,12 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     free = np.exp(symbol * times[:, None]) * transform(u0).coeffs  # W(t) u0
     lattice = core.check_background(times)
 
-    # sup-in-time L^2 distance by Parseval; interior bins count twice
     iterate, updates = np.zeros_like(free), []
     for _ in range(max_iter):
         require_resolved(SpectralField(grid, iterate), 1e-6)
         new = free + _duhamel_quadrature(core.n_hat(iterate, lattice), E, h)
-        mass = np.sum(grid.multiplicity * np.abs(new - iterate) ** 2, axis=1)
-        updates.append(float(np.sqrt(2.0 * grid.half_length * np.max(mass))))
+        updates.append(float(np.max(sobolev_norm(    # sup-in-time L^2
+            SpectralField(grid, new - iterate), 0.0))))
         iterate = new
         if updates[-1] <= tol:
             break
@@ -481,8 +480,8 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
             f"too long for this viscosity (last update {updates[-1]:.3e})"
         )
     factors = tuple(b / a for a, b in zip(updates, updates[1:]) if a > 0)
-    samples = inverse_transform(SpectralField(grid, iterate)).values
-    return (Trajectory._adopt(grid, 0.0, h, samples),
+    samples = inverse_transform(SpectralField(grid, iterate))
+    return (Trajectory._adopt(samples, 0.0, h),
             PicardReport(len(updates), factors, updates[-1]))
 
 

@@ -197,27 +197,28 @@ class Trajectory:
             if any(f.grid != grid for f in fields):
                 raise SizeMismatchError("trajectory fields live on different grids")
             fields = [f.values for f in fields]
-        self._keep(grid, t0, dt, np.array(fields, dtype=float),
+        self._keep(PhysicalField(grid, np.array(fields, dtype=float)), t0, dt,
                    completed, abort_reason)
 
     @classmethod
-    def _adopt(cls, grid, t0, dt, values, completed=True, abort_reason=None):
-        """The trajectory whose store is `values`, uncopied: a float matrix
-        that an in-package builder hands over and never touches again."""
+    def _adopt(cls, samples, t0, dt, completed=True, abort_reason=None):
+        """The trajectory whose store is `samples`, neither copied nor
+        checked again: a stacked field an in-package builder hands over."""
         traj = cls.__new__(cls)
-        traj._keep(grid, t0, dt, values, completed, abort_reason)
+        traj._keep(samples, t0, dt, completed, abort_reason)
         return traj
 
-    def _keep(self, grid, t0, dt, values, completed, abort_reason):
+    def _keep(self, samples, t0, dt, completed, abort_reason):
         if not (np.isfinite(t0) and np.isfinite(dt) and dt > 0):
             raise ValueError(f"sample spacing must be finite and positive and "
                              f"the start time finite, got dt = {dt}, t0 = {t0}")
-        if values.ndim != 2:
-            raise SizeMismatchError(f"sample matrix shape {values.shape} does "
-                                    f"not match grid size {grid.n}")
-        values.flags.writeable = False
-        self.grid, self.t0, self.dt = grid, t0, dt
-        self.samples = PhysicalField(grid, values)
+        if samples.values.ndim != 2:
+            raise SizeMismatchError(
+                f"sample matrix shape {samples.values.shape} does not match "
+                f"grid size {samples.grid.n}")
+        samples.values.flags.writeable = False
+        self.grid, self.t0, self.dt = samples.grid, t0, dt
+        self.samples = samples
         self.completed, self.abort_reason = completed, abort_reason
         self._spectra = None
 

@@ -358,7 +358,7 @@ def test_resolve_rejects_wrong_nonlinearity():
 
 @pytest.mark.parametrize("nl", [AnalyticNonlinearity.kdv(),
                                 AnalyticNonlinearity.mkdv_focusing()],
-                         ids=lambda nl: nl.label)
+                         ids=["kdv", "mkdv-focusing"])
 def test_resolve_residual_check_can_fail(nl):
     # the closed-form parameters still pass through the residual check,
     # and a tolerance below rounding makes that check reject them

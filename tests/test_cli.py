@@ -17,7 +17,7 @@ from gkdvlab.config import (INITIALS, NONLINEARITIES, ConfigError,
                             ScenarioConfig)
 from gkdvlab.fieldio import (read_snapshot, read_trajectory, write_snapshot,
                              write_trajectory)
-from gkdvlab.norms import (WeightSequence, _envelope_weight, sobolev_norm,
+from gkdvlab.norms import (_envelope_weight, sobolev_norm,
                            trajectory_l2_sobolev, trajectory_sup_sobolev)
 from gkdvlab.spectral import (Grid, PhysicalField, Trajectory, airy_propagate,
                               inverse_transform, transform)
@@ -332,6 +332,10 @@ def test_readme_example_config_runs(tmp_path, capsys):
     # beta belongs to [background] only for the gardner nonlinearity
     ("[background]\nvariant = zero\nbeta = 2\n", "[background] beta"),
     ("[nonlinearity]\nkind = kdv\nbeta = 2\n", "[nonlinearity] beta"),
+    # only the polynomial and series kinds read coefficients; the others
+    # ran with the key echoed into run_metadata.txt and ignored
+    ("[nonlinearity]\nkind = sine\ncoefficients = 0 0 5\n",
+     "[nonlinearity] coefficients"),
     # its keys used to reach every section, and were reported in the first
     ("[DEFAULT]\ndt = 5\n[grid]\npoints = 64\n", "[DEFAULT]"),
 ])
@@ -419,6 +423,23 @@ def test_run_stacked_initial_file_names_it(tmp_path, capsys):
 
 # ----------------------------------------------------------------------
 # run
+
+def test_run_polynomial_without_coefficients_is_the_zero_flux(tmp_path):
+    # no coefficients indexed a Taylor table of the empty list (exit 1);
+    # it is the zero polynomial, the run of `coefficients = 0`
+    outputs = []
+    for name, lines in (("none", "kind = polynomial"),
+                        ("zero", "kind = polynomial\ncoefficients = 0")):
+        text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / name)).replace(
+            "half_length = 20\npoints = 256", "half_length = 50\npoints = 1024"
+        ).replace("variant = zero", "variant = synthetic").replace(
+            "kind = kdv", lines)
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--quiet"]) == 0
+        outputs.append([(tmp_path / name / part).read_bytes() for part in (
+            "diagnostics.csv", "verdicts.txt", "trajectory/samples.f64")])
+    assert outputs[0] == outputs[1]
+
 
 def test_run_zero_scenario(tmp_path, capsys):
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out"))
@@ -754,7 +775,7 @@ def test_norms_one_transform_for_the_hs_rows(tmp_path, monkeypatch):
     directory = str(tmp_path / "traj")
     write_trajectory(directory, Trajectory(grid, 0.0, 0.5 / 32, fields))
     stored = read_trajectory(directory)
-    s, omega = 0.8, WeightSequence.bracket_power(grid, 0.5)
+    s = 0.8
 
     def per_field_hs(f):
         weights = (1.0 + grid.xi ** 2) ** s * grid.multiplicity
@@ -763,7 +784,7 @@ def test_norms_one_transform_for_the_hs_rows(tmp_path, monkeypatch):
 
     def per_field_enveloped(f):
         power = np.abs(transform(f).coeffs) ** 2
-        return float(np.sqrt(np.sum(_envelope_weight(grid, s, omega) * power)))
+        return float(np.sqrt(np.sum(_envelope_weight(grid, s, 0.5) * power)))
 
     fields = [PhysicalField(grid, row) for row in stored.samples.values]
     h_s = [per_field_hs(f) for f in fields]
@@ -953,6 +974,22 @@ def test_run_rejects_overflowing_omega_eps(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "config error: [diagnostics] omega_eps = 400.0 overflows")
     assert not (tmp_path / "out").exists()
+
+
+def test_read_trajectory_checks_the_samples_once(tmp_path, monkeypatch):
+    # the snapshot's field is the store: one finiteness scan of the
+    # samples, where the store once wrapped the checked matrix again
+    fields = [PhysicalField.sample(MALFORMED_GRID,
+                                   lambda x: k * np.exp(-x ** 2))
+              for k in range(3)]
+    directory = str(tmp_path / "traj")
+    write_trajectory(directory, Trajectory(MALFORMED_GRID, 0.0, 0.1, fields))
+    built, real = [], PhysicalField.__post_init__
+    monkeypatch.setattr(PhysicalField, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    traj = read_trajectory(directory)
+    assert len(built) == 1 and traj.samples is built[0]
+    assert not traj.samples.values.flags.writeable
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

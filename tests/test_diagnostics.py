@@ -14,7 +14,7 @@ from gkdvlab.diagnostics import (
     modified_energy,
 )
 from gkdvlab.nonlinearity import AnalyticNonlinearity
-from gkdvlab.norms import WeightSequence, _block_masses, sobolev_norm
+from gkdvlab.norms import _block_masses, envelope_weights, sobolev_norm
 from gkdvlab.solver import SolverConfig, evolve
 from gkdvlab.spectral import (
     Grid,
@@ -22,6 +22,7 @@ from gkdvlab.spectral import (
     SpectralField,
     Trajectory,
     airy_propagate,
+    dyadic_band,
     inverse_transform,
     l2_norm,
     lp_project,
@@ -276,7 +277,6 @@ def test_lipschitz_separations_are_the_per_pair_norms(s):
 
 def test_envelope_tail_band_limited_free_flow():
     grid = Grid(20.0, 256)
-    ws = WeightSequence.bracket_power(grid, 0.2)
     # data limited to low blocks stays band-limited under the free flow
     j = 5
     xi1 = np.pi * j / grid.half_length
@@ -286,7 +286,7 @@ def test_envelope_tail_band_limited_free_flow():
     fields = [inverse_transform(airy_propagate(spec, 0.01 * k))
               for k in range(17)]
     traj = Trajectory(grid, 0.0, 0.01, fields)
-    tails = envelope_tail_monitor(traj, 1.0, ws)
+    tails = envelope_tail_monitor(traj, 1.0, 0.2)
     blocks = sorted(tails)
     above = [tails[b] for b in blocks if b > 4.0 * xi1]
     assert all(v < 1e-20 for v in above)
@@ -294,10 +294,9 @@ def test_envelope_tail_band_limited_free_flow():
 
 def test_envelope_tail_decreasing_on_gaussian_run():
     grid = Grid(50.0, 512)
-    ws = WeightSequence.bracket_power(grid, 0.2)
     cfg = SolverConfig(dt=5e-4, horizon=0.25, cadence=100)
     traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
-    tails = envelope_tail_monitor(traj, 1.0, ws)
+    tails = envelope_tail_monitor(traj, 1.0, 0.2)
     blocks = sorted(tails)
     vals = [tails[b] for b in blocks]
     assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
@@ -308,9 +307,8 @@ def test_envelope_tail_refinement_consistency():
     tails = {}
     for n in (512, 1024):
         grid = Grid(50.0, n)
-        ws = WeightSequence.bracket_power(grid, 0.2)
         traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
-        tails[n] = envelope_tail_monitor(traj, 1.0, ws)
+        tails[n] = envelope_tail_monitor(traj, 1.0, 0.2)
     shared = sorted(set(tails[512]) & set(tails[1024]))
     for nstar in shared:
         a, b = tails[512][nstar], tails[1024][nstar]
@@ -318,16 +316,16 @@ def test_envelope_tail_refinement_consistency():
             assert abs(a - b) <= 0.05 * max(a, b)
 
 
-def block_loop_tails(traj, s, omega):
+def block_loop_tails(traj, s, eps):
     """The tail monitor field by field and block by block: project,
     transform back and take the L^2 norm of every block."""
-    blocks = np.asarray(omega.blocks)
+    blocks, weights = dyadic_band(traj.grid), envelope_weights(traj.grid, eps)
     tails = {float(nstar): 0.0 for nstar in blocks}
     for f in sample_fields(traj):
         spec = transform(f)
         masses = [weight ** 2 * (1.0 + block ** 2) ** s *
                   l2_norm(inverse_transform(lp_project(spec, block))) ** 2
-                  for block, weight in zip(omega.blocks, omega.weights)]
+                  for block, weight in zip(blocks, weights)]
         cum = np.cumsum(masses[::-1])[::-1]
         for i, nstar in enumerate(blocks):
             tail = float(cum[i + 1]) if i + 1 < len(cum) else 0.0
@@ -335,11 +333,11 @@ def block_loop_tails(traj, s, omega):
     return tails
 
 
-def per_field_tails(traj, s, omega):
+def per_field_tails(traj, s, eps):
     """The tail monitor with one transform per stored field."""
-    blocks = np.asarray(omega.blocks)
-    table = ((np.asarray(omega.weights) ** 2 * (1.0 + blocks ** 2) ** s)
-             [:, None] * _block_masses(traj.grid, omega.blocks))
+    blocks = dyadic_band(traj.grid)
+    table = ((envelope_weights(traj.grid, eps) ** 2 * (1.0 + blocks ** 2) ** s)
+             [:, None] * _block_masses(traj.grid))
     power = np.abs([transform(f).coeffs for f in sample_fields(traj)]) ** 2
     above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
     tails = np.append(np.max(above, axis=0)[1:], 0.0)
@@ -360,10 +358,9 @@ def test_envelope_tail_matches_block_loop(scenario):
         grid = Grid(50.0, 512)
         cfg = SolverConfig(dt=5e-4, horizon=0.25, cadence=100)
         traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
-    ws = WeightSequence.bracket_power(grid, 0.2)
-    got = envelope_tail_monitor(traj, 1.0, ws)
-    assert got == per_field_tails(traj, 1.0, ws)    # bit for bit
-    want = block_loop_tails(traj, 1.0, ws)
+    got = envelope_tail_monitor(traj, 1.0, 0.2)
+    assert got == per_field_tails(traj, 1.0, 0.2)    # bit for bit
+    want = block_loop_tails(traj, 1.0, 0.2)
     assert list(got) == list(want)
     for nstar, value in want.items():
         assert abs(got[nstar] - value) <= 1e-13 * value

@@ -1,6 +1,10 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from gkdvlab.config import NONLINEARITIES, ScenarioConfig
 from gkdvlab.nonlinearity import AnalyticNonlinearity, NonFiniteResultError
 
 
@@ -172,3 +176,114 @@ def test_taylor_coefficients_integer_exact():
         want = [sum(comb(j, k) * a * int(v) ** (j - k)
                     for j, a in enumerate(coeffs) if j >= k) for v in x]
         assert np.array_equal(c, want)
+
+
+# ----------------------------------------------------------------------
+# the closed-form table and the Horner lists
+
+def _catalog():
+    """Every catalog kind, the polynomial and series ones with a general
+    coefficient list, plus a series and a polynomial built directly."""
+    general = {"polynomial": (0.3, -1.0, 0.5, 0.2, -0.05),
+               "series": AnalyticNonlinearity.cosine().coeffs[:29]}
+    nls = {kind: ScenarioConfig(
+        nonlinearity_kind=kind,
+        nonlinearity_coefficients=general.get(kind, ())).nonlinearity()
+        for kind in NONLINEARITIES}
+    nls["series_exp"] = AnalyticNonlinearity.from_series(
+        AnalyticNonlinearity.exponential().coeffs[:20])
+    nls["polynomial_deg5"] = AnalyticNonlinearity.polynomial(
+        [1.0, -2.0, 0.0, 3.0, 0.5, -0.25])
+    return nls
+
+
+CATALOG = _catalog()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_derivatives_and_primitive_match_finite_differences(name):
+    # central differences at h = 1e-5 on [-3, 3]: truncation h^2/6 |g'''|
+    # and rounding 1e-16 |g| / h stay below 1e-8 relative to max(|g'|, 1)
+    # for every g here (|g'''| <= 2e3 on this range); 1e-6 is the bound of
+    # the f' check above, a sign or factor slip moves the ratio by O(1)
+    nl = CATALOG[name]
+    xs = np.random.default_rng(7).uniform(-3.0, 3.0, size=200)
+    h = 1e-5
+    for g, dg in ((nl.f, nl.fp), (nl.fp, nl.fpp), (nl.F, nl.f)):
+        fd = (g(xs + h) - g(xs - h)) / (2.0 * h)
+        scale = np.maximum(np.abs(dg(xs)), 1.0)
+        assert np.max(np.abs(fd - dg(xs)) / scale) < 1e-6, (name, dg)
+    assert nl.F(0.0) == 0.0 and nl.F(np.zeros(3)).tolist() == [0.0] * 3
+
+
+def if_chain(nl, which, x):
+    """f, f', f'' and F as the kind dispatch wrote them, one if-chain each."""
+    if which == "f":
+        if nl.kind == "exponential":
+            return np.exp(x)
+        if nl.kind == "sine":
+            return np.sin(x)
+        if nl.kind == "cosine":
+            return np.cos(x)
+        return horner(nl.coeffs, x)
+    if which == "fp":
+        if nl.kind == "exponential":
+            return np.exp(x)
+        if nl.kind == "sine":
+            return np.cos(x)
+        if nl.kind == "cosine":
+            return -np.sin(x)
+        return horner([k * a for k, a in enumerate(nl.coeffs)][1:] or [0.0], x)
+    if which == "fpp":
+        if nl.kind == "exponential":
+            return np.exp(x)
+        if nl.kind == "sine":
+            return -np.sin(x)
+        if nl.kind == "cosine":
+            return -np.cos(x)
+        return horner([k * (k - 1) * a for k, a in enumerate(nl.coeffs)][2:]
+                      or [0.0], x)
+    if nl.kind == "exponential":
+        return np.expm1(x)
+    if nl.kind == "sine":
+        return 1.0 - np.cos(x)
+    if nl.kind == "cosine":
+        return np.sin(x)
+    return horner([0.0] + [a / (k + 1) for k, a in enumerate(nl.coeffs)], x)
+
+
+def horner(coeffs, x):
+    acc = np.zeros_like(np.asarray(x, dtype=float))
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["series_empty"])
+def test_table_is_the_if_chains(name):
+    nl = CATALOG.get(name) or AnalyticNonlinearity.from_series(())
+    x = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, np.pi, -np.pi],
+                        np.random.default_rng(8).uniform(-8.0, 8.0, 250)])
+    for which in ("f", "fp", "fpp", "F"):
+        for point in (x, 0.7, -0.0):
+            got, want = getattr(nl, which)(point), if_chain(nl, which, point)
+            assert np.array_equal(got, want), (name, which)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_record_is_a_hashable_picklable_value():
+    # flux_grid is cached on the record and the record crosses processes:
+    # its fields are kind and coeffs, whatever it has evaluated
+    for nl in CATALOG.values():
+        nl.f(0.5)
+        back = pickle.loads(pickle.dumps(nl))
+        assert back == nl and hash(back) == hash(nl)
+        assert back.f(0.5) == nl.f(0.5)
+        assert [f.name for f in dataclasses.fields(nl)] == ["kind", "coeffs"]
+        assert nl.order == len(nl.coeffs) - 1
+
+
+def test_polynomial_without_coefficients_is_zero():
+    nl = AnalyticNonlinearity.polynomial(())
+    assert nl == AnalyticNonlinearity.polynomial([0.0, 0.0, 0.0])
+    assert nl.coeffs == (0.0,) and nl.polynomial_degree() == 0

@@ -11,12 +11,12 @@ from scipy.integrate import quad
 
 from gkdvlab.norms import (
     ResonanceCheck,
-    WeightSequence,
     _block_support,
     _envelope_weight,
     _synthetic_coeff,
     bourgain_norm,
     enveloped_norm,
+    envelope_weights,
     extend_trajectory,
     modulation_band,
     modulation_partition_defect,
@@ -90,35 +90,40 @@ def test_sobolev_monotone_in_order():
 # ----------------------------------------------------------------------
 # weight sequences and enveloped norms
 
-def test_weight_sequence_validation():
-    grid = Grid(20.0, 256)
-    blocks = tuple(dyadic_band(grid))
-    with pytest.raises(ValueError):
-        WeightSequence(blocks, (1.0,) * (len(blocks) - 1), eps=0.1)
-    with pytest.raises(ValueError):
-        WeightSequence(blocks, tuple(2.0 ** np.arange(len(blocks))), eps=0.1)
-    ws = WeightSequence.bracket_power(grid, 0.25)
-    ratios = [b / a for a, b in zip(ws.weights, ws.weights[1:])]
-    assert all(r <= 2 ** 0.25 + 1e-12 for r in ratios)
-    assert abs(ws.weights[0] - 1.0) < 1e-6
+@pytest.mark.parametrize("L, n", [(20.0, 256), (16.0 * np.pi, 512),
+                                  (50.0, 1024)], ids=["n256", "n512", "n1024"])
+def test_envelope_weights_are_slowly_varying(L, n):
+    # the properties the sequence constructor once checked at run time, at
+    # its tolerances: 1 at the low edge (the scalar and the array power
+    # may round an ulp apart), nondecreasing, ratio at most 2^eps
+    # (strictly increasing for eps > 0), one weight per block of the band
+    grid = Grid(L, n)
+    blocks = dyadic_band(grid)
+    for eps in (0.0, 0.1, 0.25, 0.5, 1.0, 3.0):
+        w = envelope_weights(grid, eps)
+        assert w.shape == blocks.shape and not w.flags.writeable
+        assert abs(w[0] - 1.0) < 1e-6
+        ratios = w[1:] / w[:-1]
+        assert np.all(ratios <= 2.0 ** eps * (1 + 1e-12))
+        assert np.all(ratios > 1.0) if eps else np.all(w == 1.0)
+        assert envelope_weights(grid, eps) is w    # cached
 
 
-def test_weight_sequence_rejects_non_finite_weights():
-    # each ordering check held for inf <= inf, so both were accepted
+def test_envelope_weights_reject_bad_exponents():
     grid = Grid(20.0, 256)
-    with pytest.raises(ValueError, match="finite"):
-        WeightSequence((1.0, 2.0), (1.0, math.inf), eps=math.inf)
+    for eps in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            envelope_weights(grid, eps)
     # eps = 400 overflows (1 + N^2)^(eps/2) on this band, without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
-            WeightSequence.bracket_power(grid, 400.0)
+            envelope_weights(grid, 400.0)
 
 
 def test_enveloped_zero_field():
     grid = Grid(20.0, 256)
-    assert enveloped_norm(PhysicalField.zero(grid), 1.0,
-                          WeightSequence.ones(grid)) == 0.0
+    assert enveloped_norm(PhysicalField.zero(grid), 1.0, 0.0) == 0.0
 
 
 def test_enveloped_two_sided_comparison():
@@ -134,12 +139,11 @@ def test_enveloped_two_sided_comparison():
     c1, c2 = np.sqrt(np.min(overlap)), np.sqrt(np.max(overlap))
     assert 0.0 < c1 <= c2 <= 1.5
 
-    ws = WeightSequence.ones(grid)
     rng = np.random.default_rng(2)
     for seed in range(20):
         f = PhysicalField(grid, np.random.default_rng(seed).standard_normal(grid.n))
         h = sobolev_norm(f, 0.8)
-        e = enveloped_norm(f, 0.8, ws)
+        e = enveloped_norm(f, 0.8, 0.0)
         assert c1 * h - 1e-9 <= e <= c2 * h + 1e-9
 
 
@@ -150,21 +154,20 @@ def test_enveloped_single_mode_structure():
     j = int(round(N * grid.half_length / np.pi))
     xi1 = np.pi * j / grid.half_length
     f = PhysicalField(grid, np.cos(xi1 * grid.x))
-    ws = WeightSequence.bracket_power(grid, 0.3)
-    assert ws.blocks[len(band) // 2] == N
-    expected = (ws.weights[len(band) // 2] * (1.0 + xi1 ** 2) ** 0.5
-                * np.sqrt(grid.half_length))
+    expected = (envelope_weights(grid, 0.3)[len(band) // 2]
+                * (1.0 + xi1 ** 2) ** 0.5 * np.sqrt(grid.half_length))
     # the mode sits at a block center where only one block contributes
-    assert abs(enveloped_norm(f, 1.0, ws) - expected) < 1e-8 * expected
+    assert abs(enveloped_norm(f, 1.0, 0.3) - expected) < 1e-8 * expected
 
 
-def block_loop_enveloped_norm(f, s, omega):
+def block_loop_enveloped_norm(f, s, eps):
     """The definition block by block: project, apply the Bessel potential,
-    transform back and take the L^2 norm, once per block."""
+    transform back and take the L^2 norm, once per block of the band."""
     spec = transform(f)
     total = l2_norm(inverse_transform(
         bessel_potential(lp_low_block(spec), s))) ** 2
-    for block, weight in zip(omega.blocks, omega.weights):
+    for block, weight in zip(dyadic_band(f.grid),
+                             envelope_weights(f.grid, eps)):
         piece = l2_norm(inverse_transform(
             bessel_potential(lp_project(spec, block), s)))
         total += weight ** 2 * piece ** 2
@@ -176,33 +179,19 @@ def block_loop_enveloped_norm(f, s, omega):
 @pytest.mark.parametrize("n", [64, 256, 1024])
 def test_enveloped_matches_block_loop(n, s, eps):
     grid = Grid(20.0, n)
-    omega = (WeightSequence.bracket_power(grid, eps) if eps
-             else WeightSequence.ones(grid))
     rng = np.random.default_rng(n)
     fields = [PhysicalField(grid, rng.standard_normal(n)),
               PhysicalField.sample(grid,
                                    lambda x: np.exp(-x ** 2) * np.cos(3 * x))]
     for f in fields:
-        want = block_loop_enveloped_norm(f, s, omega)
-        assert abs(enveloped_norm(f, s, omega) - want) <= 1e-13 * want
-
-
-def test_enveloped_rejects_block_outside_band():
-    grid = Grid(20.0, 256)
-    band = tuple(dyadic_band(grid))
-    omega = WeightSequence(band + (2.0 * band[-1],), (1.0,) * (len(band) + 1),
-                           eps=0.0)
-    f = PhysicalField.sample(grid, lambda x: np.exp(-x ** 2))
-    for _ in range(2):      # a rejected weight is not cached
-        with pytest.raises(ValueError, match="outside resolvable band"):
-            enveloped_norm(f, 1.0, omega)
+        want = block_loop_enveloped_norm(f, s, eps)
+        assert abs(enveloped_norm(f, s, eps) - want) <= 1e-13 * want
 
 
 def test_enveloped_weight_is_cached_read_only():
     grid = Grid(20.0, 256)
-    omega = WeightSequence.bracket_power(grid, 0.3)
-    weight = _envelope_weight(grid, 1.0, omega)
-    assert _envelope_weight(Grid(20.0, 256), 1.0, omega) is weight
+    weight = _envelope_weight(grid, 1.0, 0.3)
+    assert _envelope_weight(Grid(20.0, 256), 1.0, 0.3) is weight
     assert not weight.flags.writeable
 
 

@@ -705,12 +705,12 @@ def test_stage_is_the_stride_one_recipe(variant, tmp_path):
             want = stride_one_stage(core, bg.jet(t, core.flux_grid.x))
             for a, b in zip(got.tables + [got.forcing],
                             want.tables + [want.forcing], strict=True):
-                assert np.array_equal(a, b), (nl.label, t)
+                assert np.array_equal(a, b), (nl.kind, t)
         got = core.check_background(times, 1e-6)
         want = stride_one_stage(core, bg.jet(times[:, None], core.flux_grid.x))
         for a, b in zip(got.tables + [got.forcing],
                         want.tables + [want.forcing], strict=True):
-            assert np.array_equal(a, np.broadcast_to(b, a.shape)), nl.label
+            assert np.array_equal(a, np.broadcast_to(b, a.shape)), nl.kind
 
 
 class SteepeningKink(Background):

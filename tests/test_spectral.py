@@ -536,26 +536,22 @@ def test_trajectory_owns_its_samples(grid):
 
 
 def test_trajectory_adopts_a_handed_over_matrix(grid):
-    # the in-package hand-over keeps the builder's matrix as the store,
-    # read-only, and runs the constructor's checks
+    # the in-package hand-over keeps the builder's stacked field as the
+    # store, its matrix read-only, and checks the spacing and stacking
     mat = np.array([random_field(grid, seed=k).values for k in range(3)])
-    traj = Trajectory._adopt(grid, 0.5, 0.1, mat, completed=False,
+    store = PhysicalField(grid, mat)
+    traj = Trajectory._adopt(store, 0.5, 0.1, completed=False,
                              abort_reason="stopped")
-    assert traj.samples.values is mat and not mat.flags.writeable
+    assert traj.samples is store and traj.samples.values is mat
+    assert not mat.flags.writeable and traj.grid == grid
     assert (traj.t0, traj.dt, len(traj)) == (0.5, 0.1, 3)
     assert (traj.completed, traj.abort_reason) == (False, "stopped")
     assert np.array_equal(traj.spectra().coeffs,
                           Trajectory(grid, 0.5, 0.1, mat).spectra().coeffs)
     with pytest.raises(ValueError, match="sample spacing"):
-        Trajectory._adopt(grid, 0.0, 0.0, mat.copy())
+        Trajectory._adopt(PhysicalField(grid, mat.copy()), 0.0, 0.0)
     with pytest.raises(SizeMismatchError):
-        Trajectory._adopt(grid, 0.0, 0.1, mat[:, :-1].copy())
-    with pytest.raises(SizeMismatchError):
-        Trajectory._adopt(grid, 0.0, 0.1, mat[0].copy())
-    bad = mat.copy()
-    bad[2, 7] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        Trajectory._adopt(grid, 0.0, 0.1, bad)
+        Trajectory._adopt(PhysicalField(grid, mat[0].copy()), 0.0, 0.1)
 
 
 @pytest.mark.parametrize("t0, dt", [
