@@ -29,15 +29,8 @@ from .diagnostics import background_exactness, collect_report, \
     l2_growth_monitor, zero_perturbation_persistence
 from .fieldio import read_field, read_trajectory, write_snapshot, \
     write_trajectory
-from .norms import (
-    bourgain_norm,
-    decays_at_ends,
-    enveloped_norm,
-    extend_trajectory,
-    sobolev_norm,
-    trajectory_l2_sobolev,
-    trajectory_sup_sobolev,
-)
+from .norms import bourgain_norm, decays_at_ends, enveloped_norm, \
+    extend_trajectory, sobolev_norm
 from .solver import SolverError, evolve, loglog_slope, vanishing_viscosity
 from .spectral import UnresolvedFieldError
 
@@ -205,20 +198,20 @@ def cmd_norms(args) -> int:
     eps = require_envelope("--omega-eps", grid, args.omega_eps)
     s, b = args.s, args.b
 
-    decaying = decays_at_ends(traj)
-    work = traj if decaying else extend_trajectory(traj)
+    work = traj if decays_at_ends(traj) else extend_trajectory(traj)
 
-    # the three H^s rows read one spectrum per stored field; at b = 0 the
-    # modulation weight drops out and the restricted norm collapses to the
-    # time-integrated H^s norm of the stored window
-    l2_t = trajectory_l2_sobolev(traj, s)
+    # the three H^s rows read one spectrum per stored field, the sup_t and
+    # l2_t rows one H^s series; at b = 0 the modulation weight drops out
+    # and the space-time norm is, by Parseval in time, the l2_t row
+    h_s = sobolev_norm(traj.spectra(), s).tolist()
+    l2_t = float(np.sqrt(traj.dt * np.sum([v ** 2 for v in h_s])))
     rows = [
-        ("sup_t_sobolev", s, "", trajectory_sup_sobolev(traj, s)),
+        ("sup_t_sobolev", s, "", max(h_s)),
         ("l2_t_sobolev", s, "", l2_t),
         ("sup_t_enveloped", s, "",
          max(enveloped_norm(traj.spectra(), s, eps).tolist())),
         ("bourgain", s, b, bourgain_norm(work, s, b)),
-        ("bourgain", s, 0.0, bourgain_norm(work, s, 0.0) if decaying else l2_t),
+        ("bourgain", s, 0.0, l2_t),
     ]
     grid_id = f"L{grid.half_length!r}_n{grid.n}"
     window = f"[{traj.t0!r};{traj.t0 + traj.dt * (len(traj) - 1)!r}]"
@@ -234,6 +227,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_split(args) -> int:
+    require_finite("--s", args.s)
     fld, t = read_field(args.input)
     smooth, remainder = zhidkov_split(fld)
     write_snapshot(args.output_prefix + "_smooth.f64", smooth, t)

@@ -39,8 +39,6 @@ __all__ = [
     "extend_trajectory",
     "resonance_vanishing_check",
     "ResonanceCheck",
-    "trajectory_sup_sobolev",
-    "trajectory_l2_sobolev",
 ]
 
 
@@ -73,8 +71,8 @@ def envelope_weights(grid: Grid, eps: float) -> np.ndarray:
         raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
     blocks = dyadic_band(grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        low = (1.0 + blocks[0] ** 2) ** (eps / 2.0)
-        weights = ((1.0 + blocks ** 2) ** (eps / 2.0)) / low
+        weights = (1.0 + blocks ** 2) ** (eps / 2.0)
+        weights /= weights[0]
     if not np.isfinite(weights).all():
         raise ValueError("weights must be positive and finite")
     weights.flags.writeable = False
@@ -123,12 +121,6 @@ def decays_at_ends(traj: Trajectory) -> bool:
     return bool(ends <= 1e-10 * peak)
 
 
-def _check_decaying_ends(traj: Trajectory):
-    if not decays_at_ends(traj):
-        raise ValueError("trajectory does not decay at its window ends; "
-                         "extend it compactly before taking space-time norms")
-
-
 def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
     """Dispersive-modulation weighted space-time norm.
 
@@ -138,7 +130,9 @@ def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
     max |xi|^3 for b > 0 to be meaningful.  Each interior spatial bin
     stands for +-xi, whose weights agree under (tau, xi) -> (-tau, -xi).
     """
-    _check_decaying_ends(traj)
+    if not decays_at_ends(traj):
+        raise ValueError("trajectory does not decay at its window ends; "
+                         "extend it compactly before taking space-time norms")
     # |c|^2 first, so the spectrum is freed before the weight is built
     power = np.abs(trajectory_transform(traj)[0])
     np.square(power, out=power)
@@ -150,16 +144,6 @@ def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
     weight *= power
     window = traj.dt * len(traj)
     return float(np.sqrt(2.0 * traj.grid.half_length * window * weight.sum()))
-
-
-def trajectory_l2_sobolev(traj: Trajectory, s: float) -> float:
-    """L^2 in time of the spatial H^s norm over the stored window."""
-    h_s = sobolev_norm(traj.spectra(), s).tolist()
-    return float(np.sqrt(traj.dt * np.sum([v ** 2 for v in h_s])))
-
-
-def trajectory_sup_sobolev(traj: Trajectory, s: float) -> float:
-    return float(np.max(sobolev_norm(traj.spectra(), s)))
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,7 @@ zeroed in the linear symbol, the derivative and the forcing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -150,8 +150,9 @@ class SimulationState:
     spectrum: SpectralField
     step_index: int = 0
 
-    @property
+    @cached_property
     def u(self) -> PhysicalField:
+        """The state's samples, from one inverse transform on first use."""
         return inverse_transform(self.spectrum)
 
     @classmethod
@@ -283,18 +284,14 @@ class SpectralCore:
         forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
         return Stage(tables, _without_nyquist(forcing_hat))
 
-    def flux_term(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
-        """Spectrum of -d/dx(f(u+Psi) - f(Psi)) for the spectra `spec`,
+    def n_hat(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
+        """Spectrum of the nonlinear term for the spectra `spec`,
         (..., n/2+1); a non-finite flux is an InstabilityError."""
         try:
-            return self._derivative * flux_coefficients(
-                spec, self.nl, stage.tables)
+            flux = flux_coefficients(spec, self.nl, stage.tables)
         except NonFiniteResultError as err:
             raise InstabilityError(-1, "non-finite nonlinear flux") from err
-
-    def n_hat(self, spec: np.ndarray, stage: Stage) -> np.ndarray:
-        """Spectrum of the nonlinear term for the spectra `spec`."""
-        return self.flux_term(spec, stage) - stage.forcing
+        return self._derivative * flux - stage.forcing
 
     def advance(self, spec: np.ndarray, t: float, dt: float,
                 mu: float = 0.0) -> np.ndarray:
@@ -325,18 +322,12 @@ class SpectralCore:
         return e_full * spec + w1 * n0 + w2x2 * (na + nb) + w3 * nc
 
 
-def step(state: SimulationState, config: SolverConfig, bg: Background,
-         nl: AnalyticNonlinearity,
-         core: SpectralCore | None = None) -> SimulationState:
-    """Advance one time step; deterministic for identical inputs.
-
-    `core` carries the tables and stage data of an ongoing run; without
-    one, a core is built and the background checked at state.t.
-    """
+def step(state: SimulationState, config: SolverConfig,
+         core: SpectralCore) -> SimulationState:
+    """Advance one time step on `core`, which holds the run's background,
+    nonlinearity, tables and stage data; deterministic for identical
+    inputs.  The boundary monitor samples the new state once, as its `u`."""
     grid = state.spectrum.grid
-    if core is None:
-        core = SpectralCore(grid, bg, nl)
-        core.check_background(state.t, config.tail_threshold)
     try:
         require_resolved(state.spectrum, config.tail_threshold)
     except UnresolvedFieldError as err:
@@ -373,23 +364,23 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         raise ValueError("cadence must divide the number of steps")
     core = SpectralCore(grid, bg, nl)
     core.check_background(0.0, config.tail_threshold)
-    state = SimulationState.from_field(u0)
-    fields = [u0]
+    state, fields, error = SimulationState.from_field(u0), [u0], None
     try:
         # an overflow surfaces as a non-finite state, which step's
         # finiteness and tail checks report as an instability
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_steps):
-                state = step(state, config, bg, nl, core=core)
+                state = step(state, config, core)
                 if state.step_index % config.cadence == 0:
                     fields.append(state.u)
     except SolverError as err:
         if raise_on_failure:
             raise
-        # pad nothing; report the truncated sampling
-        return Trajectory(grid, 0.0, config.dt * config.cadence, fields,
-                          completed=False, abort_reason=str(err))
-    return Trajectory(grid, 0.0, config.dt * config.cadence, fields)
+        error = err
+    # on failure, the truncated sampling, padded with nothing
+    return Trajectory(grid, 0.0, config.dt * config.cadence, fields,
+                      completed=error is None,
+                      abort_reason=None if error is None else str(error))
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,7 @@ from gkdvlab.config import (INITIALS, NONLINEARITIES, ConfigError,
                             ScenarioConfig)
 from gkdvlab.fieldio import (read_snapshot, read_trajectory, write_snapshot,
                              write_trajectory)
-from gkdvlab.norms import (_envelope_weight, sobolev_norm,
-                           trajectory_l2_sobolev, trajectory_sup_sobolev)
+from gkdvlab.norms import _envelope_weight, sobolev_norm
 from gkdvlab.spectral import (Grid, PhysicalField, Trajectory, airy_propagate,
                               inverse_transform, transform)
 
@@ -580,6 +579,19 @@ def test_split_command(tmp_path, capsys):
     assert np.max(np.abs(recon - field.values)) <= 4 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_split_rejects_non_finite_s(tmp_path, capsys, value):
+    # it used to write both parts and print H^nan (or H^inf) remainder
+    snap = str(tmp_path / "field.f64")
+    write_snapshot(snap, PhysicalField.sample(Grid(40.0, 64), np.tanh), 0.0)
+    prefix = str(tmp_path / "parts")
+    assert main(["split", "--input", snap, "--output-prefix", prefix,
+                 f"--s={value}"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: --s must be finite")
+    assert not os.path.exists(prefix + "_smooth.f64")
+
+
 def test_split_rejects_a_stacked_snapshot(tmp_path, capsys):
     snap = str(tmp_path / "stack.f64")
     write_snapshot(snap, PhysicalField(Grid(40.0, 64), np.zeros((3, 64))), 0.0)
@@ -699,17 +711,12 @@ NORMS_PINNED = {
 }
 
 
-@pytest.mark.parametrize("shape, eps", sorted(NORMS_PINNED))
-def test_norms_values_are_pinned(tmp_path, capsys, shape, eps):
-    # "open": the free Airy evolution of exp(-x^2) on the benchmark's
-    # grid and lattice (n = 128, 257 samples over [0, 0.5]); it does not
-    # decay, so the space-time rows read its compact extension.  "closed":
-    # the same fields times 4k(m-k)/m^2, zero at both ends, read as stored.
-    # Every value is a square root of a sum of positive terms: a random
-    # +-1 ulp change in every stored sample moves each by at most 1 ulp
-    # (2.2e-16), so FFT builds that round a few ulps apart stay far below
-    # 1e-12, while a changed formula, e.g. a window one sample longer
-    # (1/2048), moves a value by 1e-4 or more
+def airy_window(tmp_path, shape):
+    """The stored "open" or "closed" window of NORMS_PINNED: the free Airy
+    evolution of exp(-x^2) on the benchmark's grid and lattice (n = 128,
+    257 samples over [0, 0.5]), which does not decay, so the space-time
+    rows read its compact extension; or the same fields times
+    4k(m-k)/m^2, zero at both ends, read as stored."""
     grid, m = Grid(20.0, 128), 256
     spec = transform(PhysicalField.sample(grid, lambda x: np.exp(-x ** 2)))
     fields = [inverse_transform(airy_propagate(spec, 0.5 * k / m))
@@ -719,6 +726,17 @@ def test_norms_values_are_pinned(tmp_path, capsys, shape, eps):
                   for k, f in enumerate(fields)]
     directory = str(tmp_path / shape)
     write_trajectory(directory, Trajectory(grid, 0.0, 0.5 / m, fields))
+    return directory
+
+
+@pytest.mark.parametrize("shape, eps", sorted(NORMS_PINNED))
+def test_norms_values_are_pinned(tmp_path, capsys, shape, eps):
+    # Every value is a square root of a sum of positive terms: a random
+    # +-1 ulp change in every stored sample moves each by at most 1 ulp
+    # (2.2e-16), so FFT builds that round a few ulps apart stay far below
+    # 1e-12, while a changed formula, e.g. a window one sample longer
+    # (1/2048), moves a value by 1e-4 or more
+    directory = airy_window(tmp_path, shape)
     s, b = ("1.0", "1.0") if shape == "open" else ("0.5", "0.7")
     assert main(["norms", "--trajectory", directory, "--s", s, "--b", b,
                  "--omega-eps", eps, "--output", "-"]) == 0
@@ -734,10 +752,8 @@ def test_norms_values_are_pinned(tmp_path, capsys, shape, eps):
 
 
 def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
-    # on a window that does not decay, the b = 0 row is the l2_t_sobolev
-    # row, computed once: the sup_t and l2_t rows come from norms'
-    # trajectory helpers, one batched H^s call each, one norm per stored
-    # field, and the b = 0 row adds none
+    # the sup_t and l2_t rows read one H^s series, one batched call with one
+    # norm per stored field, and the b = 0 row is the l2_t row, adding none
     grid = Grid(20.0, 64)
     fields = [PhysicalField.sample(grid, lambda x: (1 + k) * np.exp(-x ** 2))
               for k in range(3)]
@@ -750,16 +766,33 @@ def test_norms_takes_l2_sobolev_once(tmp_path, monkeypatch):
         calls.append((f.coeffs.shape, s))
         return sobolev_norm(f, s)
 
-    monkeypatch.setattr(norms, "sobolev_norm", spy)
+    for module in (cli, norms):
+        monkeypatch.setattr(module, "sobolev_norm", spy)
     out_csv = str(tmp_path / "norms.csv")
     assert main(["norms", "--trajectory", directory, "--output", out_csv]) == 0
     with open(out_csv) as fh:
         rows = [row.split(",") for row in fh.read().splitlines()[1:]]
-    assert calls == [((3, 33), 1.0)] * 2
+    assert calls == [((3, 33), 1.0)]
+    # the former trajectory helpers' expressions, as the oracle
+    h_s = sobolev_norm(stored.spectra(), 1.0)
+    l2_t = float(np.sqrt(stored.dt * np.sum([v ** 2 for v in h_s.tolist()])))
     assert rows[0][0] == "sup_t_sobolev"
-    assert rows[0][3] == f"{trajectory_sup_sobolev(stored, 1.0):.16e}"
+    assert rows[0][3] == f"{float(np.max(h_s)):.16e}"
     assert rows[1][0] == "l2_t_sobolev"
-    assert rows[1][3] == f"{trajectory_l2_sobolev(stored, 1.0):.16e}"
+    assert rows[1][3] == f"{l2_t:.16e}"
+    assert rows[4][:4] == ["bourgain", "1.0", "0.0", rows[1][3]]
+
+
+def test_norms_b0_row_is_l2_t_on_a_decaying_window(tmp_path, capsys):
+    # the "closed" window decays at its ends; at s = 1 bourgain_norm at
+    # b = 0 prints ...691 where the l2_t_sobolev row prints ...680, and the
+    # b = 0 row is that row on every window
+    directory = airy_window(tmp_path, "closed")
+    assert main(["norms", "--trajectory", directory, "--s", "1.0",
+                 "--output", "-"]) == 0
+    rows = [row.split(",") for row in
+            capsys.readouterr().out.splitlines()[1:]]
+    assert rows[1][:3] == ["l2_t_sobolev", "1.0", ""]
     assert rows[4][:4] == ["bourgain", "1.0", "0.0", rows[1][3]]
 
 

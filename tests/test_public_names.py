@@ -1,6 +1,6 @@
 """Every public name and every option earns its place: a census of the
-modules' `__all__`, of the package's defaulted parameters and of the
-imports of every module."""
+modules' `__all__`, of the public methods of their classes, of the
+package's defaulted parameters and of the imports of every module."""
 
 import ast
 import importlib
@@ -18,6 +18,19 @@ KEPT = {
     "check_hypotheses": "the run record reports the hypotheses on Psi",
     "HypothesesReport": "what check_hypotheses returns",
     "envelope_tail_monitor": "the run record reports the envelope tails",
+}
+
+# public methods and properties of exported classes without a caller yet,
+# each kept for a planned check that reads it
+KEPT_METHODS = {
+    "MKdVKink.wave_speed":
+        "the comoving energy E + (c/2) I2 of a travelling kink reads c",
+    "GardnerKink.wave_speed":
+        "the comoving energy E + (c/2) I2 of a travelling kink reads c",
+    "HypothesesReport.all_finite":
+        "the run record reports the hypotheses on Psi",
+    "SpectralField.hermitian_defect":
+        "the run record reports the Hermitian defect of each sample",
 }
 
 
@@ -93,6 +106,27 @@ def test_every_public_name_resolves_and_has_a_caller():
              for alias in node.names
              if alias.name not in exported.get(node.module, ())]
     assert stray == []
+
+
+def test_every_public_method_has_a_caller():
+    # a method, property or classmethod not named _x of a class in
+    # `__all__`, called by name outside its own body
+    modules = _modules()
+    callers = _callers(modules)
+    idle = []
+    for stem, tree in modules.items():
+        exported = _exported(tree)
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    own = set(ast.walk(node))
+                    if not any(_references(caller, node.name, own)
+                               for caller in callers):
+                        idle.append(f"{cls.name}.{node.name}")
+    assert sorted(idle) == sorted(KEPT_METHODS)
 
 
 def _defaulted(tree):

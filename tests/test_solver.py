@@ -141,10 +141,24 @@ def test_linear_step_equals_airy():
     zero_nl = AnalyticNonlinearity.polynomial([0.0])
     u0 = gaussian(grid)
     config = SolverConfig(dt=1e-3, horizon=1e-3)
-    state = SimulationState.from_field(u0)
-    out = step(state, config, ZERO_BG, zero_nl)
+    core = SpectralCore(grid, ZERO_BG, zero_nl)
+    core.check_background(0.0, config.tail_threshold)
+    out = step(SimulationState.from_field(u0), config, core)
     exact = airy_propagate(transform(u0), 1e-3)
     assert np.max(np.abs(out.spectrum.coeffs - exact.coeffs)) < 1e-15
+
+
+def test_evolve_samples_each_state_once(monkeypatch):
+    # the samples the boundary monitor takes of a state are the ones
+    # evolve keeps at a cadence point: one inverse transform per step
+    grid = Grid(20.0, 256)
+    calls = []
+    real = solver.inverse_transform
+    monkeypatch.setattr(solver, "inverse_transform",
+                        lambda spec: calls.append(1) or real(spec))
+    cfg = SolverConfig(dt=1e-3, horizon=1e-2, cadence=1)
+    traj = evolve(gaussian(grid), ZERO_BG, KDV, cfg)
+    assert len(traj) == 11 and len(calls) == 10
 
 
 def test_step_halving_fourth_order():
@@ -332,8 +346,10 @@ def test_non_finite_tail_stops_the_step():
     grid = Grid(20.0, 128)
     noisy = PhysicalField(grid, 1e160 * np.cos(grid.xi_max * 0.9 * grid.x))
     cfg = SolverConfig(dt=1e-3, horizon=1e-2, tail_threshold=1.0)
+    core = SpectralCore(grid, ZERO_BG, KDV)
+    core.check_background(0.0, cfg.tail_threshold)
     with pytest.raises(InstabilityError, match="spectral tail nan") as err:
-        step(SimulationState.from_field(noisy), cfg, ZERO_BG, KDV)
+        step(SimulationState.from_field(noisy), cfg, core)
     assert err.value.step_index == 0
 
 
@@ -403,9 +419,11 @@ def test_nyquist_bin_keeps_state_hermitian():
     coeffs[-1] = 1e-7 * np.max(np.abs(coeffs))
     state = SimulationState(0.0, SpectralField(grid, coeffs))
     cfg = SolverConfig(dt=2e-4, horizon=1e-3)
+    core = SpectralCore(grid, bg, nl)
+    core.check_background(0.0, cfg.tail_threshold)
     for k in range(6):
         if k:
-            state = step(state, cfg, bg, nl)
+            state = step(state, cfg, core)
         spec = state.spectrum.coeffs
         assert state.spectrum.hermitian_defect() <= 1e-14
         resampled = transform(state.u).coeffs
@@ -422,7 +440,7 @@ def test_stage_cache_two_jets_per_step():
     jets = []
     for _ in range(6):
         before = len(bg.times)
-        state = step(state, cfg, bg, nl, core=core)
+        state = step(state, cfg, core)
         jets.append(len(bg.times) - before)
     assert jets[0] == 3
     assert all(n <= 2 for n in jets[1:])
@@ -448,7 +466,7 @@ def test_cnoidal_steps_take_no_grid_jacobi_after_the_first(monkeypatch):
     calls = []
     for _ in range(6):
         before = len(sizes)
-        state = step(state, cfg, bg, KDV, core=core)
+        state = step(state, cfg, core)
         calls.append(sizes[before:])
     assert core.flux_grid.n in calls[0]
     assert all(c == [1, 1] for c in calls[1:])
