@@ -64,9 +64,6 @@ __all__ = [
     "PicardReport",
     "vanishing_viscosity",
     "ViscosityStudy",
-    "phi1",
-    "phi2",
-    "phi3",
     "boundary_mass_fraction",
 ]
 
@@ -188,18 +185,6 @@ def _phi(z, k: int):
     return out
 
 
-def phi1(z):
-    return _phi(z, 1)
-
-
-def phi2(z):
-    return _phi(z, 2)
-
-
-def phi3(z):
-    return _phi(z, 3)
-
-
 # ----------------------------------------------------------------------
 # the spectral core
 
@@ -304,9 +289,9 @@ class SpectralCore:
                 raise ValueError(
                     "dissipative propagation is forward-only for mu > 0")
             z = dt * self.linear_symbol(mu)
-            p1, p2, p3 = phi1(z), phi2(z), phi3(z)
+            p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
             self._tables[key] = (
-                np.exp(z), np.exp(z / 2.0), 0.5 * dt * phi1(z / 2.0),
+                np.exp(z), np.exp(z / 2.0), 0.5 * dt * _phi(z / 2.0, 1),
                 dt * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * (dt * (p2 - 2.0 * p3)),
                 dt * (4.0 * p3 - p2))
         e_full, e_half, q_half, w1, w2x2, w3 = self._tables[key]
@@ -364,7 +349,10 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         raise ValueError("cadence must divide the number of steps")
     core = SpectralCore(grid, bg, nl)
     core.check_background(0.0, config.tail_threshold)
-    state, fields, error = SimulationState.from_field(u0), [u0], None
+    # one store, a row per cadence sample, handed over uncopied
+    store = np.empty((n_steps // config.cadence + 1, grid.n))
+    store[0] = u0.values
+    state, filled, error = SimulationState.from_field(u0), 1, None
     try:
         # an overflow surfaces as a non-finite state, which step's
         # finiteness and tail checks report as an instability
@@ -372,15 +360,17 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
             for _ in range(n_steps):
                 state = step(state, config, core)
                 if state.step_index % config.cadence == 0:
-                    fields.append(state.u)
+                    store[filled] = state.u.values
+                    filled += 1
     except SolverError as err:
         if raise_on_failure:
             raise
         error = err
-    # on failure, the truncated sampling, padded with nothing
-    return Trajectory(grid, 0.0, config.dt * config.cadence, fields,
-                      completed=error is None,
-                      abort_reason=None if error is None else str(error))
+    # on failure, the rows filled before it
+    return Trajectory._adopt(PhysicalField(grid, store[:filled]), 0.0,
+                             config.dt * config.cadence,
+                             completed=error is None,
+                             abort_reason=None if error is None else str(error))
 
 
 # ----------------------------------------------------------------------

@@ -172,15 +172,6 @@ class SpectralField:
                 f"{self.grid.n}, which has {self.grid.xi.size} bins")
         object.__setattr__(self, "coeffs", c)
 
-    def hermitian_defect(self):
-        """Largest imaginary part of bins 0 and n/2, which are their own
-        conjugate partners in a real field's spectrum, relative to the
-        largest coefficient: a float, or one value per row of a stack."""
-        c = self.coeffs
-        defect = np.maximum(np.abs(c[..., 0].imag), np.abs(c[..., -1].imag))
-        out = defect / np.maximum(np.max(np.abs(c), axis=-1), 1e-300)
-        return out if out.ndim else float(out)
-
     def apply_multiplier(self, symbol: np.ndarray) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * symbol)
 
@@ -189,16 +180,17 @@ class Trajectory:
     """Uniformly time-sampled fields on a shared grid, held in one store,
     ``samples``: a stacked (n_times, n) :class:`PhysicalField` that owns
     its read-only array, checked once on entry.  `fields` is a sequence
-    of fields on `grid` or a sample matrix; either is copied in."""
+    of fields on `grid` or a sample matrix; either is copied in, as a
+    completed sampling (a builder that can stop early hands over its
+    store and flags through `_adopt`)."""
 
-    def __init__(self, grid: Grid, t0: float, dt: float, fields,
-                 completed: bool = True, abort_reason: str | None = None):
+    def __init__(self, grid: Grid, t0: float, dt: float, fields):
         if not isinstance(fields, np.ndarray):
             if any(f.grid != grid for f in fields):
                 raise SizeMismatchError("trajectory fields live on different grids")
             fields = [f.values for f in fields]
         self._keep(PhysicalField(grid, np.array(fields, dtype=float)), t0, dt,
-                   completed, abort_reason)
+                   True, None)
 
     @classmethod
     def _adopt(cls, samples, t0, dt, completed=True, abort_reason=None):

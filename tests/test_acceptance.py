@@ -10,7 +10,9 @@ import pytest
 
 from gkdvlab import diagnostics
 from gkdvlab.background import (
+    Background,
     GardnerKink,
+    Jet,
     KdVCnoidal,
     MKdVDnoidal,
     MKdVKink,
@@ -26,6 +28,7 @@ from gkdvlab.diagnostics import (
     flow_lipschitz_experiment,
     invariants_I,
     l2_growth_monitor,
+    modified_energy,
     zero_perturbation_persistence,
 )
 from gkdvlab.nonlinearity import AnalyticNonlinearity
@@ -38,6 +41,7 @@ from gkdvlab.norms import (
 )
 from gkdvlab.solver import (
     SolverConfig,
+    SpectralCore,
     evolve,
     picard_solve,
     vanishing_viscosity,
@@ -222,20 +226,46 @@ def test_criterion_05_spatial_spectral_accuracy():
              f"errors per doubling {errs} (>=10x to the 1e-12 floor)")
 
 
-def test_criterion_06_l2_growth_bound(desk_grid):
-    scenarios = EXACT_CATALOG + [("synthetic", SyntheticBackground(), KDV)]
+SYNTHETIC = ("synthetic", SyntheticBackground(), KDV)
+
+
+def growth_run(grid, name, bg, nl, horizon):
+    """Criterion 6's run of one scenario up to `horizon`."""
+    cfg = SolverConfig(dt=DESK_DT, horizon=horizon, cadence=500,
+                       boundary_threshold=1.0,
+                       tail_threshold=1e-2 if name == "synthetic" else 1e-5)
+    return evolve(gaussian(grid, amp=0.5, width=2.0), bg, nl, cfg)
+
+
+@pytest.fixture(scope="module")
+def growth_runs(desk_grid):
+    """Criterion 6's five trajectories, which criterion 16 reads too."""
+    return [(name, bg, nl, growth_run(desk_grid, name, bg, nl, DESK_T))
+            for name, bg, nl in EXACT_CATALOG + [SYNTHETIC]]
+
+
+def test_criterion_06_l2_growth_bound(growth_runs):
     details = []
     ok = True
-    for name, bg, nl in scenarios:
-        cfg = SolverConfig(dt=DESK_DT, horizon=DESK_T, cadence=500,
-                           boundary_threshold=1.0,
-                           tail_threshold=1e-2 if name == "synthetic" else 1e-5)
-        traj = evolve(gaussian(desk_grid, amp=0.5, width=2.0), bg, nl, cfg)
+    for name, bg, nl, traj in growth_runs:
         verdict = l2_growth_monitor(traj, bg, nl)
         ok = ok and verdict.holds
         details.append(f"{name}: margin {verdict.worst_margin:.2e} at "
                        f"t={verdict.margin_time:.3g}")
     announce(6, "exponential mass bound", ok, "; ".join(details))
+
+
+def test_criterion_06_negative_control(desk_grid, monkeypatch):
+    # the synthetic forcing drives the mass up, so a bound rebuilt with
+    # the forcing level A = 0 must reject the run: its margin reads -2.83
+    # at t = 0.2, against +0.97 with the true A
+    name, bg, nl = SYNTHETIC
+    traj = growth_run(desk_grid, name, bg, nl, 0.2)
+    monkeypatch.setattr(diagnostics, "forcing_S",
+                        lambda jet, nl: np.zeros_like(jet.psi_x))
+    verdict = l2_growth_monitor(traj, bg, nl)
+    assert verdict.forcing_level == 0.0
+    assert not verdict.holds and verdict.worst_margin < -1.0
 
 
 def test_criterion_07_flow_lipschitz(desk_grid):
@@ -389,3 +419,127 @@ def test_criterion_14_picard_cross_validation():
     announce(14, "fixed-point/integrator cross-validation", ok,
              f"sup-t H^0 gap {worst:.3e} (tol 1e-8), "
              f"{report.iterations} iterations, contracting: {contracting}")
+
+
+# ----------------------------------------------------------------------
+# identities a correct stepper keeps on a moving background, and the two
+# one-line stepper mutants they must see: M2, the third ETDRK4 stage read
+# at t + dt where the scheme takes t + dt/2 (first order, same jet
+# count), and M3, the forcing S entered with the wrong sign
+
+def third_stage_at_step_end(monkeypatch):
+    """Make every step M2: the third n_hat of `advance` reads the stage at
+    t + dt, bit for bit the one-line source mutant."""
+    advance, n_hat = SpectralCore.advance, SpectralCore.n_hat
+
+    def mutant(core, spec, t, dt, mu=0.0):
+        calls = iter(range(4))
+        core.n_hat = lambda a, stage: n_hat(
+            core, a, core.stage(t + dt) if next(calls) == 2 else stage)
+        try:
+            return advance(core, spec, t, dt, mu)
+        finally:
+            del core.n_hat
+
+    monkeypatch.setattr(SpectralCore, "advance", mutant)
+
+
+def forcing_sign_flipped(monkeypatch):
+    """Make n_hat M3: -d/dx(flux) + S in place of -d/dx(flux) - S."""
+    n_hat = SpectralCore.n_hat
+    monkeypatch.setattr(SpectralCore, "n_hat", lambda core, spec, stage: n_hat(
+        core, spec, stage._replace(forcing=-stage.forcing)))
+
+
+class MovingGaussian(Background):
+    """g = 0.5 exp(-((x - t + 5)/2)^2), a bump moving right at speed 1.
+    It solves none of the equations here, so its forcing S = g_t + g_xxx
+    + f'(g) g_x is O(1) where g is, and it decays with g at the domain
+    ends.  The jet keeps the stride contract: g on x, its derivatives on
+    x[..., ::stride], each the stride-1 value."""
+
+    def jet(self, t, x, stride=1):
+        z = (np.asarray(x, dtype=float) - t + 5.0) / 2.0
+        psi = 0.5 * np.exp(-z * z)
+        z, g = z[..., ::stride], psi[..., ::stride]
+        psi_x = -z * g                        # d/dx = (1/2) d/dz
+        return Jet(psi, -psi_x, psi_x, (1.5 * z - z ** 3) * g)
+
+
+SWAP_NONLINEARITIES = [("KdV", KDV),
+                       ("focusing mKdV", AnalyticNonlinearity.mkdv_focusing()),
+                       ("sine", AnalyticNonlinearity.sine())]
+
+
+def swap_gap(grid, nl, horizon):
+    """Criterion 15's gap: max over the samples of |u + g - w|, with u the
+    run on g from u0 and w the zero-background run from u0 + g(0)."""
+    cfg = SolverConfig(dt=DESK_DT, horizon=horizon, cadence=100)
+    g, u0 = MovingGaussian(), gaussian(grid, amp=0.3, center=3.0)
+    on_g = evolve(u0, g, nl, cfg)
+    whole = evolve(u0 + PhysicalField(grid, g.jet(0.0, grid.x).psi),
+                   ZeroBackground(), nl, cfg)
+    g_t = g.jet(on_g.times[:, None], grid.x).psi
+    return float(np.max(np.abs(on_g.samples.values + g_t
+                               - whole.samples.values)))
+
+
+def test_criterion_15_background_swap(desk_grid):
+    # the setting writes the solution as Psi + u, so for any background g
+    # the run on g from u0, plus g(t), solves the equation from u0 + g(0).
+    # Both runs step one equation for w = g + u, split two ways, and
+    # ETDRK4 is exact for neither: they differ by the scheme's O(dt^4)
+    # error (dt^4 = 1.6e-15, times O(1) derivatives of g) and by rounding,
+    # about eps * max|w| = 1e-16 a step over 1,000 steps; 6.6e-15 is
+    # measured.  The stage times enter to first order (M1 reads >= 4.8e-6,
+    # M2 >= 2.4e-6) and the sign of S at O(1) (M3 >= 0.11), so 1e-10 sits
+    # 1.5e4 times above the measured gap and 2.4e4 times below the mutants
+    gaps = [swap_gap(desk_grid, nl, 0.2) for _, nl in SWAP_NONLINEARITIES]
+    announce(15, "background swap", max(gaps) <= 1e-10,
+             "max|u + g - w| " + ", ".join(
+                 f"{name} {gap:.2e}" for (name, _), gap
+                 in zip(SWAP_NONLINEARITIES, gaps)) + " (tol 1e-10)")
+
+
+def test_criterion_15_negative_control(desk_grid, monkeypatch):
+    # with S entered with the wrong sign the run on g solves another
+    # equation: the gap is O(1e-2) already after 100 steps
+    forcing_sign_flipped(monkeypatch)
+    assert swap_gap(desk_grid, KDV, 0.02) > 1e-10
+
+
+def comoving_drift(traj, bg, nl):
+    """max_t |L(t) - L(0)| of L = E + (c/2) I2, c = bg.wave_speed, relative
+    to |E(0)| + |c/2| I2(0), the sizes of its two terms, which L(0) can
+    nearly cancel."""
+    c = bg.wave_speed
+    E = modified_energy(traj.samples, bg, nl, traj.times[:, None])
+    I2 = invariants_I(traj.samples, nl)[1]
+    L = E + 0.5 * c * I2
+    return float(np.max(np.abs(L - L[0])) / (abs(E[0]) + abs(0.5 * c) * I2[0]))
+
+
+def test_criterion_16_comoving_energy(growth_runs):
+    # on Psi = Q(x - ct), E + (c/2) I2 is the conserved functional of the
+    # perturbation (Bona, Souganidis & Strauss 1987), while E and I2 alone
+    # drift by 4e-2 to 0.66 over criterion 6's runs.  The mKdV kink reads
+    # 2.8e-11 at dt = 4e-4, 2e-4 and 1e-4 alike, so that is the box's
+    # floor, not the time error; the rest read <= 1e-12.  A stage at a
+    # wrong time is first order: M2 drifts by >= 9.6e-7 by t = 0.1 and
+    # >= 1.9e-6 by t = 0.2 on every member, M1 by about twice that.  So
+    # 1e-9 sits 35 times above the floor and 960 times below M2 at t = 0.1
+    drifts = [(name, comoving_drift(traj, bg, nl))
+              for name, bg, nl, traj in growth_runs if name != "synthetic"]
+    worst = max(d for _, d in drifts)
+    announce(16, "comoving energy", worst <= 1e-9,
+             "max_t |L - L(0)| / scale " + ", ".join(
+                 f"{name} {d:.2e}" for name, d in drifts) + " (tol 1e-9)")
+
+
+def test_criterion_16_negative_control(desk_grid, monkeypatch):
+    # M2 is first order: every exact background drifts by 9.6e-7 to
+    # 1.8e-5 within 500 steps
+    third_stage_at_step_end(monkeypatch)
+    drifts = [comoving_drift(growth_run(desk_grid, name, bg, nl, 0.1), bg, nl)
+              for name, bg, nl in EXACT_CATALOG]
+    assert min(drifts) > 1e-9, drifts

@@ -851,8 +851,9 @@ def test_norms_one_transform_for_the_hs_rows(tmp_path, monkeypatch):
            st.characters(min_codepoint=32, max_codepoint=126),
            min_size=1).map(str.strip).filter(bool)))
 def test_trajectory_store_round_trip(values, t0, dt, completed, reason):
-    traj = Trajectory(Grid(20.0, values.shape[1]), t0, dt, values,
-                      completed=completed, abort_reason=reason)
+    traj = Trajectory._adopt(PhysicalField(Grid(20.0, values.shape[1]),
+                                           values.copy()), t0, dt,
+                             completed=completed, abort_reason=reason)
     with tempfile.TemporaryDirectory() as directory:
         write_trajectory(directory, traj)
         back = read_trajectory(directory)

@@ -23,14 +23,8 @@ KEPT = {
 # public methods and properties of exported classes without a caller yet,
 # each kept for a planned check that reads it
 KEPT_METHODS = {
-    "MKdVKink.wave_speed":
-        "the comoving energy E + (c/2) I2 of a travelling kink reads c",
-    "GardnerKink.wave_speed":
-        "the comoving energy E + (c/2) I2 of a travelling kink reads c",
     "HypothesesReport.all_finite":
         "the run record reports the hypotheses on Psi",
-    "SpectralField.hermitian_defect":
-        "the run record reports the Hermitian defect of each sample",
 }
 
 
