@@ -264,20 +264,25 @@ class _PeriodicWave(Background):
         and the triple (sn, cn, dn) there on x[..., ::stride].
 
         The triple at gamma*x is evaluated once per sample array and kept
-        on the wave, keyed by a copy of the array's content, so a new array
-        or one changed in place is evaluated afresh.  Each time t then
-        costs one scalar triple at v = -gamma*c*t and the addition theorem
+        on the wave for the last two arrays, a run's grid and its flux
+        grid, each known by identity if read-only and owning its data (as
+        ``Grid.x``), else by a copy of its content, so a new array or one
+        changed in place is evaluated afresh.  Each time t then costs one
+        scalar triple at v = -gamma*c*t and the addition theorem
         (DLMF 22.8.1-22.8.3), whose denominator
         1 - kappa^2 sn^2(gamma*x) sn^2(v) is at least 1 - kappa^2 > 0.
         """
         x = np.asarray(x, dtype=float)
         gamma, kappa = self._params.gamma, self.kappa
-        cached = getattr(self, "_grid_triple", None)
-        if cached is None or not np.array_equal(cached[0], x):
+        fixed = not x.flags.writeable and x.flags.owndata
+        kept = self.__dict__.setdefault("_grid_triples", [])
+        cached = next((c for c in reversed(kept) if c[0] is x and fixed
+                       or np.array_equal(c[1], x)), None)
+        if cached is None:
             s, c_, d = jacobi_sn_cn_dn(gamma * x, kappa)
-            cached = (x.copy(), s, c_, d, c_ * d, s * d, s * c_, s * s)
-            object.__setattr__(self, "_grid_triple", cached)
-        _, s1, c1, d1, cd1, sd1, sc1, ss1 = cached
+            cached = (x, x.copy(), s, c_, d, c_ * d, s * d, s * c_, s * s)
+            kept[:] = kept[-1:] + [cached]
+        s1, c1, d1, cd1, sd1, sc1, ss1 = cached[2:]
         s2, c2, d2 = jacobi_sn_cn_dn(-gamma * self.c * t, kappa)
         k2s2 = kappa * kappa * s2
         den = 1.0 / (1.0 - (k2s2 * s2) * ss1)

@@ -152,19 +152,29 @@ class AnalyticNonlinearity:
     def fpp(self, x):
         return _checked(self._forms[2](x))
 
+    @cached_property
+    def _taylor_plan(self) -> tuple:
+        """taylor's Horner scalars C(j, k) a_j, j = d..k, one list per
+        k < d, and its read-only tables of c_d = a_d, one per shape."""
+        a, d = self.coeffs, self.order
+        return [[math.comb(j, k) * a[j] for j in range(d, k - 1, -1)]
+                for k in range(1, d)], {}
+
     def taylor(self, x) -> list:
         """[c_1(x), ..., c_d(x)] with f(x + u) - f(x) = sum_k c_k(x) u^k, of
         the polynomial kind: c_k = f^(k)/k! = sum_j C(j, k) a_j x^(j-k)."""
-        a, d, out = self.coeffs, self.order, []
-        for k in range(1, d + 1):   # Horner from the first product c*x
-            acc = (math.comb(d, k) * a[d] * x if k < d
-                   else np.full(np.shape(x), a[d]))
-            for j in range(d - 1, k - 1, -1):
-                acc += math.comb(j, k) * a[j]
-                if j > k:
-                    acc *= x
+        (chains, tops), shape, out = self._taylor_plan, np.shape(x), []
+        for top, *rest in chains:   # Horner from the first product c*x
+            acc = top * x
+            for b in rest[:-1]:
+                acc += b
+                acc *= x
+            acc += rest[-1]
             out.append(acc)
-        return out
+        if self.order and shape not in tops:
+            tops[shape] = np.full(shape, self.coeffs[-1])
+            tops[shape].flags.writeable = False
+        return out + [tops[shape]] if self.order else out
 
     def F(self, x):
         """Primitive with F(0) = 0."""

@@ -27,6 +27,7 @@ zeroed in the linear symbol, the derivative and the forcing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -135,10 +136,14 @@ def boundary_mass_fraction(u: PhysicalField, buffer_fraction: float):
     total = sq.sum(axis=-1)
     edge = sq.compress(_edge_mask(u.grid, buffer_fraction),
                        axis=-1).sum(axis=-1)      # rows stay contiguous
+    if np.ndim(total) == 0:     # one row, finished on floats
+        total, edge = float(total), float(edge)
+        empty = math.sqrt(total * u.grid.dx) < 1e-10
+        return (math.sqrt(edge / (math.inf if empty else total))
+                if math.isfinite(total) else math.nan)
     frac = np.sqrt(edge / np.where(np.sqrt(total * u.grid.dx) < 1e-10, np.inf,
                                    total))
-    frac = np.where(np.isfinite(total), frac, np.nan)
-    return frac if frac.ndim else float(frac)
+    return np.where(np.isfinite(total), frac, np.nan)
 
 
 @dataclass
@@ -202,6 +207,25 @@ def _without_nyquist(symbol: np.ndarray) -> np.ndarray:
     return symbol
 
 
+def _linear_symbol(grid: Grid, mu: float) -> np.ndarray:
+    xi = grid.xi
+    return _without_nyquist(1j * xi ** 3 - mu * xi ** 2)
+
+
+@lru_cache(maxsize=32)
+def _etd_tables(grid: Grid, dt: float, mu: float) -> tuple:
+    """The ETDRK4 coefficients of a step dt at viscosity mu, read-only:
+    constants of the run, built once per (grid, dt, mu)."""
+    z = dt * _linear_symbol(grid, mu)
+    p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
+    tables = (np.exp(z), np.exp(z / 2.0), 0.5 * dt * _phi(z / 2.0, 1),
+              dt * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * (dt * (p2 - 2.0 * p3)),
+              dt * (4.0 * p3 - p2))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class SpectralCore:
     """Nonlinear term -d/dx(f(u+Psi) - f(Psi)) - S of one (grid, bg, nl).
 
@@ -217,7 +241,7 @@ class SpectralCore:
         self._stride = self.flux_grid.n // grid.n     # x_big[::p] = x
         self._derivative = _without_nyquist(-1j * grid.xi)
         self._stages: dict[float, Stage] = {}
-        self._tables: dict[tuple, tuple] = {}
+        self._degree = nl.polynomial_degree()
 
     def check_background(self, t, tail_threshold: float = 1e-10) -> Stage:
         """Raise UnresolvedFieldError unless the grid resolves Psi at t.
@@ -248,8 +272,7 @@ class SpectralCore:
 
     def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
         """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
-        xi = self.grid.xi
-        return _without_nyquist(1j * xi ** 3 - mu * xi ** 2)
+        return _linear_symbol(self.grid, mu)
 
     def stage(self, t: float) -> Stage:
         """Background data at time t, from one jet per new time."""
@@ -265,7 +288,7 @@ class SpectralCore:
         polynomial flux's Taylor table c_1 is f'(Psi), any other has p = 1."""
         p, tables = self._stride, flux_tables(self.nl, jet.psi)
         forcing = forcing_S(jet, self.nl, fp=(
-            tables[1][..., ::p] if self.nl.polynomial_degree() else None))
+            tables[1][..., ::p] if self._degree else None))
         forcing_hat = transform(PhysicalField(self.grid, forcing)).coeffs
         return Stage(tables, _without_nyquist(forcing_hat))
 
@@ -281,20 +304,11 @@ class SpectralCore:
     def advance(self, spec: np.ndarray, t: float, dt: float,
                 mu: float = 0.0) -> np.ndarray:
         """One ETDRK4 step of signed size dt from time t; dt < 0 needs mu = 0."""
-        key = (dt, mu)
-        if key not in self._tables:
-            if mu < 0:
-                raise ValueError("viscosity must be non-negative")
-            if mu > 0 and dt < 0:
-                raise ValueError(
-                    "dissipative propagation is forward-only for mu > 0")
-            z = dt * self.linear_symbol(mu)
-            p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
-            self._tables[key] = (
-                np.exp(z), np.exp(z / 2.0), 0.5 * dt * _phi(z / 2.0, 1),
-                dt * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * (dt * (p2 - 2.0 * p3)),
-                dt * (4.0 * p3 - p2))
-        e_full, e_half, q_half, w1, w2x2, w3 = self._tables[key]
+        if mu < 0:
+            raise ValueError("viscosity must be non-negative")
+        if mu > 0 and dt < 0:
+            raise ValueError("dissipative propagation is forward-only for mu > 0")
+        e_full, e_half, q_half, w1, w2x2, w3 = _etd_tables(self.grid, dt, mu)
         s0, s_mid, s_end = self.stage(t), self.stage(t + dt / 2.0), self.stage(t + dt)
         half = e_half * spec
         n0 = self.n_hat(spec, s0)
@@ -366,9 +380,11 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
         if raise_on_failure:
             raise
         error = err
-    # on failure, the rows filled before it
-    return Trajectory._adopt(PhysicalField(grid, store[:filled]), 0.0,
-                             config.dt * config.cadence,
+    # on failure, the rows filled before it; each row passed the finiteness
+    # check when sampled, so the store takes row 0's place unscanned
+    samples = PhysicalField(grid, store[:1])
+    object.__setattr__(samples, "values", store[:filled])
+    return Trajectory._adopt(samples, 0.0, config.dt * config.cadence,
                              completed=error is None,
                              abort_reason=None if error is None else str(error))
 

@@ -24,6 +24,7 @@ dealiased; polynomial fluxes run in Taylor form on a zero-padded grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -86,7 +87,9 @@ class Grid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return -self.half_length + self.dx * np.arange(self.n)
+        x = -self.half_length + self.dx * np.arange(self.n)
+        x.flags.writeable = False       # a jet knows it by identity
+        return x
 
     @cached_property
     def xi(self) -> np.ndarray:
@@ -365,15 +368,18 @@ def tail_fraction_of_spectrum(grid: Grid, coeffs: np.ndarray):
     # resolved; a genuine resolution breach happens at O(1) amplitudes
     mass = grid.multiplicity * np.abs(coeffs) ** 2
     tail = mass[..., (3 * (grid.n // 2)) // 4:].sum(axis=-1)
-    return np.sqrt(tail / np.maximum(mass.sum(axis=-1), 1e-20))
+    total = mass.sum(axis=-1)
+    if np.ndim(total) == 0:     # one row, finished on floats; max keeps NaN
+        return math.sqrt(float(tail) / max(float(total), 1e-20))
+    return np.sqrt(tail / np.maximum(total, 1e-20))
 
 
 def require_resolved(spec: SpectralField, tail_threshold: float) -> None:
     """Raise UnresolvedFieldError unless every row's tail fraction is at
     most the threshold (a NaN is not); the error names the first row in
     breach."""
-    tails = np.ravel(tail_fraction_of_spectrum(spec.grid, spec.coeffs))
-    for tail in tails.tolist():
+    tails = tail_fraction_of_spectrum(spec.grid, spec.coeffs)
+    for tail in tails.ravel().tolist() if np.ndim(tails) else [tails]:
         if not tail <= tail_threshold:
             raise UnresolvedFieldError(f"spectral tail {tail:.2e} exceeds "
                                        f"threshold {tail_threshold:.2e}")
@@ -413,7 +419,8 @@ def flux_coefficients(half: np.ndarray, nl, tables: list) -> np.ndarray:
     m, n_big = half.shape[-1] - 1, tables[0].shape[-1]
     kept = half[..., :m if n_big > 2 * m else m + 1].copy()
     u = np.fft.irfft(_left_end_phase(kept), n_big, norm="forward")  # padded
-    if nl.polynomial_degree() is None:
+    degree = nl.polynomial_degree()
+    if degree is None:
         raw = nl.f(u + tables[0]) - tables[1]
     else:
         raw = u * tables[-1] if len(tables) > 1 else np.zeros_like(u)
@@ -425,7 +432,7 @@ def flux_coefficients(half: np.ndarray, nl, tables: list) -> np.ndarray:
     out = _left_end_phase(np.fft.rfft(raw, norm="forward")[..., :m + 1])
     if n_big > 2 * m:
         out[..., m] = 0.0
-    elif nl.polynomial_degree() is None:
+    elif degree is None:
         out[..., 2 * m // 3 + 1:] = 0.0
     return out
 

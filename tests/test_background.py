@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from gkdvlab import background
 from gkdvlab.background import (
     BACKGROUNDS,
     CnoidalParameters,
@@ -155,6 +156,28 @@ def test_periodic_jet_cache_is_never_stale(cls):
     _assert_jet_is_direct(bg, 0.7, x)
     x[:] = x[::-1]
     _assert_jet_is_direct(bg, 0.7, x)
+
+
+@pytest.mark.parametrize("cls", [KdVCnoidal, MKdVDnoidal])
+def test_periodic_wave_keeps_two_grid_triples(cls, monkeypatch):
+    # a run's grid and its flux grid alternate without evicting each
+    # other; Grid.x is known by identity, a copy or a read-only view of the
+    # same points by content; a third grid evicts the older one
+    bg = cls(c=1.0, kappa=0.8)
+    sizes = []
+    monkeypatch.setattr(background, "jacobi_sn_cn_dn", lambda u, kappa: (
+        sizes.append(np.size(u)) or jacobi_sn_cn_dn(u, kappa)))
+    run, flux, other = Grid(50.0, 512).x, Grid(50.0, 1024).x, Grid(20.0, 512).x
+    xs = [run, flux, run.copy(), flux, flux[::2], run]
+    for t in (0.0, 0.3, 0.7):
+        for x in xs:
+            bg.jet(t, x)
+    assert [n for n in sizes if n > 1] == [512, 1024]
+    for x in (other, run, flux):
+        bg.jet(0.1, x)
+    assert [n for n in sizes if n > 1] == [512, 1024, 512, 512, 1024]
+    for x in xs + [other]:
+        _assert_jet_is_direct(bg, 0.5, x)
 
 
 def catalog_backgrounds(tmp_path):

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkdvlab.config import NONLINEARITIES, ScenarioConfig
 from gkdvlab.nonlinearity import AnalyticNonlinearity, NonFiniteResultError
@@ -287,3 +288,69 @@ def test_polynomial_without_coefficients_is_zero():
     nl = AnalyticNonlinearity.polynomial(())
     assert nl == AnalyticNonlinearity.polynomial([0.0, 0.0, 0.0])
     assert nl.coeffs == (0.0,) and nl.polynomial_degree() == 0
+
+
+# ----------------------------------------------------------------------
+# the Taylor plan
+
+def comb_loop_taylor(nl, x):
+    """The Taylor tables from math.comb on every call and a filled array
+    for c_d, kept as the reference for taylor's plan."""
+    from math import comb
+
+    a, d, out = nl.coeffs, nl.order, []
+    for k in range(1, d + 1):
+        acc = comb(d, k) * a[d] * x if k < d else np.full(np.shape(x), a[d])
+        for j in range(d - 1, k - 1, -1):
+            acc += comb(j, k) * a[j]
+            if j > k:
+                acc *= x
+        out.append(acc)
+    return out
+
+
+def assert_taylor_is_the_comb_loop(nl, x):
+    # bit for bit, signed zeros included, twice: the second call reads the
+    # plan and the shared table of c_d the first one built
+    for _ in range(2):
+        got, want = nl.taylor(x), comb_loop_taylor(nl, x)
+        assert len(got) == len(want) == nl.order
+        for a, b in zip(got, want):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def taylor_points(seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300],
+                           3.0 * rng.standard_normal(58)])
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, nl in CATALOG.items() if nl.polynomial_degree() is not None))
+def test_taylor_plan_is_the_comb_loop_on_the_catalog(name):
+    nl = CATALOG[name]
+    x = taylor_points(11)
+    for points in (x, x.reshape(4, 16), 0.7):
+        assert_taylor_is_the_comb_loop(nl, points)
+    # c_d = a_d is one read-only table per shape, shared by every call
+    top = nl.taylor(x)[-1]
+    assert nl.taylor(2.0 * x)[-1] is top and not top.flags.writeable
+    with pytest.raises(ValueError):
+        top[0] = 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
+    -10.0, 10.0), min_size=1, max_size=7), trimmed=st.booleans(),
+    seed=st.integers(0, 2 ** 16))
+def test_taylor_plan_is_the_comb_loop(coeffs, trimmed, seed):
+    # degrees 0-6, zero and signed-zero coefficients; built directly, a
+    # list keeps its trailing zeros, so c_d may be a zero of either sign
+    nl = (AnalyticNonlinearity.polynomial(coeffs) if trimmed
+          else AnalyticNonlinearity("polynomial", coeffs))
+    x = taylor_points(seed)
+    for points in (x, x.reshape(2, 32), float(x[-1])):
+        assert_taylor_is_the_comb_loop(nl, points)

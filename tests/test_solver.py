@@ -164,11 +164,10 @@ def test_evolve_samples_each_state_once(monkeypatch):
 def test_evolve_holds_one_store():
     # 1,001 samples of n = 256 at cadence 1, a 2.05 MB store.  evolve
     # writes each sample into its row of one preallocated matrix and hands
-    # it over uncopied, so the peak is that store (1x), the finiteness scan
-    # of the hand-over (a bool per entry, 0.125x) and the core's tables and
-    # one step's temporaries, O(n) each (about 0.1x).  A list of the fields
-    # plus the copy a Trajectory constructor makes holds the store twice:
-    # 2.33x here
+    # it over uncopied, so the peak is that store (1x) and the run's tables
+    # and one step's temporaries, O(n) each (about 0.1x).  A list of the
+    # fields plus the copy a Trajectory constructor makes holds the store
+    # twice: 2.33x here
     grid = Grid(50.0, 256)
     cfg = SolverConfig(dt=1e-3, horizon=1.0, cadence=1)
     u0 = gaussian(grid, amp=0.5, width=2.0)
@@ -181,6 +180,27 @@ def test_evolve_holds_one_store():
     size = traj.samples.values.nbytes
     assert len(traj) == 1001 and traj.completed
     assert peak <= 1.5 * size, peak / size
+
+
+def test_evolve_hands_its_store_over_unscanned():
+    # the setting above after a one-step run has built the run's tables:
+    # the store (1x) and one step's temporaries (about 0.04x), and no
+    # more.  Each row passed the finiteness scan when it was sampled;
+    # scanning the store again on the hand-over takes a bool per entry,
+    # 0.125x, which reads 1.16x here
+    grid = Grid(50.0, 256)
+    cfg = SolverConfig(dt=1e-3, horizon=1.0, cadence=1)
+    u0 = gaussian(grid, amp=0.5, width=2.0)
+    evolve(u0, ZERO_BG, KDV, replace(cfg, horizon=1e-3))
+    tracemalloc.start()
+    try:
+        traj = evolve(u0, ZERO_BG, KDV, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = traj.samples.values.nbytes
+    assert len(traj) == 1001 and traj.completed
+    assert peak <= 1.1 * size, peak / size
 
 
 def test_step_halving_fourth_order():
@@ -299,6 +319,41 @@ def test_instability_flagged_not_raised():
     traj = evolve(huge, ZERO_BG, KDV, cfg, raise_on_failure=False)
     assert not traj.completed
     assert traj.abort_reason
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_one_row_boundary_fraction_is_the_stacked_row():
+    # a row alone is finished on floats, a stack on arrays: bit for bit the
+    # same fraction, and a step passes at it and fails just below it with
+    # the same text
+    grid = Grid(50.0, 1024)
+    ends = sum(np.exp(-(grid.x + c) ** 2) for c in (0.0, 50.0, -50.0))
+    rows = np.array([np.exp(-(grid.x - 40.0) ** 2), ends, 0.0 * ends,
+                     1e-12 * ends,               # L^2 norm below 1e-10
+                     2e154 * ends, 2e154 * np.exp(-grid.x ** 2), ends])
+    stacked = PhysicalField(grid, rows)
+    rows[-1, 10] = np.nan       # a NaN total, past the samples' own check
+    object.__setattr__(stacked, "values", rows)
+    fracs = solver.boundary_mass_fraction(stacked, 0.1)
+    assert fracs[2] == fracs[3] == 0.0 and np.isnan(fracs[4:]).all()
+    for row, frac in zip(rows, fracs):
+        field = PhysicalField(grid, rows[0])
+        object.__setattr__(field, "values", row)
+        alone = solver.boundary_mass_fraction(field, 0.1)
+        assert type(alone) is float
+        assert np.float64(alone).tobytes() == frac.tobytes()
+    u0 = PhysicalField(grid, rows[1])
+    state = SimulationState.from_field(u0)
+    core = SpectralCore(grid, ZERO_BG, AnalyticNonlinearity.sine())
+    cfg = SolverConfig(dt=1e-3, horizon=1e-3, boundary_threshold=1.0)
+    frac = solver.boundary_mass_fraction(step(state, cfg, core).u, 0.1)
+    step(state, replace(cfg, boundary_threshold=frac), core)
+    below = float(np.nextafter(frac, 0.0))
+    with pytest.raises(BoundaryContaminationError) as got:
+        step(state, replace(cfg, boundary_threshold=below), core)
+    assert str(got.value) == (f"boundary buffer holds {frac:.3e} of the "
+                              f"solution mass at step 1 (threshold "
+                              f"{below:.1e})")
 
 
 def test_boundary_monitor_fails_a_nan_fraction():
@@ -553,6 +608,66 @@ def test_core_signed_dt_rules():
     # inviscid steps run both ways and retrace each other
     back = core.advance(core.advance(spec, 0.0, 1e-3), 1e-3, -1e-3)
     assert np.max(np.abs(back - spec)) < 1e-12 * np.max(np.abs(spec))
+
+
+def per_core_tables(core, dt, mu):
+    """The ETDRK4 coefficients built from one core's own symbol, kept as
+    the reference for the shared tables."""
+    z = dt * core.linear_symbol(mu)
+    p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
+    return (np.exp(z), np.exp(z / 2.0), 0.5 * dt * _phi(z / 2.0, 1),
+            dt * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * (dt * (p2 - 2.0 * p3)),
+            dt * (4.0 * p3 - p2))
+
+
+@pytest.mark.parametrize("n, dt, mu", [
+    (128, 1e-3, 0.0), (256, -1e-3, 0.0), (512, 2e-4, 0.0), (512, 2e-4, 0.1),
+    (1024, 5e-2, 0.3), (1024, 2e-4, 0.0)])
+def test_etd_tables_are_the_per_core_tables(n, dt, mu):
+    # one read-only entry per (grid, dt, mu), bit for bit a core's own
+    # build, and the viscosity rules hold on every call, cached or not
+    grid = Grid(50.0, n)
+    core = SpectralCore(grid, ZERO_BG, KDV)
+    tables = solver._etd_tables(grid, dt, mu)
+    assert solver._etd_tables(Grid(50.0, n), dt, mu) is tables
+    for got, want in zip(tables, per_core_tables(core, dt, mu),
+                         strict=True):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert not got.flags.writeable
+    spec = transform(gaussian(grid, amp=0.2)).coeffs
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-negative"):
+            core.advance(spec, 0.0, abs(dt), -0.1)
+        with pytest.raises(ValueError, match="forward-only"):
+            core.advance(spec, 0.0, -abs(dt), 0.1)
+
+
+def test_lipschitz_run_builds_its_constants_once(monkeypatch):
+    # four evolves of 20 steps on one cnoidal background: one ETD table
+    # build (4 phi calls, where a build per core makes 16), one grid
+    # Jacobi triple per sample grid, the run grid and the flux grid (8 if
+    # the two evicted each other), and a scalar triple per new stage time,
+    # two per step and two per evolve's t = 0 check
+    from gkdvlab.diagnostics import flow_lipschitz_experiment
+
+    grid = Grid(50.0, 512)
+    bg = KdVCnoidal(c=1.0, kappa=0.8)
+    phis, sizes = [], []
+    real_phi = solver._phi
+    monkeypatch.setattr(solver, "_phi",
+                        lambda z, k: phis.append(k) or real_phi(z, k))
+    monkeypatch.setattr(background, "jacobi_sn_cn_dn", lambda u, kappa: (
+        sizes.append(np.size(u)) or jacobi_sn_cn_dn(u, kappa)))
+    solver._etd_tables.cache_clear()
+    cfg = SolverConfig(dt=2e-4, horizon=4e-3, cadence=10,
+                       boundary_threshold=0.05)
+    flow_lipschitz_experiment(gaussian(grid, amp=0.5, width=1.5), bg, KDV,
+                              cfg, [1e-2, 1e-3, 1e-4])
+    assert sorted(phis) == [1, 1, 2, 3]
+    assert sorted(n for n in sizes if n > 1) == [512, 1024]
+    assert sizes.count(1) == 4 * (2 + 2 * 20)
 
 
 # ----------------------------------------------------------------------

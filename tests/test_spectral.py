@@ -484,6 +484,47 @@ def test_tail_fraction_rows_equal_single_calls(grid):
         assert tail == tail_fraction_of_spectrum(grid, row)
 
 
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_one_row_tail_is_the_stacked_row(grid):
+    # a row alone is finished on floats, a stack on arrays: bit for bit the
+    # same tail, and the same verdict and text at and just below it
+    rows = np.array([transform(random_field(grid, seed=k)).coeffs
+                     for k in range(6)])
+    rows[1] = 0.0                       # empty
+    rows[2] *= 1e-15                    # mass under the 1e-20 floor
+    rows[3, -5] = np.nan                # NaN total
+    rows[4, 3] = np.inf                 # infinite total, finite tail
+    rows[5] *= 1e160                    # the squares overflow: inf / inf
+    tails = tail_fraction_of_spectrum(grid, rows)
+    assert np.isnan(tails[[3, 5]]).all() and tails[4] == 0.0
+    for i, tail in enumerate(tails):
+        alone = tail_fraction_of_spectrum(grid, rows[i])
+        assert type(alone) is float and same_bits(alone, tail)
+        specs = (SpectralField(grid, rows[i]), SpectralField(grid, rows[[1, i]]))
+        if tail == tail:                # a finite tail passes at itself
+            for spec in specs:
+                require_resolved(spec, alone)
+        if not tail <= 0.0:             # and fails below it, as NaN fails
+            below = float(np.nextafter(tail, 0.0)) if tail == tail else 1.0
+            for spec in specs:
+                with pytest.raises(UnresolvedFieldError) as got:
+                    require_resolved(spec, below)
+                assert str(got.value) == (f"spectral tail {tail:.2e} exceeds "
+                                          f"threshold {below:.2e}")
+
+
+def test_grid_points_are_read_only(grid):
+    # the points a jet is keyed on by identity cannot change in place
+    assert not grid.x.flags.writeable and grid.x.flags.owndata
+    with pytest.raises(ValueError):
+        grid.x[0] = 0.0
+    assert grid.x is grid.x
+
+
 def test_trajectory_keeps_its_matrix(grid):
     mat = np.array([random_field(grid, seed=k).values for k in range(3)])
     traj = Trajectory(grid, 0.5, 0.1, mat)
