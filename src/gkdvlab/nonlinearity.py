@@ -74,6 +74,9 @@ class AnalyticNonlinearity:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    def __getstate__(self):     # fields only: cached tables come back read-only
+        return {"kind": self.kind, "coeffs": self.coeffs}
+
     # -- constructors ---------------------------------------------------
 
     @classmethod

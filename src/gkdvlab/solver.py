@@ -15,14 +15,14 @@ formulas, which lose up to ten digits to cancellation near the origin
 Every path through the equation (`evolve` and `step`, the Picard
 construction, signed-`dt` integration) evaluates its nonlinear term in one
 :class:`SpectralCore` on the spectrum ``SpectralField.coeffs``: the right
-side is ``linear_symbol(mu) * spec + n_hat(spec, stage(t))``.  It computes
-run constants once and stage-time data once per time: one background jet
+side is ``_linear_symbol(grid, mu) * spec + n_hat(spec, stage(t))``.  It
+computes run constants once and stage-time data once per time: one jet
 ``bg.jet(t, x_big, p)`` gives Psi on the flux grid, for the flux tables
 (Taylor coefficients f^(k)(Psi)/k! of a polynomial f), and Psi_t, Psi_x,
-Psi_xxx on its samples x_big[::p] = x only, for the forcing.
-A step has two new stage times, t + dt/2 and t + dt, so two jets; the
-Picard lattice takes one jet over all its node times.  The Nyquist bin is
-zeroed in the linear symbol, the derivative and the forcing.
+Psi_xxx on its samples x_big[::p] = x only, for the forcing.  A step has
+two new stage times, t + dt/2 and t + dt, so two jets; the Picard lattice
+takes one jet over all its node times.  The Nyquist bin is zeroed in the
+linear symbol, the derivative and the forcing.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .background import Background, Jet, forcing_S, residual_S, \
-    require_resolved_background
+from .background import Background, Jet, forcing_S, residual_S
 from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError
 from .norms import sobolev_norm
 from .spectral import (
@@ -173,19 +172,17 @@ _PHI_SERIES_TERMS = 20
 def _phi(z, k: int):
     """phi_k(z) = sum_m z^m / (m + k)!: the truncated series for |z| below
     the radius, the direct formula, which cancels near 0, elsewhere."""
-    from math import factorial
-
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
     small = np.abs(z) < _PHI_SERIES_RADIUS
     zs, zl = z[small], z[~small]
     acc = np.zeros_like(zs)
     for m in range(_PHI_SERIES_TERMS, -1, -1):
-        acc = acc * zs + 1.0 / factorial(m + k)
+        acc = acc * zs + 1.0 / math.factorial(m + k)
     out[small] = acc
     direct = np.expm1(zl)
     for j in range(1, k):
-        direct = direct - zl ** j / factorial(j)
+        direct = direct - zl ** j / math.factorial(j)
     out[~small] = direct / zl ** k
     return out
 
@@ -195,8 +192,8 @@ def _phi(z, k: int):
 
 class Stage(NamedTuple):
     """Background data of one stage time, or of several stacked row by row
-    (tables (times, n_big), forcing (times, n/2+1)) for spectra that carry
-    the same leading axis."""
+    (tables (times, n_big), forcing (times, n/2+1); a static background's
+    one row, broadcast) for spectra that carry the same leading axis."""
 
     tables: list            # flux_tables of Psi on the flux grid
     forcing: np.ndarray     # half spectrum of S, Nyquist bin zeroed
@@ -247,32 +244,15 @@ class SpectralCore:
         """Raise UnresolvedFieldError unless the grid resolves Psi at t.
 
         Returns the stage at t, so a background that cannot be sampled on
-        the flux grid fails before any step.  For a 1-d array of times one
-        jet over the (times, 1) column gives the stages stacked row by row
-        (a static background's one row broadcast), and a failure raises
-        what checking the times one by one raises first.
-        """
-        threshold = max(tail_threshold, 1e-10)
+        the flux grid fails before any step; for a 1-d array of times, one
+        `residual_S` and one jet over the (times, 1) column, with the stages
+        stacked row by row (a static background's one row broadcast)."""
+        times = t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[:, None]
+        residual_S(self.bg, self.nl, times, self.grid,
+                   max(tail_threshold, 1e-10))
         if np.ndim(t) == 0:
-            residual_S(self.bg, self.nl, t, self.grid, tail_threshold=threshold)
             return self.stage(t)
-        times = np.asarray(t, dtype=float)
-        try:
-            jet = self.bg.jet(times[:, None], self.flux_grid.x, self._stride)
-            require_resolved_background(jet.psi_x, self.grid, threshold)
-            tables, forcing = self._stage(jet)
-        except (ValueError, ArithmeticError):
-            for t_m in times.tolist():      # the first failing time raises
-                self.check_background(t_m, tail_threshold)
-            raise
-
-        def rows(a):
-            return np.broadcast_to(a, (times.size, a.shape[-1]))
-        return Stage([rows(a) for a in tables], rows(forcing))
-
-    def linear_symbol(self, mu: float = 0.0) -> np.ndarray:
-        """i*xi^3 - mu*xi^2 with the Nyquist bin zeroed."""
-        return _linear_symbol(self.grid, mu)
+        return self._stage(self.bg.jet(times, self.flux_grid.x, self._stride))
 
     def stage(self, t: float) -> Stage:
         """Background data at time t, from one jet per new time."""
@@ -321,17 +301,22 @@ class SpectralCore:
         return e_full * spec + w1 * n0 + w2x2 * (na + nb) + w3 * nc
 
 
-def step(state: SimulationState, config: SolverConfig,
-         core: SpectralCore) -> SimulationState:
-    """Advance one time step on `core`, which holds the run's background,
-    nonlinearity, tables and stage data; deterministic for identical
-    inputs.  The boundary monitor samples the new state once, as its `u`."""
-    grid = state.spectrum.grid
+def _require_tail(state: SimulationState, tail_threshold: float) -> None:
+    """The tail monitor: an InstabilityError at the state's step."""
     try:
-        require_resolved(state.spectrum, config.tail_threshold)
+        require_resolved(state.spectrum, tail_threshold)
     except UnresolvedFieldError as err:
         raise InstabilityError(state.step_index,
                                f"{err} at step {state.step_index}") from err
+
+
+def step(state: SimulationState, config: SolverConfig,
+         core: SpectralCore) -> SimulationState:
+    """Advance one time step on `core`, which holds the run's background,
+    nonlinearity, tables and stage data; deterministic.  The new state
+    passes the finiteness, boundary (on its `u`, sampled once) and tail
+    monitors, in that order."""
+    grid = state.spectrum.grid
     try:
         coeffs = core.advance(state.spectrum.coeffs, state.t, config.dt,
                               config.mu)
@@ -345,6 +330,7 @@ def step(state: SimulationState, config: SolverConfig,
     if not frac <= config.boundary_threshold:     # a NaN fraction fails
         raise BoundaryContaminationError(new.step_index, frac,
                                          config.boundary_threshold)
+    _require_tail(new, config.tail_threshold)
     return new
 
 
@@ -368,9 +354,10 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     store[0] = u0.values
     state, filled, error = SimulationState.from_field(u0), 1, None
     try:
-        # an overflow surfaces as a non-finite state, which step's
-        # finiteness and tail checks report as an instability
+        # an overflow surfaces as a non-finite state, which the finiteness
+        # and tail checks report as an instability
         with np.errstate(over="ignore", invalid="ignore"):
+            _require_tail(state, config.tail_threshold)
             for _ in range(n_steps):
                 state = step(state, config, core)
                 if state.step_index % config.cadence == 0:
@@ -437,9 +424,9 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     sup-in-time L^2.  Returns the fixed-point trajectory and the
     per-iteration contraction report.
 
-    The iterate is one (n_nodes, n/2+1) array of half spectra.  The node
-    stages come stacked row by row from one batched
-    :meth:`SpectralCore.check_background`.  A sweep checks the tails of
+    The iterate is one (n_nodes, n/2+1) array of half spectra; one batched
+    :meth:`SpectralCore.check_background` runs `residual_S` on the node
+    times and stacks their stages row by row.  A sweep checks the tails of
     all nodes at once, makes one :meth:`SpectralCore.n_hat` call on the
     lattice, and sums the quadrature panel by panel
     (:func:`_duhamel_quadrature`, the prefix rule in exact arithmetic).
@@ -456,7 +443,7 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     grid = u0.grid
     h = t_small / (n_nodes - 1)
     core = SpectralCore(grid, bg, nl)
-    symbol = core.linear_symbol(mu)
+    symbol = _linear_symbol(grid, mu)
     E = np.exp(symbol * h)
     times = h * np.arange(n_nodes)
     free = np.exp(symbol * times[:, None]) * transform(u0).coeffs  # W(t) u0

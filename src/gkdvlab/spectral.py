@@ -91,6 +91,9 @@ class Grid:
         x.flags.writeable = False       # a jet knows it by identity
         return x
 
+    def __getstate__(self):     # fields only: x comes back read-only
+        return {"half_length": self.half_length, "n": self.n}
+
     @cached_property
     def xi(self) -> np.ndarray:
         """Wavenumbers pi*j/L of the bins j = 0..n/2.  The Nyquist bin
@@ -292,7 +295,8 @@ def bessel_potential(F: SpectralField, s: float) -> SpectralField:
 # Littlewood-Paley machinery
 
 def smooth_cutoff(x) -> np.ndarray:
-    """Even bump: 1 on |x|<=1, glued to 0 across 1<|x|<2, 0 beyond."""
+    """Even bump: 1 on |x|<=1, glued to 0 across 1<|x|<2, 0 beyond; only C^1
+    at |x| = 1, where eta'' jumps from 0 to -2, as are the bumps built on it."""
     ax = np.abs(np.asarray(x, dtype=float))
     out = np.zeros_like(ax)
     out[ax <= 1.0] = 1.0

@@ -342,6 +342,23 @@ def test_taylor_plan_is_the_comb_loop_on_the_catalog(name):
         top[0] = 0.0
 
 
+@pytest.mark.parametrize("protocol", [4, 5])
+def test_pickled_taylor_tables_stay_read_only(protocol):
+    # a round trip carries the fields only: the plan and the shared c_d
+    # table come back rebuilt, read-only, so no write can reach the flux
+    nl = AnalyticNonlinearity.mkdv_defocusing()
+    x = taylor_points(3)
+    nl.taylor(x)                    # plan and table built before pickling
+    back = pickle.loads(pickle.dumps(nl, protocol=protocol))
+    assert back == nl and hash(back) == hash(nl)
+    top = back.taylor(x)[-1]
+    with pytest.raises(ValueError):
+        top[-1] = 99.0
+    assert back.taylor(x)[-1] is top and np.all(top == -1.0)
+    for got, want in zip(back.taylor(x), nl.taylor(x), strict=True):
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=200, deadline=None)
 @given(coeffs=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(
     -10.0, 10.0), min_size=1, max_size=7), trimmed=st.booleans(),

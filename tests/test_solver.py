@@ -95,12 +95,13 @@ def test_phi_values_at_zero():
 
 
 # ----------------------------------------------------------------------
-# right-hand side: linear_symbol(mu) * spec + n_hat(spec, stage(t))
+# right-hand side: _linear_symbol(grid, mu) * spec + n_hat(spec, stage(t))
 
 def core_right_side(core, u, t):
     """The core's right side at u and time t, in physical values."""
     spec = transform(u).coeffs
-    return inverse_transform(SpectralField(u.grid, core.linear_symbol() * spec
+    symbol = solver._linear_symbol(u.grid, 0.0)
+    return inverse_transform(SpectralField(u.grid, symbol * spec
                                            + core.n_hat(spec, core.stage(t))))
 
 
@@ -420,14 +421,35 @@ def test_overflow_outside_step_raises_without_warnings():
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_non_finite_tail_stops_the_step():
+    # evolve checks u0's tail before the first step, with step's wrap
     grid = Grid(20.0, 128)
     noisy = PhysicalField(grid, 1e160 * np.cos(grid.xi_max * 0.9 * grid.x))
     cfg = SolverConfig(dt=1e-3, horizon=1e-2, tail_threshold=1.0)
+    with pytest.raises(InstabilityError, match="spectral tail nan") as err:
+        evolve(noisy, ZERO_BG, KDV, cfg)
+    assert err.value.step_index == 0
+
+
+@pytest.mark.parametrize("n_steps", [1, 2])
+def test_tail_monitor_checks_the_returned_state(n_steps):
+    # the state after one step has tail 1.15e-6 > 1e-6 (the default
+    # threshold): a 1-step run must not complete with it as its last
+    # sample, and a longer run must not keep it; u0 (tail 2.8e-7) passes
+    grid = Grid(20.0, 128)
+    u0 = gaussian(grid, amp=0.5)
+    cfg = SolverConfig(dt=1e-3, horizon=n_steps * 1e-3)
+    with pytest.raises(InstabilityError,
+                       match="spectral tail 1.15e-06 exceeds threshold "
+                             "1.00e-06 at step 1") as err:
+        evolve(u0, ZERO_BG, KDV, cfg)
+    assert err.value.step_index == 1
+    traj = evolve(u0, ZERO_BG, KDV, cfg, raise_on_failure=False)
+    assert not traj.completed and len(traj) == 1
+    assert np.array_equal(traj.samples.values[0], u0.values)
     core = SpectralCore(grid, ZERO_BG, KDV)
     core.check_background(0.0, cfg.tail_threshold)
-    with pytest.raises(InstabilityError, match="spectral tail nan") as err:
-        step(SimulationState.from_field(noisy), cfg, core)
-    assert err.value.step_index == 0
+    with pytest.raises(InstabilityError, match="at step 1"):
+        step(SimulationState.from_field(u0), cfg, core)
 
 
 def ifrk4_final(u0, bg, nl, dt, T):
@@ -435,7 +457,7 @@ def ifrk4_final(u0, bg, nl, dt, T):
     exp(-t L) u, from the core's linear symbol L, stages and nonlinear
     term, combined independently of ETDRK4's phi-function weights."""
     core = SpectralCore(u0.grid, bg, nl)
-    z = dt * core.linear_symbol()
+    z = dt * solver._linear_symbol(u0.grid, 0.0)
     e_full, e_half = np.exp(z), np.exp(z / 2.0)
     spec, t = transform(u0).coeffs, 0.0
     for _ in range(int(round(T / dt))):
@@ -613,7 +635,7 @@ def test_core_signed_dt_rules():
 def per_core_tables(core, dt, mu):
     """The ETDRK4 coefficients built from one core's own symbol, kept as
     the reference for the shared tables."""
-    z = dt * core.linear_symbol(mu)
+    z = dt * solver._linear_symbol(core.grid, mu)
     p1, p2, p3 = _phi(z, 1), _phi(z, 2), _phi(z, 3)
     return (np.exp(z), np.exp(z / 2.0), 0.5 * dt * _phi(z / 2.0, 1),
             dt * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * (dt * (p2 - 2.0 * p3)),
@@ -816,8 +838,9 @@ def catalog_background(variant, tmp_path):
 
 @pytest.mark.parametrize("variant", sorted(BACKGROUNDS))
 def test_batched_background_check_is_the_per_node_lattice(variant, tmp_path):
-    # one jet over the node times, static backgrounds broadcast, against
-    # the per-node checks it replaced: bit for bit, tables and forcing
+    # one jet over the node times, against the per-node checks it
+    # replaced: bit for bit, tables and forcing; a static background's
+    # one row stands for every node, by broadcasting
     bg = catalog_background(variant, tmp_path)
     grid = Grid(50.0, 1024)
     times = 0.05 / 16 * np.arange(17)
@@ -830,7 +853,7 @@ def test_batched_background_check_is_the_per_node_lattice(variant, tmp_path):
         assert len(got.tables) == len(want.tables)
         for a, b in zip(got.tables + [got.forcing],
                         want.tables + [want.forcing]):
-            assert a.shape == b.shape and np.array_equal(a, b)
+            assert np.array_equal(np.broadcast_to(a, b.shape), b)
 
 
 def stride_one_stage(core, jet):
@@ -907,6 +930,20 @@ def test_picard_on_the_batched_lattice_is_bitwise_per_node(bg, monkeypatch):
     assert report == want_report
 
 
+def test_both_constructions_run_the_one_background_rule(monkeypatch):
+    # evolve and picard_solve check the background by residual_S alone:
+    # a rule that rejects every background stops both before any work
+    def rejected(*args, **kwargs):
+        raise UnresolvedFieldError("rejected")
+    monkeypatch.setattr(solver, "residual_S", rejected)
+    grid = Grid(20.0, 128)
+    with pytest.raises(UnresolvedFieldError, match="^rejected$"):
+        evolve(gaussian(grid), ZERO_BG, KDV, SolverConfig(horizon=1e-2))
+    with pytest.raises(UnresolvedFieldError, match="^rejected$"):
+        picard_solve(gaussian(grid), ZERO_BG, KDV, mu=0.1, t_small=0.01,
+                     n_nodes=5)
+
+
 def prefix_weights(m, h):
     """Closed Newton-Cotes weights for the integral over [t_0, t_m]:
     composite Simpson pairs, a 3/8 block leading odd prefixes, the
@@ -931,7 +968,7 @@ def test_duhamel_panels_match_prefix_rule(n_nodes):
     # sum_l w_l W(t_m - t_l) N(t_l)
     grid = Grid(50.0, 512)
     h = 0.05 / (n_nodes - 1)
-    symbol = SpectralCore(grid, ZERO_BG, KDV).linear_symbol(0.1)
+    symbol = solver._linear_symbol(grid, 0.1)
     rng = np.random.default_rng(n_nodes)
     shape = (n_nodes, grid.xi.size)
     N = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

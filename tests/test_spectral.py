@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -523,6 +525,22 @@ def test_grid_points_are_read_only(grid):
     with pytest.raises(ValueError):
         grid.x[0] = 0.0
     assert grid.x is grid.x
+
+
+@pytest.mark.parametrize("protocol", [4, 5])
+def test_pickled_grid_points_stay_read_only(grid, protocol):
+    # a round trip carries the fields only; x comes back rebuilt,
+    # read-only, and the grid is the same key of the flux-grid cache
+    nl = AnalyticNonlinearity.kdv()
+    padded = flux_grid(grid, nl)
+    grid.x                          # cached before pickling
+    back = pickle.loads(pickle.dumps(grid, protocol=protocol))
+    assert back == grid and hash(back) == hash(grid)
+    assert not back.x.flags.writeable and back.x is back.x
+    with pytest.raises(ValueError):
+        back.x[0] = 0.0
+    assert np.array_equal(back.x, grid.x)
+    assert flux_grid(back, pickle.loads(pickle.dumps(nl, protocol))) is padded
 
 
 def test_trajectory_keeps_its_matrix(grid):
