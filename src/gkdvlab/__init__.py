@@ -19,7 +19,6 @@ from .background import (
     SyntheticBackground,
     TabulatedBackground,
     ZeroBackground,
-    check_hypotheses,
     residual_S,
     resolve_cnoidal,
     zhidkov_split,
@@ -27,7 +26,6 @@ from .background import (
 from .diagnostics import (
     DiagnosticsReport,
     collect_report,
-    envelope_tail_monitor,
     flow_lipschitz_experiment,
     invariants_I,
     l2_growth_monitor,
@@ -58,7 +56,6 @@ from .spectral import (
     SpectralField,
     Trajectory,
     airy_propagate,
-    bessel_potential,
     inverse_transform,
     lp_project,
     spatial_derivative,

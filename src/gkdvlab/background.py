@@ -12,6 +12,7 @@ asymmetric and deliberately not a solution.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,9 +24,7 @@ from .spectral import (
     Grid,
     PhysicalField,
     UnresolvedFieldError,
-    bessel_potential,
     inverse_transform,
-    l2_norm,
     require_resolved,
     transform,
 )
@@ -46,8 +45,6 @@ __all__ = [
     "residual_S",
     "forcing_S",
     "require_resolved_background",
-    "check_hypotheses",
-    "HypothesesReport",
     "zhidkov_split",
     "resolve_cnoidal",
     "smooth_window",
@@ -112,8 +109,8 @@ class MKdVKink(Background):
     variant = "mkdv_kink"
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("kink speed must be positive")
+        if not 0 < self.c < np.inf:
+            raise ValueError("kink speed must be positive and finite")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -139,8 +136,8 @@ class GardnerKink(Background):
     variant = "gardner_kink"
 
     def __post_init__(self):
-        if self.c <= 0 or self.beta <= 0:
-            raise ValueError("speed and beta must be positive")
+        if not (0 < self.c < np.inf and 0 < self.beta < np.inf):
+            raise ValueError("speed and beta must be positive and finite")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
@@ -199,8 +196,8 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
     """
     if not 0.0 < kappa < 1.0:
         raise ValueError("modulus must lie strictly inside (0, 1)")
-    if c <= 0:
-        raise ValueError("speed must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError("speed must be positive and finite")
     a1, a2, a3 = (nl.coeffs + (0.0,) * 3)[1:4]
     k2 = kappa ** 2
     if nl.polynomial_degree() == 2:
@@ -224,12 +221,13 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
 
     ys = np.linspace(0.0, 2.0 * complete_elliptic_k(kappa) / gamma, 257)
     p0, p1, p3 = derivatives(*jacobi_sn_cn_dn(gamma * ys, kappa), kappa)
-    q = alpha + beta * p0
-    qp = beta * gamma * p1
-    residual = -c * qp + beta * gamma ** 3 * p3 + nl.fp(q) * qp
-    achieved = float(np.max(np.abs(residual)))
-    scale = float(np.sqrt(np.mean(q ** 2)))
-    if achieved > tolerance * max(scale, 1e-300):
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails below
+        q = alpha + beta * p0
+        qp = beta * gamma * p1
+        residual = -c * qp + beta * gamma ** 3 * p3 + nl.fp(q) * qp
+        achieved = float(np.max(np.abs(residual)))
+        scale = float(np.sqrt(np.mean(q ** 2)))
+    if not achieved <= tolerance * max(scale, 1e-300):
         raise ParameterResolutionError(
             f"no admissible parameters for c={c}, kappa={kappa}; "
             f"residual {achieved:.3e} (scale {scale:.3e})"
@@ -379,7 +377,11 @@ class TabulatedBackground(Background):
                 "tabulated background file must declare 't-dependence: static' "
                 "in a comment header"
             )
-        data = np.loadtxt(file)
+        with warnings.catch_warnings(action="ignore"):  # an empty table
+            data = np.loadtxt(file, ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError("tabulated background file must hold two "
+                             f"columns (x, psi), got shape {data.shape}")
         return cls(data[:, 0], data[:, 1])
 
     def _check_range(self, x):
@@ -455,61 +457,6 @@ def residual_S(bg: Background, nl: AnalyticNonlinearity, t: float,
     jet = bg.jet(t, grid.x)
     require_resolved_background(jet.psi_x, grid, tail_threshold)
     return PhysicalField(grid, forcing_S(jet, nl))
-
-
-@dataclass(frozen=True)
-class HypothesesReport:
-    sup_dt_psi: float
-    smoothness_proxy: float
-    forcing_norm: float
-    sup_dt_psi_stable: bool
-    smoothness_stable: bool
-    forcing_stable: bool
-
-    @property
-    def all_finite(self) -> bool:
-        return (self.sup_dt_psi_stable and self.smoothness_stable
-                and self.forcing_stable)
-
-
-def check_hypotheses(bg: Background, nl: AnalyticNonlinearity, grid: Grid,
-                     s: float, eps: float = 0.1) -> HypothesesReport:
-    """Numerical proxies for the boundedness hypotheses on the background.
-
-    Each proxy is recomputed on a refined grid; a proxy is flagged stable
-    when refinement does not grow it beyond a fixed factor, the numerical
-    stand-in for finiteness of the continuum quantity.
-    """
-    if s <= 0.5:
-        raise ValueError("regularity must exceed 1/2")
-
-    def proxies(g: Grid):
-        jet = bg.jet(0.0, g.x)
-        window = smooth_window(g)
-        sup_dt = float(np.max(np.abs(jet.psi_t)))
-        windowed = PhysicalField(g, jet.psi * window)
-        smooth = float(np.max(np.abs(
-            inverse_transform(bessel_potential(transform(windowed),
-                                               s + 1.0 + eps)).values)))
-        forcing_w = PhysicalField(g, forcing_S(jet, nl) * window)
-        forcing_norm = l2_norm(
-            inverse_transform(bessel_potential(transform(forcing_w), s + eps)))
-        return sup_dt, smooth, forcing_norm
-
-    coarse = proxies(grid)
-    fine = proxies(grid.refine())
-
-    def stable(a, b):
-        return b <= 1.25 * a + 1e-12
-
-    return HypothesesReport(
-        sup_dt_psi=coarse[0],
-        smoothness_proxy=coarse[1],
-        forcing_norm=coarse[2],
-        sup_dt_psi_stable=stable(coarse[0], fine[0]),
-        smoothness_stable=stable(coarse[1], fine[1]),
-        forcing_stable=stable(coarse[2], fine[2]),
-    )
 
 
 def zhidkov_split(phi: PhysicalField):

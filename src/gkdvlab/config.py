@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .background import BACKGROUNDS, Background
+from .background import BACKGROUNDS, Background, ParameterResolutionError
 from .fieldio import read_field
 from .nonlinearity import AnalyticNonlinearity
 from .norms import envelope_weights
@@ -178,7 +178,7 @@ class ScenarioConfig:
             return build(**args)
         except OSError as err:      # only the tabulated variant reads a file
             raise ConfigError(f"cannot read [background] file: {err}") from err
-        except ValueError as err:
+        except (ValueError, ParameterResolutionError) as err:
             raise ConfigError(f"invalid background: {err}") from err
 
     def nonlinearity(self) -> AnalyticNonlinearity:

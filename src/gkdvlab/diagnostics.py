@@ -15,14 +15,12 @@ import numpy as np
 from .background import Background, forcing_S, require_resolved_background, \
     residual_S
 from .nonlinearity import AnalyticNonlinearity
-from .norms import _block_masses, enveloped_norm, envelope_weights, \
-    sobolev_norm
+from .norms import enveloped_norm, sobolev_norm
 from .solver import SolverConfig, boundary_mass_fraction, evolve
 from .spectral import (
     Grid,
     PhysicalField,
     Trajectory,
-    dyadic_band,
     inverse_transform,
     l2_norm,
     spatial_derivative,
@@ -38,7 +36,6 @@ __all__ = [
     "GrowthVerdict",
     "flow_lipschitz_experiment",
     "LipschitzTable",
-    "envelope_tail_monitor",
     "DiagnosticsReport",
     "collect_report",
 ]
@@ -215,28 +212,6 @@ def flow_lipschitz_experiment(u0: PhysicalField, bg: Background,
     return LipschitzTable(tuple(deltas), tuple(ratios),
                           tuple(times.tolist()), tuple(series),
                           tuple(exponents))
-
-
-def envelope_tail_monitor(traj: Trajectory, s: float, eps: float):
-    """sup over time of the weighted dyadic mass above each cut block.
-
-    Returns {N*: sup_t sum_{N > N*} w_N^2 <N>^2s ||P_N u(t)||_L2^2} for every
-    block in the band, w of exponent `eps`; tails decreasing in N* witness
-    the equicontinuity behind flow-map continuity.  The weights must
-    increase strictly toward the band edge, or the tails say nothing.
-    """
-    weights = envelope_weights(traj.grid, eps)
-    if not np.all(weights[:-1] < weights[1:]):
-        raise ValueError("tail monitoring needs strictly increasing weights")
-    # by Parseval, (fields x bins) |u_hat|^2 times a (blocks x bins) table
-    # gives every block mass of every field; a tail sums the blocks above
-    blocks = dyadic_band(traj.grid)
-    table = ((weights ** 2 * (1.0 + blocks ** 2) ** s)[:, None]
-             * _block_masses(traj.grid))
-    power = np.abs(traj.spectra().coeffs) ** 2
-    above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
-    tails = np.append(np.max(above, axis=0)[1:], 0.0)
-    return dict(zip(blocks.tolist(), tails.tolist()))
 
 
 @dataclass

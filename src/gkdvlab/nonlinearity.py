@@ -63,6 +63,8 @@ class AnalyticNonlinearity:
         if self.kind not in ("polynomial", "series", *_CLOSED_FORMS):
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError(f"coefficients must be finite, got {self.coeffs}")
         if self.order >= 20:
             a_top = abs(self.coeffs[-1])
             if a_top > 0 and a_top ** (1.0 / self.order) > 0.1:

@@ -241,18 +241,24 @@ class SpectralCore:
         self._degree = nl.polynomial_degree()
 
     def check_background(self, t, tail_threshold: float = 1e-10) -> Stage:
-        """Raise UnresolvedFieldError unless the grid resolves Psi at t.
+        """Raise UnresolvedFieldError unless the grid resolves Psi at t, and
+        SolverError if the forcing S or the flux tables overflow.
 
         Returns the stage at t, so a background that cannot be sampled on
         the flux grid fails before any step; for a 1-d array of times, one
         `residual_S` and one jet over the (times, 1) column, with the stages
         stacked row by row (a static background's one row broadcast)."""
         times = t if np.ndim(t) == 0 else np.asarray(t, dtype=float)[:, None]
-        residual_S(self.bg, self.nl, times, self.grid,
-                   max(tail_threshold, 1e-10))
-        if np.ndim(t) == 0:
-            return self.stage(t)
-        return self._stage(self.bg.jet(times, self.flux_grid.x, self._stride))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual_S(self.bg, self.nl, times, self.grid,
+                           max(tail_threshold, 1e-10))
+                if np.ndim(t) == 0:
+                    return self.stage(t)
+                return self._stage(
+                    self.bg.jet(times, self.flux_grid.x, self._stride))
+        except NonFiniteResultError as err:
+            raise SolverError("non-finite background forcing") from err
 
     def stage(self, t: float) -> Stage:
         """Background data at time t, from one jet per new time."""

@@ -43,7 +43,6 @@ __all__ = [
     "inverse_transform",
     "l2_norm",
     "spatial_derivative",
-    "bessel_potential",
     "smooth_cutoff",
     "dyadic_bump",
     "dyadic_band",
@@ -112,10 +111,6 @@ class Grid:
     @property
     def xi_max(self) -> float:
         return np.pi * (self.n // 2) / self.half_length
-
-    def refine(self) -> "Grid":
-        """The grid of twice the points on the same interval."""
-        return Grid(self.half_length, 2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -284,11 +279,6 @@ def spatial_derivative(F: SpectralField, order: int) -> SpectralField:
     if order % 2 == 1:
         symbol[-1] = 0.0
     return F.apply_multiplier(symbol)
-
-
-def bessel_potential(F: SpectralField, s: float) -> SpectralField:
-    """Multiplier (1 + xi^2)^(s/2)."""
-    return F.apply_multiplier((1.0 + F.grid.xi ** 2) ** (s / 2.0))
 
 
 # ----------------------------------------------------------------------

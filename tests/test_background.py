@@ -17,7 +17,6 @@ from gkdvlab.background import (
     ZeroBackground,
     _cn2_derivatives,
     _dn_derivatives,
-    check_hypotheses,
     residual_S,
     resolve_cnoidal,
     zhidkov_split,
@@ -254,36 +253,6 @@ def test_unresolved_background_rejected():
     nl = AnalyticNonlinearity.mkdv_defocusing()
     with pytest.raises(UnresolvedFieldError):
         residual_S(bg, nl, 0.0, grid)
-
-
-# ----------------------------------------------------------------------
-# hypotheses report
-
-def test_hypotheses_zero_background():
-    rep = check_hypotheses(ZeroBackground(), AnalyticNonlinearity.kdv(),
-                           Grid(30.0, 256), s=1.0)
-    assert rep.sup_dt_psi == 0.0
-    assert rep.smoothness_proxy == 0.0
-    assert rep.forcing_norm == 0.0
-    assert rep.all_finite
-
-
-@pytest.mark.parametrize("bg,nl", [
-    (MKdVKink(c=2.0), AnalyticNonlinearity.mkdv_defocusing()),
-    (SyntheticBackground(), AnalyticNonlinearity.kdv()),
-], ids=["kink", "synthetic"])
-def test_hypotheses_finite_and_stable(bg, nl):
-    rep = check_hypotheses(bg, nl, Grid(50.0, 1024), s=1.0)
-    assert np.isfinite(rep.sup_dt_psi)
-    assert np.isfinite(rep.smoothness_proxy)
-    assert np.isfinite(rep.forcing_norm)
-    assert rep.all_finite
-
-
-def test_hypotheses_require_supercritical_s():
-    with pytest.raises(ValueError):
-        check_hypotheses(ZeroBackground(), AnalyticNonlinearity.kdv(),
-                         Grid(30.0, 256), s=0.4)
 
 
 # ----------------------------------------------------------------------

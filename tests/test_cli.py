@@ -405,6 +405,86 @@ def test_run_missing_tabulated_file_names_its_key(tmp_path, capsys):
     assert err.startswith("config error: ") and "[background] file" in err
 
 
+def _run_with(tmp_path, background, nonlinearity="kind = kdv"):
+    """main(["run"]) on BASE_CFG with these [background] and [nonlinearity]
+    lines."""
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "variant = zero", background).replace("kind = kdv", nonlinearity)
+    return main(["run", "--config", write_cfg(tmp_path, text)])
+
+
+@pytest.mark.parametrize("background, nonlinearity, section", [
+    # a NaN or infinite periodic-wave speed, an infinite Gardner beta and a
+    # non-finite coefficient ended in a NonFiniteResultError traceback (an
+    # infinite beta under kdv ran, and aborted on its tail); a NaN Gardner
+    # speed and a non-finite kink speed exited 2 naming no parameter
+    ("variant = kdv_cnoidal\nc = nan", "kind = kdv", "background"),
+    ("variant = kdv_cnoidal\nc = inf", "kind = kdv", "background"),
+    ("variant = mkdv_dnoidal\nc = nan", "kind = mkdv_focusing", "background"),
+    ("variant = mkdv_dnoidal\nc = inf", "kind = mkdv_focusing", "background"),
+    ("variant = gardner_kink\nbeta = inf", "kind = gardner", "background"),
+    ("variant = gardner_kink\nbeta = inf", "kind = kdv", "background"),
+    ("variant = gardner_kink\nc = nan", "kind = gardner", "background"),
+    ("variant = mkdv_kink\nc = nan", "kind = mkdv_defocusing", "background"),
+    ("variant = mkdv_kink\nc = inf", "kind = mkdv_defocusing", "background"),
+    ("variant = zero", "kind = polynomial\ncoefficients = 0 0 nan",
+     "nonlinearity"),
+    ("variant = zero", "kind = series\ncoefficients = 0 0 inf",
+     "nonlinearity"),
+], ids=lambda lines: lines.replace("variant = ", "").replace(
+    "kind = ", "").replace(" = ", "=").replace("\n", "-"))
+def test_run_rejects_non_finite_parameters(tmp_path, capsys, recwarn,
+                                           background, nonlinearity, section):
+    assert _run_with(tmp_path, background, nonlinearity) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: invalid {section}: ")
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("variant, nonlinearity, c", [
+    # a NaN residual (1e150, 1e200) passed the check, and the run exited 3
+    # at set-up; a failed check (1e100) ended in a traceback, as did the
+    # OverflowError of a wave that passed it (1e300)
+    ("kdv_cnoidal", "kdv", "1e100"), ("kdv_cnoidal", "kdv", "1e150"),
+    ("kdv_cnoidal", "kdv", "1e200"), ("kdv_cnoidal", "kdv", "1e300"),
+    ("mkdv_dnoidal", "mkdv_focusing", "1e150"),
+    ("mkdv_dnoidal", "mkdv_focusing", "1e300"),
+])
+def test_run_rejects_a_periodic_wave_off_its_residual(tmp_path, capsys,
+                                                      recwarn, variant,
+                                                      nonlinearity, c):
+    assert _run_with(tmp_path, f"variant = {variant}\nc = {c}",
+                     f"kind = {nonlinearity}") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: invalid background: no admissible "
+                          f"parameters for c={float(c)!r}")
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("rows, named", [
+    # one row, one column and the header alone indexed a 1-d table (an
+    # IndexError traceback); a third column was ignored
+    (["0.0 1.0"], "`x` must contain at least 2 elements"),
+    ([f"{float(x)!r}" for x in np.linspace(-20.0, 20.0, 81)],
+     "two columns (x, psi), got shape (81, 1)"),
+    ([], "two columns (x, psi), got shape (0, 1)"),
+    ([f"{float(x)!r} 0.0 7.0" for x in np.linspace(-20.0, 20.0, 81)],
+     "two columns (x, psi), got shape (81, 3)"),
+], ids=["one-row", "one-column", "header-only", "three-columns"])
+def test_run_rejects_a_table_of_another_shape(tmp_path, capsys, recwarn,
+                                              rows, named):
+    table = tmp_path / "psi.txt"
+    table.write_text("\n".join(["# t-dependence: static", *rows, ""]))
+    assert _run_with(tmp_path, f"variant = tabulated\nfile = {table}") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: invalid background: ")
+    assert named in err
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_run_stacked_initial_file_names_it(tmp_path, capsys):
     # without the check, a stacked snapshot would reach `step` as a (2, n)
     # initial field
@@ -526,6 +606,23 @@ def test_run_overflow_exits_instability(tmp_path, capfd):
                            write_cfg(tmp_path, text), "--quiet"], env=env)
     assert done.returncode == 3
     assert "RuntimeWarning" not in capfd.readouterr().err
+
+
+def test_run_overflowing_background_forcing_exits_instability(tmp_path,
+                                                              capsys,
+                                                              recwarn):
+    # f'(800) = exp(800): the set-up check raised NonFiniteResultError, a
+    # traceback after numpy's overflow warning
+    table = tmp_path / "psi.txt"
+    table.write_text("# t-dependence: static\n" + "".join(
+        f"{float(x)!r} 800.0\n" for x in np.linspace(-20.0, 20.0, 81)))
+    assert _run_with(tmp_path, f"variant = tabulated\nfile = {table}",
+                     "kind = exponential") == 3
+    out, err = capsys.readouterr()
+    assert out == ("unresolved or unstable scenario: non-finite background "
+                   "forcing\n")
+    assert err == ""
+    assert [str(w.message) for w in recwarn] == []
 
 
 def test_run_nan_boundary_fraction_exits_instability(tmp_path, recwarn):

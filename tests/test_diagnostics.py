@@ -7,25 +7,21 @@ from gkdvlab.diagnostics import (
     DiagnosticsReport,
     GrowthVerdict,
     collect_report,
-    envelope_tail_monitor,
     flow_lipschitz_experiment,
     invariants_I,
     l2_growth_monitor,
     modified_energy,
 )
 from gkdvlab.nonlinearity import AnalyticNonlinearity
-from gkdvlab.norms import _block_masses, envelope_weights, sobolev_norm
+from gkdvlab.norms import sobolev_norm
 from gkdvlab.solver import SolverConfig, evolve
 from gkdvlab.spectral import (
     Grid,
     PhysicalField,
     SpectralField,
     Trajectory,
-    airy_propagate,
-    dyadic_band,
     inverse_transform,
     l2_norm,
-    lp_project,
     transform,
 )
 
@@ -270,100 +266,6 @@ def test_lipschitz_separations_are_the_per_pair_norms(s):
                         ) / sobolev_norm(shifted - u0, s - 1.0)
         assert ratio == float(np.max(seps))
         assert series == tuple(seps[1:].tolist())
-
-
-# ----------------------------------------------------------------------
-# envelope tails
-
-def test_envelope_tail_band_limited_free_flow():
-    grid = Grid(20.0, 256)
-    # data limited to low blocks stays band-limited under the free flow
-    j = 5
-    xi1 = np.pi * j / grid.half_length
-    u0 = PhysicalField(grid, np.cos(xi1 * grid.x) * 0.0 +
-                       np.cos(xi1 * grid.x))
-    spec = transform(u0)
-    fields = [inverse_transform(airy_propagate(spec, 0.01 * k))
-              for k in range(17)]
-    traj = Trajectory(grid, 0.0, 0.01, fields)
-    tails = envelope_tail_monitor(traj, 1.0, 0.2)
-    blocks = sorted(tails)
-    above = [tails[b] for b in blocks if b > 4.0 * xi1]
-    assert all(v < 1e-20 for v in above)
-
-
-def test_envelope_tail_decreasing_on_gaussian_run():
-    grid = Grid(50.0, 512)
-    cfg = SolverConfig(dt=5e-4, horizon=0.25, cadence=100)
-    traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
-    tails = envelope_tail_monitor(traj, 1.0, 0.2)
-    blocks = sorted(tails)
-    vals = [tails[b] for b in blocks]
-    assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:]))
-
-
-def test_envelope_tail_refinement_consistency():
-    cfg = SolverConfig(dt=5e-4, horizon=0.1, cadence=100)
-    tails = {}
-    for n in (512, 1024):
-        grid = Grid(50.0, n)
-        traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
-        tails[n] = envelope_tail_monitor(traj, 1.0, 0.2)
-    shared = sorted(set(tails[512]) & set(tails[1024]))
-    for nstar in shared:
-        a, b = tails[512][nstar], tails[1024][nstar]
-        if max(a, b) > 1e-12:
-            assert abs(a - b) <= 0.05 * max(a, b)
-
-
-def block_loop_tails(traj, s, eps):
-    """The tail monitor field by field and block by block: project,
-    transform back and take the L^2 norm of every block."""
-    blocks, weights = dyadic_band(traj.grid), envelope_weights(traj.grid, eps)
-    tails = {float(nstar): 0.0 for nstar in blocks}
-    for f in sample_fields(traj):
-        spec = transform(f)
-        masses = [weight ** 2 * (1.0 + block ** 2) ** s *
-                  l2_norm(inverse_transform(lp_project(spec, block))) ** 2
-                  for block, weight in zip(blocks, weights)]
-        cum = np.cumsum(masses[::-1])[::-1]
-        for i, nstar in enumerate(blocks):
-            tail = float(cum[i + 1]) if i + 1 < len(cum) else 0.0
-            tails[float(nstar)] = max(tails[float(nstar)], tail)
-    return tails
-
-
-def per_field_tails(traj, s, eps):
-    """The tail monitor with one transform per stored field."""
-    blocks = dyadic_band(traj.grid)
-    table = ((envelope_weights(traj.grid, eps) ** 2 * (1.0 + blocks ** 2) ** s)
-             [:, None] * _block_masses(traj.grid))
-    power = np.abs([transform(f).coeffs for f in sample_fields(traj)]) ** 2
-    above = np.cumsum((power @ table.T)[:, ::-1], axis=1)[:, ::-1]
-    tails = np.append(np.max(above, axis=0)[1:], 0.0)
-    return dict(zip(blocks.tolist(), tails.tolist()))
-
-
-@pytest.mark.parametrize("scenario", ["band_limited", "gaussian_run"])
-def test_envelope_tail_matches_block_loop(scenario):
-    # the scenarios of the two tests above
-    if scenario == "band_limited":
-        grid = Grid(20.0, 256)
-        xi1 = np.pi * 5 / grid.half_length
-        spec = transform(PhysicalField(grid, np.cos(xi1 * grid.x)))
-        traj = Trajectory(grid, 0.0, 0.01, [
-            inverse_transform(airy_propagate(spec, 0.01 * k))
-            for k in range(17)])
-    else:
-        grid = Grid(50.0, 512)
-        cfg = SolverConfig(dt=5e-4, horizon=0.25, cadence=100)
-        traj = evolve(gaussian(grid), ZeroBackground(), KDV, cfg)
-    got = envelope_tail_monitor(traj, 1.0, 0.2)
-    assert got == per_field_tails(traj, 1.0, 0.2)    # bit for bit
-    want = block_loop_tails(traj, 1.0, 0.2)
-    assert list(got) == list(want)
-    for nstar, value in want.items():
-        assert abs(got[nstar] - value) <= 1e-13 * value
 
 
 # ----------------------------------------------------------------------

@@ -11,23 +11,6 @@ import gkdvlab
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = pathlib.Path(gkdvlab.__file__).parent
 
-# public names without a caller yet, kept because the planned run record
-# (`run_record.json`) is to report the paper's hypotheses on Psi and the
-# envelope tails
-KEPT = {
-    "check_hypotheses": "the run record reports the hypotheses on Psi",
-    "HypothesesReport": "what check_hypotheses returns",
-    "envelope_tail_monitor": "the run record reports the envelope tails",
-}
-
-# public methods and properties of exported classes without a caller yet,
-# each kept for a planned check that reads it
-KEPT_METHODS = {
-    "HypothesesReport.all_finite":
-        "the run record reports the hypotheses on Psi",
-}
-
-
 # defaulted parameters that no caller sets: each reaches an error path
 # that valid input does not reach
 UNSET = {
@@ -90,8 +73,7 @@ def test_every_public_name_resolves_and_has_a_caller():
             if not any(_references(tree, name, own if tree is modules[stem]
                                    else ()) for tree in callers):
                 idle.append(name)
-    assert sorted(set(idle) - set(KEPT)) == []
-    assert set(KEPT) <= {n for names in exported.values() for n in names}
+    assert idle == []
 
     # (c) the package re-exports only exported names
     init = ast.parse((PACKAGE / "__init__.py").read_text())
@@ -120,7 +102,7 @@ def test_every_public_method_has_a_caller():
                     if not any(_references(caller, node.name, own)
                                for caller in callers):
                         idle.append(f"{cls.name}.{node.name}")
-    assert sorted(idle) == sorted(KEPT_METHODS)
+    assert idle == []
 
 
 def _defaulted(tree):
@@ -166,7 +148,7 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
     for tree in modules.values():
         for name, param, index, node in _defaulted(tree):
             own = set(ast.walk(node))
-            if name not in KEPT and not any(
+            if not any(
                     call not in own and name in (
                         getattr(call.func, "id", None),
                         getattr(call.func, "attr", None))

@@ -600,6 +600,22 @@ def test_tabulated_reaching_the_boundary_runs():
     assert np.all(np.isfinite(traj.samples.values[-1]))
 
 
+def test_overflowing_background_forcing_fails_at_set_up(recwarn):
+    # f'(800) = exp(800) overflows: the set-up check let the flux's
+    # NonFiniteResultError escape after numpy's overflow warning, where a
+    # step maps the same error to an instability; evolve and picard_solve
+    # share the check
+    grid = Grid(20.0, 256)
+    xs = np.linspace(-20.0, 20.0, 513)
+    bg = TabulatedBackground(xs, np.full(xs.size, 800.0))
+    nl, u0 = AnalyticNonlinearity.exponential(), gaussian(grid, amp=0.1)
+    with pytest.raises(SolverError, match="^non-finite background forcing$"):
+        evolve(u0, bg, nl, SolverConfig(dt=1e-3, horizon=1e-2))
+    with pytest.raises(SolverError, match="^non-finite background forcing$"):
+        picard_solve(u0, bg, nl, 0.1, 1e-2, n_nodes=5)
+    assert [str(w.message) for w in recwarn] == []
+
+
 @pytest.mark.parametrize("nl", [
     AnalyticNonlinearity.kdv(),                          # padded to 2n
     AnalyticNonlinearity.polynomial([0.0, 0.0, 0.5, 0.0, 0.0, -0.1]),  # 4n

@@ -16,7 +16,6 @@ from gkdvlab.spectral import (
     Trajectory,
     UnresolvedFieldError,
     airy_propagate,
-    bessel_potential,
     dyadic_band,
     dyadic_bump,
     flux_coefficients,
@@ -176,23 +175,6 @@ def test_derivative_against_high_order_differences():
     fd = (-np.roll(v, 3) + 9 * np.roll(v, 2) - 45 * np.roll(v, 1)
           + 45 * np.roll(v, -1) - 9 * np.roll(v, -2) + np.roll(v, -3)) / (60 * h)
     assert np.max(np.abs(df - fd)) <= 1e-8 * np.max(np.abs(df))
-
-
-def test_bessel_identity_and_inverse(grid):
-    f = random_field(grid, seed=3)
-    spec = transform(f)
-    assert np.max(np.abs(bessel_potential(spec, 0.0).coeffs - spec.coeffs)) == 0.0
-    round_trip = bessel_potential(bessel_potential(spec, 1.3), -1.3)
-    assert np.max(np.abs(round_trip.coeffs - spec.coeffs)) < 1e-12
-
-
-def test_bessel_single_mode_amplitude(grid):
-    j = 8
-    xi1 = np.pi * j / grid.half_length
-    spec = np.zeros(grid.xi.size, dtype=complex)
-    spec[j] = 1.0
-    out = bessel_potential(SpectralField(grid, spec), 0.7)
-    assert abs(out.coeffs[j] - (1.0 + xi1 ** 2) ** 0.35) < 1e-14
 
 
 # ----------------------------------------------------------------------
@@ -399,7 +381,7 @@ def test_multipliers_commute(grid):
     band = dyadic_band(grid)
     ops = [
         lambda s: spatial_derivative(s, 1),
-        lambda s: bessel_potential(s, 0.8),
+        lambda s: s.apply_multiplier((1.0 + grid.xi ** 2) ** 0.4),
         lambda s: lp_project(s, band[3]),
         lambda s: airy_propagate(s, 0.21),
     ]
@@ -418,7 +400,7 @@ def test_multipliers_preserve_realness(grid):
     outs = [
         spatial_derivative(spec, 1),
         spatial_derivative(spec, 2),
-        bessel_potential(spec, 1.2),
+        spec.apply_multiplier((1.0 + grid.xi ** 2) ** 0.6),
         lp_project(spec, band[2]),
         airy_propagate(spec, 0.3),
     ]
