@@ -377,7 +377,9 @@ class TabulatedBackground(Background):
                 "tabulated background file must declare 't-dependence: static' "
                 "in a comment header"
             )
-        with warnings.catch_warnings(action="ignore"):  # an empty table
+        with warnings.catch_warnings():  # an empty table fails the shape check
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
             data = np.loadtxt(file, ndmin=2)
         if data.shape[1] != 2:
             raise ValueError("tabulated background file must hold two "
