@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import complete_elliptic_k, jacobi_sn_cn_dn
-from .nonlinearity import AnalyticNonlinearity
+from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError
 from .spectral import (
     Grid,
     PhysicalField,
@@ -80,7 +80,6 @@ class Background:
     x[..., ::stride] only, each bit for bit its value at stride 1; t is a
     scalar or a column against x."""
 
-    variant = "abstract"
     wave_speed: float | None = None
 
     def jet(self, t: float, x, stride: int = 1) -> Jet:
@@ -93,8 +92,6 @@ class Background:
 
 @dataclass(frozen=True)
 class ZeroBackground(Background):
-    variant = "zero"
-
     def jet(self, t, x, stride=1):
         z = np.zeros_like(np.asarray(x, dtype=float))
         return Jet(z, *(z[..., ::stride].copy() for _ in range(3)))
@@ -106,7 +103,6 @@ class MKdVKink(Background):
 
     c: float
     sign: int = 1
-    variant = "mkdv_kink"
 
     def __post_init__(self):
         if not 0 < self.c < np.inf:
@@ -133,7 +129,6 @@ class GardnerKink(Background):
     c: float
     beta: float
     sign: int = 1
-    variant = "gardner_kink"
 
     def __post_init__(self):
         if not (0 < self.c < np.inf and 0 < self.beta < np.inf):
@@ -198,7 +193,7 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
         raise ValueError("modulus must lie strictly inside (0, 1)")
     if not 0 < c < np.inf:
         raise ValueError("speed must be positive and finite")
-    a1, a2, a3 = (nl.coeffs + (0.0,) * 3)[1:4]
+    a1, a2, a3 = (nl.coeffs + (0.0,) * 4)[1:4]
     k2 = kappa ** 2
     if nl.polynomial_degree() == 2:
         gamma = np.sqrt(c) / 2.0
@@ -303,7 +298,6 @@ class _PeriodicWave(Background):
 class KdVCnoidal(_PeriodicWave):
     """Periodic cnoidal wave of the quadratic nonlinearity."""
 
-    variant = "kdv_cnoidal"
     jacobi = 1
     derivatives = staticmethod(_cn2_derivatives)
 
@@ -314,7 +308,6 @@ class KdVCnoidal(_PeriodicWave):
 class MKdVDnoidal(_PeriodicWave):
     """Periodic dnoidal wave of the focusing cubic nonlinearity."""
 
-    variant = "mkdv_dnoidal"
     jacobi = 2
     derivatives = staticmethod(_dn_derivatives)
 
@@ -325,8 +318,6 @@ class MKdVDnoidal(_PeriodicWave):
 @dataclass(frozen=True)
 class SyntheticBackground(Background):
     """Bounded, asymmetric, non-solution example 1 + 4 tanh(x+t) + cos(log(1+x^2+t^2))."""
-
-    variant = "synthetic"
 
     def jet(self, t, x, stride=1):
         x = np.asarray(x, dtype=float)
@@ -352,8 +343,6 @@ class SyntheticBackground(Background):
 
 class TabulatedBackground(Background):
     """Static background interpolated from a two-column (x, psi) sample."""
-
-    variant = "tabulated"
 
     def __init__(self, x_samples, psi_samples):
         from scipy.interpolate import CubicSpline
@@ -455,10 +444,15 @@ def require_resolved_background(psi_x: np.ndarray, grid: Grid,
 
 def residual_S(bg: Background, nl: AnalyticNonlinearity, t: float,
                grid: Grid, tail_threshold: float = 1e-10) -> PhysicalField:
-    """Forcing S(t,.) = Psi_t + Psi_xxx + f'(Psi) Psi_x sampled on the grid."""
-    jet = bg.jet(t, grid.x)
-    require_resolved_background(jet.psi_x, grid, tail_threshold)
-    return PhysicalField(grid, forcing_S(jet, nl))
+    """Forcing S(t,.) = Psi_t + Psi_xxx + f'(Psi) Psi_x sampled on the grid;
+    a NonFiniteResultError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised on below
+        jet = bg.jet(t, grid.x)
+        require_resolved_background(jet.psi_x, grid, tail_threshold)
+        forcing = forcing_S(jet, nl)
+    if not np.isfinite(forcing).all():
+        raise NonFiniteResultError("non-finite background forcing")
+    return PhysicalField(grid, forcing)
 
 
 def zhidkov_split(phi: PhysicalField):

@@ -29,6 +29,7 @@ from .diagnostics import background_exactness, collect_report, \
     l2_growth_monitor, zero_perturbation_persistence
 from .fieldio import read_field, read_trajectory, write_snapshot, \
     write_trajectory
+from .nonlinearity import NonFiniteResultError
 from .norms import bourgain_norm, decays_at_ends, enveloped_norm, \
     extend_trajectory, sobolev_norm
 from .solver import SolverError, evolve, loglog_slope, vanishing_viscosity
@@ -73,6 +74,9 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
         except UnresolvedFieldError as err:
             _say(quiet, f"unresolved field: {err}")
             return EXIT_INSTABILITY
+        except NonFiniteResultError as err:
+            _say(quiet, f"unresolved or unstable scenario: {err}")
+            return EXIT_INSTABILITY
         verdicts["background-exactness"] = (
             holds, f"max|S| = {worst:.3e}, scale {scale:.3e}")
 
@@ -102,10 +106,8 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
     report.verdicts = verdicts
     write_trajectory(os.path.join(outdir, "trajectory"), traj)
     report.write_csv(os.path.join(outdir, "diagnostics.csv"))
-    report.write_verdicts(os.path.join(outdir, "verdicts.txt"))
-
-    for name, (passed, detail) in sorted(verdicts.items()):
-        _say(quiet, f"{name}: {'PASS' if passed else 'FAIL'} ({detail})")
+    _say(quiet, report.write_verdicts(
+        os.path.join(outdir, "verdicts.txt")).rstrip("\n"))
     if not traj.completed:
         _say(quiet, f"run aborted: {traj.abort_reason}")
         return EXIT_INSTABILITY

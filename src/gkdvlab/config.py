@@ -84,14 +84,27 @@ def _initial_file(grid, file):
     return fld
 
 
+def _gaussian(grid, amplitude, width, center):
+    for key, value in (("amplitude", amplitude), ("width", width),
+                       ("center", center)):
+        require_finite(f"invalid initial data: [initial] {key}", value)
+    if width == 0.0:
+        raise ConfigError("invalid initial data: [initial] width must be "
+                          f"non-zero, got {width!r}")
+    return PhysicalField.sample(
+        grid, lambda x: amplitude * np.exp(-((x - center) / width) ** 2))
+
+
+def _soliton(grid, speed):
+    require_finite("invalid initial data: [initial] speed", speed, True)
+    return PhysicalField.sample(
+        grid, lambda x: 1.5 * speed / np.cosh(np.sqrt(speed) / 2.0 * x) ** 2)
+
+
 INITIALS = {
     "zero": (PhysicalField.zero, {}),
-    "gaussian": (lambda grid, amplitude, width, center: PhysicalField.sample(
-        grid, lambda x: amplitude * np.exp(-((x - center) / width) ** 2)),
-        {"amplitude": 1.0, "width": 1.0, "center": 0.0}),
-    "soliton": (lambda grid, speed: PhysicalField.sample(
-        grid, lambda x: 1.5 * speed / np.cosh(np.sqrt(speed) / 2.0 * x) ** 2),
-        {"speed": 1.0}),
+    "gaussian": (_gaussian, {"amplitude": 1.0, "width": 1.0, "center": 0.0}),
+    "soliton": (_soliton, {"speed": 1.0}),
     "file": (_initial_file, {"file": None}),
 }
 

@@ -110,9 +110,6 @@ class GrowthVerdict:
     worst_margin: float           # min over t > 0 of 1 - ||u||^2 / bound
     margin_time: float            # the sample time where it is attained
 
-    def __bool__(self):
-        return self.holds
-
 
 def l2_growth_monitor(traj: Trajectory, bg: Background,
                       nl: AnalyticNonlinearity) -> GrowthVerdict:
@@ -133,7 +130,7 @@ def l2_growth_monitor(traj: Trajectory, bg: Background,
     total = traj.samples.values + jet.psi
     lo, hi = float(np.min(total)), float(np.max(total))
     pad = 0.1 * max(abs(lo), abs(hi), 1e-30)
-    M = nl.gwp_bound(lo - pad, hi + pad).M
+    M = nl.gwp_bound(lo - pad, hi + pad)
     B = 1.0 + M * float(np.max(np.abs(jet.psi_x)))
     # norms squared as Python floats (C pow), one per row
     A = float(np.max(l2_norm(PhysicalField(grid, forcing_S(jet, nl))))) ** 2
@@ -247,11 +244,13 @@ class DiagnosticsReport:
                            self.hs, self.hs_enveloped, self.boundary):
                 writer.writerow([f"{v:.16e}" for v in row])
 
-    def write_verdicts(self, path):
+    def write_verdicts(self, path) -> str:
+        """Write `name: PASS|FAIL (detail)` per verdict; return the text."""
+        text = "".join(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})\n"
+                       for name, (ok, detail) in sorted(self.verdicts.items()))
         with open(path, "w") as fh:
-            for name, (passed, detail) in sorted(self.verdicts.items()):
-                status = "PASS" if passed else "FAIL"
-                fh.write(f"{name}: {status} ({detail})\n")
+            fh.write(text)
+        return text
 
     @property
     def all_pass(self) -> bool:

@@ -1,11 +1,8 @@
 """Real-analytic nonlinearities with entire Taylor expansions.
 
 Closed-form kinds (exponential, sine, cosine) take f, f', f'' and F from
-one table of closed forms; the polynomial and custom series kinds sum
-their coefficient lists in Horner form.  Every kind carries its list so
-diagnostics can inspect growth and the stored-series invariants are
-checkable; the exponential, sine and cosine lists stop at
-SERIES_ORDER_DEFAULT and are never summed.
+one table of closed forms and carry no coefficients; the polynomial and
+custom series kinds sum their coefficient lists in Horner form.
 """
 
 from __future__ import annotations
@@ -13,22 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["AnalyticNonlinearity", "GwpBound", "NonFiniteResultError"]
-
-SERIES_ORDER_DEFAULT = 30
+__all__ = ["AnalyticNonlinearity", "NonFiniteResultError"]
 
 
 class NonFiniteResultError(ArithmeticError):
     """Evaluation overflowed to inf or nan."""
-
-
-class GwpBound(NamedTuple):
-    M: float
-    hypothesis_holds: bool
 
 
 def _checked(value):
@@ -63,6 +52,8 @@ class AnalyticNonlinearity:
         if self.kind not in ("polynomial", "series", *_CLOSED_FORMS):
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "coeffs", tuple(float(a) for a in self.coeffs))
+        if self.kind in _CLOSED_FORMS and self.coeffs:
+            raise ValueError(f"the {self.kind} kind takes no coefficients")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError(f"coefficients must be finite, got {self.coeffs}")
         if self.order >= 20:
@@ -107,22 +98,15 @@ class AnalyticNonlinearity:
 
     @classmethod
     def exponential(cls) -> "AnalyticNonlinearity":
-        return cls._closed("exponential", (1.0, 1.0, 1.0, 1.0))
+        return cls("exponential", ())
 
     @classmethod
     def sine(cls) -> "AnalyticNonlinearity":
-        return cls._closed("sine", (0.0, 1.0, 0.0, -1.0))
+        return cls("sine", ())
 
     @classmethod
     def cosine(cls) -> "AnalyticNonlinearity":
-        return cls._closed("cosine", (1.0, 0.0, -1.0, 0.0))
-
-    @classmethod
-    def _closed(cls, kind, at_zero) -> "AnalyticNonlinearity":
-        """A closed kind with its Taylor list to SERIES_ORDER_DEFAULT, from
-        the period-4 cycle `at_zero` of its derivatives at 0."""
-        return cls(kind, [at_zero[k % 4] / math.factorial(k)
-                          for k in range(SERIES_ORDER_DEFAULT + 1)])
+        return cls("cosine", ())
 
     @classmethod
     def from_series(cls, coeffs) -> "AnalyticNonlinearity":
@@ -187,15 +171,8 @@ class AnalyticNonlinearity:
 
     # -- diagnostics -----------------------------------------------------
 
-    def gwp_bound(self, lo: float, hi: float) -> GwpBound:
-        """sup |f''| over 4097 equispaced samples of [lo, hi].
-
-        The flag records whether |f''| is bounded on all of R, which for
-        stored-series data means no coefficient beyond the quadratic one.
-        """
+    def gwp_bound(self, lo: float, hi: float) -> float:
+        """M = sup |f''| over 4097 equispaced samples of [lo, hi]."""
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
             raise ValueError("range must be a bounded interval")
-        xs = np.linspace(lo, hi, 4097)
-        M = float(np.max(np.abs(self.fpp(xs))))
-        return GwpBound(M, self.kind in ("sine", "cosine")
-                        or all(a == 0.0 for a in self.coeffs[3:]))
+        return float(np.max(np.abs(self.fpp(np.linspace(lo, hi, 4097)))))

@@ -312,9 +312,12 @@ def test_readme_example_config_runs(tmp_path, capsys):
     text = text.replace("directory = out/kink_run",
                         f"directory = {tmp_path / 'kink_run'}")
     assert main(["run", "--config", write_cfg(tmp_path, text)]) == 0
-    lines = (tmp_path / "kink_run" / "verdicts.txt").read_text().splitlines()
-    assert lines and all(": PASS " in line for line in lines)
-    assert "run complete" in capsys.readouterr().out
+    written = (tmp_path / "kink_run" / "verdicts.txt").read_text()
+    lines = written.splitlines()
+    assert len(lines) == 2 and all(": PASS " in line for line in lines)
+    # the lines `run` prints are verdicts.txt byte for byte: one format
+    assert capsys.readouterr().out == (
+        f"{written}run complete: outputs in {tmp_path / 'kink_run'}\n")
 
 
 @pytest.mark.parametrize("text, named", [
@@ -485,6 +488,47 @@ def test_run_rejects_a_table_of_another_shape(tmp_path, capsys, recwarn,
     assert [str(w.message) for w in recwarn] == []
 
 
+@pytest.mark.parametrize("initial, named", [
+    # a NaN amplitude exited 2 naming no key, a zero width and a negative
+    # speed did so after numpy warnings, and an infinite center ran on a
+    # zero field
+    ("kind = gaussian\namplitude = nan", "amplitude must be finite, got nan"),
+    ("kind = gaussian\nwidth = 0", "width must be non-zero, got 0.0"),
+    ("kind = gaussian\nwidth = -inf", "width must be finite, got -inf"),
+    ("kind = gaussian\ncenter = inf", "center must be finite, got inf"),
+    ("kind = soliton\nspeed = -1",
+     "speed must be finite and non-negative, got -1.0"),
+    ("kind = soliton\nspeed = nan",
+     "speed must be finite and non-negative, got nan"),
+], ids=["amplitude-nan", "width-0", "width-inf", "center-inf", "speed-neg",
+        "speed-nan"])
+def test_run_rejects_invalid_initial_parameters(tmp_path, capsys, recwarn,
+                                                initial, named):
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        GAUSSIAN, initial)
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: invalid initial data: [initial] {named}\n")
+    assert [str(w.message) for w in recwarn] == []
+
+
+def test_run_keeps_a_negative_width_and_a_zero_speed(tmp_path):
+    # width -1 is the profile of width 1, and speed 0 is zero data
+    stored = {}
+    for name, initial in (("plus", GAUSSIAN),
+                          ("minus", GAUSSIAN.replace("1.0", "-1.0")),
+                          ("still", "kind = soliton\nspeed = 0"),
+                          ("zero", "kind = zero")):
+        text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / name)).replace(
+            GAUSSIAN, initial)
+        assert main(["run", "--config", write_cfg(tmp_path, text),
+                     "--quiet"]) == 0
+        stored[name] = (tmp_path / name / "trajectory" /
+                        "samples.f64").read_bytes()
+    assert stored["plus"] == stored["minus"]
+    assert stored["still"] == stored["zero"]
+
+
 def test_run_stacked_initial_file_names_it(tmp_path, capsys):
     # without the check, a stacked snapshot would reach `step` as a (2, n)
     # initial field
@@ -618,6 +662,34 @@ def test_run_overflowing_background_forcing_exits_instability(tmp_path,
         f"{float(x)!r} 800.0\n" for x in np.linspace(-20.0, 20.0, 81)))
     assert _run_with(tmp_path, f"variant = tabulated\nfile = {table}",
                      "kind = exponential") == 3
+    out, err = capsys.readouterr()
+    assert out == ("unresolved or unstable scenario: non-finite background "
+                   "forcing\n")
+    assert err == ""
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("background, nonlinearity", [
+    # only the product f'(Psi) Psi_x overflows: e^Psi <= 1.65e308 while
+    # e^Psi Psi_x reaches about 2e308, and the Gardner kink at beta =
+    # 1e-300 overflows in the exactness verdict `run` takes first; the
+    # infinite S was wrapped in a field, exit 2 naming nothing, the latter
+    # after numpy's overflow warnings
+    ("variant = tabulated\nfile = TABLE", "kind = exponential"),
+    ("variant = gardner_kink\nbeta = 1e-300", "kind = gardner"),
+], ids=["tabulated-exponential", "gardner-exactness"])
+def test_run_overflowing_forcing_product_exits_instability(
+        tmp_path, capsys, recwarn, background, nonlinearity):
+    table = tmp_path / "psi.txt"
+    xs = np.linspace(-60.0, 60.0, 24001)
+    np.savetxt(table, np.c_[xs, 709.2 + 0.5 * np.tanh(4.0 * xs)],
+               header="t-dependence: static")
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "half_length = 20\npoints = 256", "half_length = 50\npoints = 2048"
+        ).replace("dt = 1e-3\nhorizon = 0.05", "dt = 1e-4\nhorizon = 1e-3"
+        ).replace("variant = zero", background.replace("TABLE", str(table))
+        ).replace("kind = kdv", nonlinearity)
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 3
     out, err = capsys.readouterr()
     assert out == ("unresolved or unstable scenario: non-finite background "
                    "forcing\n")

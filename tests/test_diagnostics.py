@@ -364,7 +364,7 @@ def _growth_by_sample(traj, bg, nl):
     total = traj.samples.values + jet.psi
     lo, hi = float(np.min(total)), float(np.max(total))
     pad = 0.1 * max(abs(lo), abs(hi), 1e-30)
-    M = nl.gwp_bound(lo - pad, hi + pad).M
+    M = nl.gwp_bound(lo - pad, hi + pad)
     B = 1.0 + M * float(np.max(np.abs(jet.psi_x)))
     forcing = forcing_S(jet, nl)
     l2 = np.atleast_1d(np.sqrt(grid.dx * np.sum(forcing ** 2, axis=-1)))
