@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import complete_elliptic_k, jacobi_sn_cn_dn
-from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError
+from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError, _checked
 from .spectral import (
     Grid,
     PhysicalField,
@@ -49,6 +49,8 @@ __all__ = [
     "resolve_cnoidal",
     "smooth_window",
 ]
+
+TAIL_FLOOR = 1e-10      # the largest tail fraction of a resolved Psi_x
 
 
 class Jet(NamedTuple):
@@ -219,9 +221,12 @@ def resolve_cnoidal(c: float, kappa: float, nl: AnalyticNonlinearity,
     with np.errstate(over="ignore", invalid="ignore"):  # NaN fails below
         q = alpha + beta * p0
         qp = beta * gamma * p1
-        residual = -c * qp + beta * gamma ** 3 * p3 + nl.fp(q) * qp
-        achieved = float(np.max(np.abs(residual)))
         scale = float(np.sqrt(np.mean(q ** 2)))
+        try:        # a residual that cannot be evaluated fails the check
+            residual = -c * qp + beta * gamma ** 3 * p3 + nl.fp(q) * qp
+            achieved = float(np.max(np.abs(residual)))
+        except NonFiniteResultError:
+            achieved = np.nan
     if not achieved <= tolerance * max(scale, 1e-300):
         raise ParameterResolutionError(
             f"no admissible parameters for c={c}, kappa={kappa}; "
@@ -442,16 +447,17 @@ def require_resolved_background(psi_x: np.ndarray, grid: Grid,
                                    "does not resolve the background") from err
 
 
-def residual_S(bg: Background, nl: AnalyticNonlinearity, t: float,
-               grid: Grid, tail_threshold: float = 1e-10) -> PhysicalField:
+def residual_S(bg: Background, nl: AnalyticNonlinearity, t: float, grid: Grid,
+               tail_threshold: float = TAIL_FLOOR) -> PhysicalField:
     """Forcing S(t,.) = Psi_t + Psi_xxx + f'(Psi) Psi_x sampled on the grid;
-    a NonFiniteResultError if it overflows."""
+    a NonFiniteResultError if it overflows, judged before resolution."""
     with np.errstate(over="ignore", invalid="ignore"):  # raised on below
         jet = bg.jet(t, grid.x)
+        try:
+            forcing = _checked(forcing_S(jet, nl))
+        except NonFiniteResultError as err:
+            raise NonFiniteResultError("non-finite background forcing") from err
         require_resolved_background(jet.psi_x, grid, tail_threshold)
-        forcing = forcing_S(jet, nl)
-    if not np.isfinite(forcing).all():
-        raise NonFiniteResultError("non-finite background forcing")
     return PhysicalField(grid, forcing)
 
 

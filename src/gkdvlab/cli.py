@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .background import BACKGROUNDS, zhidkov_split
 from .config import INITIALS, NONLINEARITIES, ConfigError, ScenarioConfig, \
-    require_envelope, require_finite
+    require_envelope, require_finite, require_sobolev
 from .diagnostics import background_exactness, collect_report, \
     l2_growth_monitor, zero_perturbation_persistence
 from .fieldio import read_field, read_trajectory, write_snapshot, \
@@ -64,30 +64,26 @@ def _run_one(config: ScenarioConfig, quiet: bool) -> int:
     os.makedirs(outdir, exist_ok=True)
     _write_metadata(outdir, config)
 
-    verdicts = {}
-
-    exact_nl = bg.associated_nonlinearity()
-    on_exact = exact_nl is not None and exact_nl.coeffs == nl.coeffs
-    if on_exact:
-        try:
-            holds, worst, scale = background_exactness(bg, nl, 0.0, grid)
-        except UnresolvedFieldError as err:
-            _say(quiet, f"unresolved field: {err}")
-            return EXIT_INSTABILITY
-        except NonFiniteResultError as err:
-            _say(quiet, f"unresolved or unstable scenario: {err}")
-            return EXIT_INSTABILITY
-        verdicts["background-exactness"] = (
-            holds, f"max|S| = {worst:.3e}, scale {scale:.3e}")
-
+    # set-up, Psi resolved to the floor and S finite at t = 0, then the steps
     try:
+        holds, worst, scale = background_exactness(bg, nl, 0.0, grid)
         traj = evolve(u0, bg, nl, config.solver, raise_on_failure=False)
-    except (SolverError, UnresolvedFieldError) as err:
+    except UnresolvedFieldError as err:
+        _say(quiet, f"unresolved field: {err}")
+        return EXIT_INSTABILITY
+    except (SolverError, NonFiniteResultError) as err:
         _say(quiet, f"unresolved or unstable scenario: {err}")
         return EXIT_INSTABILITY
     if len(traj) < 2:
         _say(quiet, f"run aborted immediately: {traj.abort_reason}")
         return EXIT_INSTABILITY
+
+    verdicts = {}
+    exact_nl = bg.associated_nonlinearity()
+    on_exact = exact_nl is not None and exact_nl.coeffs == nl.coeffs
+    if on_exact:
+        verdicts["background-exactness"] = (
+            holds, f"max|S| = {worst:.3e}, scale {scale:.3e}")
 
     report = collect_report(traj, bg, nl, config.diagnostics_s,
                             config.omega(), config.solver.boundary_buffer)
@@ -177,8 +173,8 @@ def cmd_study(args) -> int:
                 drops = [np.log10(a[1] / b[1])
                          for a, b in zip(rows, rows[1:]) if b[1] > 0]
                 fitted = float(np.mean(drops)) if drops else fitted
-    except SolverError as err:
-        aborted = str(err)
+    except (SolverError, UnresolvedFieldError, NonFiniteResultError) as err:
+        aborted = str(err)      # what ends a run's set-up or steps
 
     with open(args.output, "w") as fh:
         fh.write(f"# study kind = {args.kind}\n")
@@ -193,12 +189,12 @@ def cmd_study(args) -> int:
 
 
 def cmd_norms(args) -> int:
-    require_finite("--s", args.s)
     require_finite("--b", args.b)
     traj = read_trajectory(args.trajectory)
     grid = traj.grid
+    s = require_sobolev("--s", grid, args.s)
     eps = require_envelope("--omega-eps", grid, args.omega_eps)
-    s, b = args.s, args.b
+    b = args.b
 
     work = traj if decays_at_ends(traj) else extend_trajectory(traj)
 
@@ -229,8 +225,8 @@ def cmd_norms(args) -> int:
 
 
 def cmd_split(args) -> int:
-    require_finite("--s", args.s)
     fld, t = read_field(args.input)
+    require_sobolev("--s", fld.grid, args.s)
     smooth, remainder = zhidkov_split(fld)
     write_snapshot(args.output_prefix + "_smooth.f64", smooth, t)
     write_snapshot(args.output_prefix + "_remainder.f64", remainder, t)

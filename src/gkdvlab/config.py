@@ -24,7 +24,7 @@ import numpy as np
 from .background import BACKGROUNDS, Background, ParameterResolutionError
 from .fieldio import read_field
 from .nonlinearity import AnalyticNonlinearity
-from .norms import envelope_weights
+from .norms import envelope_weights, sobolev_weights
 from .solver import SolverConfig
 from .spectral import Grid, PhysicalField
 
@@ -62,16 +62,29 @@ def require_finite(name: str, value: float, non_negative: bool = False):
         raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
+def _require_weights(name: str, weights, grid: Grid, value: float) -> float:
+    """`value`; a ConfigError naming `name` unless `weights(grid, value)`,
+    a norm's weights on the grid, are finite."""
+    try:
+        weights(grid, value)
+    except ValueError as err:
+        raise ConfigError(f"{name} = {value!r} overflows the weights on "
+                          f"this grid: {err}") from err
+    return value
+
+
 def require_envelope(name: str, grid: Grid, eps: float) -> float:
     """`eps`, the exponent of the grid's frequency envelope; a ConfigError
     naming `name` unless eps and every weight are finite."""
     require_finite(name, eps, True)
-    try:
-        envelope_weights(grid, eps)
-    except ValueError as err:
-        raise ConfigError(f"{name} = {eps!r} overflows the weights on "
-                          f"this grid: {err}") from err
-    return eps
+    return _require_weights(name, envelope_weights, grid, eps)
+
+
+def require_sobolev(name: str, grid: Grid, s: float) -> float:
+    """`s`, an H^s exponent; a ConfigError naming `name` unless s and
+    every weight (1 + xi^2)^s on the grid are finite."""
+    require_finite(name, s)
+    return _require_weights(name, sobolev_weights, grid, s)
 
 
 def _initial_file(grid, file):
@@ -91,14 +104,19 @@ def _gaussian(grid, amplitude, width, center):
     if width == 0.0:
         raise ConfigError("invalid initial data: [initial] width must be "
                           f"non-zero, got {width!r}")
-    return PhysicalField.sample(
-        grid, lambda x: amplitude * np.exp(-((x - center) / width) ** 2))
+    with np.errstate(over="ignore"):    # an overflowing square: exp gives 0
+        return PhysicalField.sample(
+            grid, lambda x: amplitude * np.exp(-((x - center) / width) ** 2))
 
 
 def _soliton(grid, speed):
     require_finite("invalid initial data: [initial] speed", speed, True)
-    return PhysicalField.sample(
-        grid, lambda x: 1.5 * speed / np.cosh(np.sqrt(speed) / 2.0 * x) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # sech^2 falls to 0
+        values = 1.5 * speed / np.cosh(np.sqrt(speed) / 2.0 * grid.x) ** 2
+    if not np.isfinite(values).all():
+        raise ConfigError(f"invalid initial data: [initial] speed = {speed!r}"
+                          " gives a non-finite profile")
+    return PhysicalField(grid, values)
 
 
 INITIALS = {
@@ -243,7 +261,7 @@ class ScenarioConfig:
             cfg.solver = SolverConfig(**solver)
         except ValueError as err:
             raise ConfigError(f"invalid solver settings: {err}") from err
-        require_finite("[diagnostics] s", cfg.diagnostics_s)
+        require_sobolev("[diagnostics] s", cfg.grid(), cfg.diagnostics_s)
         cfg.omega()
 
         entries = {attr: cfg._entry(attr) for attr in _CHOICES}

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .background import Background, forcing_S, require_resolved_background, \
-    residual_S
+from .background import TAIL_FLOOR, Background, forcing_S, \
+    require_resolved_background, residual_S
 from .nonlinearity import AnalyticNonlinearity
 from .norms import enveloped_norm, sobolev_norm
 from .solver import SolverConfig, boundary_mass_fraction, evolve
@@ -126,7 +126,7 @@ def l2_growth_monitor(traj: Trajectory, bg: Background,
     """
     grid = traj.grid
     jet = bg.jet(traj.times[:, None], grid.x)       # a row per sample time
-    require_resolved_background(jet.psi_x, grid, 1e-10)
+    require_resolved_background(jet.psi_x, grid, TAIL_FLOOR)
     total = traj.samples.values + jet.psi
     lo, hi = float(np.min(total)), float(np.max(total))
     pad = 0.1 * max(abs(lo), abs(hi), 1e-30)

@@ -29,6 +29,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "sobolev_weights",
     "envelope_weights",
     "sobolev_norm",
     "enveloped_norm",
@@ -55,10 +56,22 @@ def _parseval(f: PhysicalField | SpectralField, weight: np.ndarray,
     return norms if norms.ndim else float(norms)
 
 
+@lru_cache(maxsize=32)
+def sobolev_weights(grid: Grid, s: float) -> np.ndarray:
+    """Read-only Bessel multiplier (1 + xi^2)^s on the grid's bins; a
+    ValueError unless every weight is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (1.0 + grid.xi ** 2) ** s
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    weights.flags.writeable = False
+    return weights
+
+
 def sobolev_norm(f: PhysicalField | SpectralField, s: float):
     """H^s norm via the Bessel multiplier and discrete Parseval, per row
     of stacked spectra (see :func:`_parseval`)."""
-    return _parseval(f, (1.0 + f.grid.xi ** 2) ** s * f.grid.multiplicity,
+    return _parseval(f, sobolev_weights(f.grid, s) * f.grid.multiplicity,
                      2.0 * f.grid.half_length)
 
 
@@ -94,7 +107,7 @@ def _envelope_weight(grid: Grid, s: float, eps: float) -> np.ndarray:
     """Read-only Parseval weight of :func:`enveloped_norm` per bin."""
     low = smooth_cutoff(2.0 * grid.xi / dyadic_band(grid)[0]) ** 2
     dyadic = envelope_weights(grid, eps) ** 2 @ _block_masses(grid)
-    weight = (1.0 + grid.xi ** 2) ** s * (
+    weight = sobolev_weights(grid, s) * (
         2.0 * grid.half_length * grid.multiplicity * low + dyadic)
     weight.flags.writeable = False
     return weight
@@ -140,7 +153,7 @@ def bourgain_norm(traj: Trajectory, s: float, b: float) -> float:
     np.abs(weight, out=weight)
     weight += 1.0
     weight **= 2.0 * b
-    weight *= (1.0 + traj.grid.xi ** 2) ** s * traj.grid.multiplicity
+    weight *= sobolev_weights(traj.grid, s) * traj.grid.multiplicity
     weight *= power
     window = traj.dt * len(traj)
     return float(np.sqrt(2.0 * traj.grid.half_length * window * weight.sum()))

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .background import Background, Jet, forcing_S, residual_S
+from .background import TAIL_FLOOR, Background, Jet, forcing_S, residual_S
 from .nonlinearity import AnalyticNonlinearity, NonFiniteResultError
 from .norms import sobolev_norm
 from .spectral import (
@@ -114,6 +114,12 @@ class SolverConfig:
             raise ValueError("boundary buffer fraction must lie in (0, 0.5)")
         if self.cadence < 1:
             raise ValueError("cadence must be a positive step count")
+        steps = self.horizon / self.dt      # inf for a subnormal dt
+        if not (math.isfinite(steps) and abs(
+                round(steps) * self.dt - self.horizon) <= 1e-9 * self.horizon):
+            raise ValueError("horizon must be a finite whole number of steps")
+        if round(steps) % self.cadence != 0:
+            raise ValueError("cadence must divide the number of steps")
 
 
 @lru_cache(maxsize=32)
@@ -240,7 +246,7 @@ class SpectralCore:
         self._stages: dict[float, Stage] = {}
         self._degree = nl.polynomial_degree()
 
-    def check_background(self, t, tail_threshold: float = 1e-10) -> Stage:
+    def check_background(self, t, tail_threshold: float = TAIL_FLOOR) -> Stage:
         """Raise UnresolvedFieldError unless the grid resolves Psi at t, and
         SolverError if the forcing S or the flux tables overflow.
 
@@ -252,7 +258,7 @@ class SpectralCore:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 residual_S(self.bg, self.nl, times, self.grid,
-                           max(tail_threshold, 1e-10))
+                           max(tail_threshold, TAIL_FLOOR))
                 if np.ndim(t) == 0:
                     return self.stage(t)
                 return self._stage(
@@ -347,12 +353,7 @@ def evolve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     On instability the partial trajectory is flagged (or the error is
     raised, per `raise_on_failure`).
     """
-    grid = u0.grid
-    n_steps = int(round(config.horizon / config.dt))
-    if abs(n_steps * config.dt - config.horizon) > 1e-9 * config.horizon:
-        raise ValueError("horizon must be an integer number of steps")
-    if n_steps % config.cadence != 0:
-        raise ValueError("cadence must divide the number of steps")
+    grid, n_steps = u0.grid, round(config.horizon / config.dt)
     core = SpectralCore(grid, bg, nl)
     core.check_background(0.0, config.tail_threshold)
     # one store, a row per cadence sample, handed over uncopied
@@ -399,10 +400,12 @@ def _duhamel_quadrature(integrand: np.ndarray, E: np.ndarray,
 
     The rule is closed Newton-Cotes per prefix: composite Simpson panels,
     a leading 3/8 block on odd prefixes, and on [t_0, t_1] the trapezoid,
-    whose local O(h^3) error is negligible at the lattice spacings used
-    here.  Prefix m >= 2 (m != 3) is prefix m-2 carried forward by E^2 =
-    W(2h) plus the Simpson panel on [t_{m-2}, t_m], which in exact
-    arithmetic is that rule, at one panel per node.
+    whose local O(h^3) error is not negligible: on criterion 14's lattice
+    (n = 512, 257 nodes) node 1 is 1.491e-9 from `evolve`, the gap that
+    criterion prints, and every other node at most 4.5e-12.  Prefix m >= 2
+    (m != 3) is prefix m-2 carried forward by E^2 = W(2h) plus the Simpson
+    panel on [t_{m-2}, t_m], which in exact arithmetic is that rule, at one
+    panel per node.
     """
     N, E2 = integrand, E * E
     out = np.empty_like(N)
@@ -425,9 +428,11 @@ def picard_solve(u0: PhysicalField, bg: Background, nl: AnalyticNonlinearity,
     """Fixed-point iteration of the Duhamel map for the regularized flow.
 
     Iterates  u <- W_mu(t) u0 + int_0^t W_mu(t - t') [ -d/dx(f(u+Psi)-f(Psi))
-    - S ](t') dt'  on a uniform lattice over [0, t_small], with fourth-order
-    prefix quadrature, until successive iterates differ by at most `tol` in
-    sup-in-time L^2.  Returns the fixed-point trajectory and the
+    - S ](t') dt'  on a uniform lattice over [0, t_small], with the prefix
+    quadrature of :func:`_duhamel_quadrature`, until successive iterates
+    differ by at most `tol` in sup-in-time L^2.  That quadrature measures
+    third order: the sup gap to `evolve` falls 8.0x per doubling of the
+    nodes (129, 257, 513 nodes, on the mKdV kink and the dnoidal wave).  Returns the fixed-point trajectory and the
     per-iteration contraction report.
 
     The iterate is one (n_nodes, n/2+1) array of half spectra; one batched

@@ -226,6 +226,22 @@ def test_overflowing_residual_is_a_non_finite_result():
                    AnalyticNonlinearity.gardner(1e-300), 0.0, Grid(20.0, 256))
 
 
+@pytest.mark.parametrize("xs, psi, grid", [
+    # f'(Psi) = e^800 overflows alone: the nonlinearity's own message
+    (np.linspace(-60.0, 60.0, 121), lambda x: np.full_like(x, 800.0),
+     Grid(20.0, 256)),
+    # e^Psi Psi_x overflows on a Psi that the grid resolves to 1.08e-7
+    # only, short of the 1e-10 floor: an UnresolvedFieldError
+    (np.linspace(-60.0, 60.0, 24001), lambda x: 709.2 + 0.5 * np.tanh(4 * x),
+     Grid(50.0, 2048)),
+], ids=["f-prime-alone", "unresolved"])
+def test_overflowing_forcing_is_judged_first(xs, psi, grid):
+    with pytest.raises(NonFiniteResultError,
+                       match="^non-finite background forcing$"):
+        residual_S(TabulatedBackground(xs, psi(xs)),
+                   AnalyticNonlinearity.exponential(), 0.0, grid)
+
+
 def test_zero_background_residual():
     grid = Grid(30.0, 512)
     out = residual_S(ZeroBackground(), AnalyticNonlinearity.kdv(), 0.0, grid)

@@ -222,6 +222,11 @@ def test_config_rejects_bad_solver_values():
     ("horizon", "inf"), ("horizon", "nan"), ("dt", "nan"), ("dt", "inf"),
     ("viscosity", "nan"), ("viscosity", "inf"), ("tail_threshold", "nan"),
     ("boundary_threshold", "nan"), ("boundary_threshold", "-1e-3"),
+    # a step that does not divide the horizon (0.05 / 3e-3) and a cadence
+    # that does not divide the step count (3 of 50) wrote run_metadata.txt
+    # and exited 2 naming no key; a subnormal step overflowed the step
+    # count in a traceback
+    ("dt", "3e-3"), ("cadence", "3"), ("dt", "1e-320"),
     # [diagnostics]: s = nan ran to the horizon and then failed on its
     # report, after run_metadata.txt; omega_eps = -1 or nan ran with unit
     # weights
@@ -416,6 +421,20 @@ def _run_with(tmp_path, background, nonlinearity="kind = kdv"):
     return main(["run", "--config", write_cfg(tmp_path, text)])
 
 
+def test_run_rejects_an_s_that_overflows_the_weights(tmp_path, capsys,
+                                                     recwarn):
+    # s = 300 on Grid(20, 256) ran to the horizon after numpy overflow
+    # warnings, then exited 2 on a non-finite report, naming no key
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "[diagnostics]\ns = 1.0", "[diagnostics]\ns = 300")
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [diagnostics] s = 300.0 overflows the weights on this "
+        "grid: weights must be finite\n")
+    assert not (tmp_path / "out").exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
 @pytest.mark.parametrize("background, nonlinearity, section", [
     # a NaN or infinite periodic-wave speed, an infinite Gardner beta and a
     # non-finite coefficient ended in a NonFiniteResultError traceback (an
@@ -448,11 +467,14 @@ def test_run_rejects_non_finite_parameters(tmp_path, capsys, recwarn,
 @pytest.mark.parametrize("variant, nonlinearity, c", [
     # a NaN residual (1e150, 1e200) passed the check, and the run exited 3
     # at set-up; a failed check (1e100) ended in a traceback, as did the
-    # OverflowError of a wave that passed it (1e300)
+    # OverflowError of a wave that passed it (1e300); at 1e308 f'(q)
+    # overflowed before the check, a NonFiniteResultError traceback
     ("kdv_cnoidal", "kdv", "1e100"), ("kdv_cnoidal", "kdv", "1e150"),
     ("kdv_cnoidal", "kdv", "1e200"), ("kdv_cnoidal", "kdv", "1e300"),
+    ("kdv_cnoidal", "kdv", "1e308"),
     ("mkdv_dnoidal", "mkdv_focusing", "1e150"),
     ("mkdv_dnoidal", "mkdv_focusing", "1e300"),
+    ("mkdv_dnoidal", "mkdv_focusing", "1e308"),
 ])
 def test_run_rejects_a_periodic_wave_off_its_residual(tmp_path, capsys,
                                                       recwarn, variant,
@@ -500,8 +522,11 @@ def test_run_rejects_a_table_of_another_shape(tmp_path, capsys, recwarn,
      "speed must be finite and non-negative, got -1.0"),
     ("kind = soliton\nspeed = nan",
      "speed must be finite and non-negative, got nan"),
+    # 1.5 * speed overflowed: numpy warnings, then an exit 2 naming no key
+    ("kind = soliton\nspeed = 1.2e308",
+     "speed = 1.2e+308 gives a non-finite profile"),
 ], ids=["amplitude-nan", "width-0", "width-inf", "center-inf", "speed-neg",
-        "speed-nan"])
+        "speed-nan", "speed-1.2e308"])
 def test_run_rejects_invalid_initial_parameters(tmp_path, capsys, recwarn,
                                                 initial, named):
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
@@ -510,6 +535,27 @@ def test_run_rejects_invalid_initial_parameters(tmp_path, capsys, recwarn,
     assert capsys.readouterr().err == (
         f"config error: invalid initial data: [initial] {named}\n")
     assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("soliton", {"speed": 1000.0}),     # cosh and its square overflow
+    ("gaussian", {"center": 1e200}),    # the square overflows
+    ("gaussian", {"width": 1e-300}),
+], ids=["speed-1000", "center-1e200", "width-1e-300"])
+def test_initial_profiles_take_their_limit_past_the_float_range(kind,
+                                                                params):
+    # each printed numpy overflow warnings; the limit, 0, was right
+    grid = Grid(50.0, 1024)
+    u0 = ScenarioConfig(initial_kind=kind, initial_params=params
+                        ).initial_data().values
+    far = np.abs(grid.x) >= 45.0
+    assert np.all(u0[far] == 0.0)
+    if kind == "soliton":           # the peak, 1.5 * speed, at x = 0
+        assert u0.max() == u0[grid.n // 2] == 1500.0
+    elif "width" in params:         # a spike of the amplitude at x = 0
+        assert np.count_nonzero(u0) == 1 and u0[grid.n // 2] == 1.0
+    else:
+        assert not u0.any()
 
 
 def test_run_keeps_a_negative_width_and_a_zero_speed(tmp_path):
@@ -636,6 +682,30 @@ directory = OUT
     text = text.replace("OUT", str(tmp_path / "bad"))
     status = main(["run", "--config", write_cfg(tmp_path, text), "--quiet"])
     assert status == 3
+
+
+@pytest.mark.parametrize("background, solver_lines, tail", [
+    ("variant = mkdv_kink\nc = 2.0", "tail_threshold = 1e-3", "8.98e-04"),
+    ("variant = synthetic", "tail_threshold = 1e-2\nboundary_threshold = 1.0",
+     "2.20e-03"),
+], ids=["kink-under-kdv", "synthetic"])
+def test_run_refuses_a_background_unresolved_at_the_floor(
+        tmp_path, capsys, monkeypatch, background, solver_lines, tail):
+    # the background passed the run's own tail threshold, so the run went
+    # to the horizon and then exited 2 on the growth verdict's 1e-10 floor
+    # (only exact backgrounds were held to it at t = 0); now every run is,
+    # before its first step
+    monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: pytest.fail(
+        "the run stepped"))
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "half_length = 20", "half_length = 50").replace(
+        "variant = zero", background).replace(
+        "cadence = 10", f"cadence = 10\n{solver_lines}")
+    assert main(["run", "--config", write_cfg(tmp_path, text)]) == 3
+    assert capsys.readouterr().out == (
+        f"unresolved field: background derivative: spectral tail {tail} "
+        "exceeds threshold 1.00e-10; grid does not resolve the background\n")
+    assert os.listdir(tmp_path / "out") == ["run_metadata.txt"]
 
 
 def test_run_overflow_exits_instability(tmp_path, capfd):
@@ -1165,6 +1235,26 @@ def test_norms_rejects_overflowing_omega_eps(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_norms_and_split_reject_an_overflowing_s(tmp_path, capsys):
+    # norms wrote rows of nan after numpy warnings and exited 0; split
+    # wrote both parts, then printed an H^300 remainder of inf
+    field = PhysicalField.sample(MALFORMED_GRID, lambda x: np.exp(-x ** 2))
+    directory = str(tmp_path / "traj")
+    write_trajectory(directory, Trajectory(MALFORMED_GRID, 0.0, 0.1,
+                                           [0.0 * field, field, 0.0 * field]))
+    snap = str(tmp_path / "field.f64")
+    write_snapshot(snap, field, 0.0)
+    for argv in (["norms", "--trajectory", directory],
+                 ["split", "--input", snap, "--output-prefix",
+                  str(tmp_path / "parts")]):
+        assert main(argv + ["--s", "300"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --s = 300.0 overflows the weights on this grid: "
+            "weights must be finite\n")
+    assert sorted(os.listdir(tmp_path)) == ["field.f64", "field.f64.meta",
+                                            "traj"]
+
+
 def test_run_rejects_overflowing_omega_eps(tmp_path, capsys):
     # the run evolved to the horizon with overflowing envelope weights
     text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
@@ -1316,6 +1406,7 @@ def test_study_spatial(tmp_path):
     ("spatial", "256.5,512"),           # a grid size that is not whole
     ("temporal", "0.01,,0.005"),        # an empty level
     ("temporal", "0.01,0"),             # a zero step
+    ("temporal", "3e-3,1e-3"),          # a step that does not divide 0.05
     ("viscosity", "0.1,x"),
     ("viscosity", "0.1,-0.05"),         # a negative viscosity
     ("viscosity", "0.1,0.05,0.1"),      # a repeated level
@@ -1331,3 +1422,24 @@ def test_study_bad_ladder_names_the_option(tmp_path, capsys, kind, ladder):
     err = capsys.readouterr().err
     assert "--ladder" in err and "Traceback" not in err
     assert not table_path.exists()
+
+
+@pytest.mark.parametrize("kind, ladder", [("temporal", "1e-3,5e-4"),
+                                          ("viscosity", "0.1,0.05")])
+def test_study_set_up_failure_writes_the_aborted_table(tmp_path, kind,
+                                                       ladder):
+    # a background the grid does not resolve exited 2 with "error:
+    # background derivative: ...", and no table; a run's set-up failure
+    # ends a study as its instability does
+    text = BASE_CFG.replace("PLACEHOLDER", str(tmp_path / "out")).replace(
+        "half_length = 20\npoints = 256", "half_length = 50\npoints = 64"
+        ).replace("variant = zero", "variant = mkdv_kink\nc = 200").replace(
+        "kind = kdv", "kind = mkdv_defocusing")
+    table_path = tmp_path / "table.txt"
+    assert main(["study", "--kind", kind, "--config", write_cfg(tmp_path, text),
+                 "--ladder", ladder, "--output", str(table_path),
+                 "--quiet"]) == 3
+    assert table_path.read_text() == (
+        f"# study kind = {kind}\n# aborted = background derivative: spectral "
+        "tail 5.15e-01 exceeds threshold 1.00e-06; grid does not resolve the "
+        "background\n# level error\n# fitted order/rate = nan\n")

@@ -22,6 +22,7 @@ from gkdvlab.norms import (
     modulation_partition_defect,
     resonance_vanishing_check,
     sobolev_norm,
+    sobolev_weights,
 )
 from gkdvlab.spectral import (
     Grid,
@@ -106,6 +107,18 @@ def test_envelope_weights_are_slowly_varying(L, n):
         assert np.all(ratios <= 2.0 ** eps * (1 + 1e-12))
         assert np.all(ratios > 1.0) if eps else np.all(w == 1.0)
         assert envelope_weights(grid, eps) is w    # cached
+
+
+def test_sobolev_weights_are_the_bessel_multiplier():
+    # the one table of (1 + xi^2)^s that sobolev_norm, enveloped_norm and
+    # bourgain_norm read; s = 300 on Grid(20, 256) overflowed in each, with
+    # numpy warnings, where it is now a ValueError
+    grid = Grid(20.0, 256)
+    w = sobolev_weights(grid, 1.5)
+    assert np.array_equal(w, (1.0 + grid.xi ** 2) ** 1.5)
+    assert sobolev_weights(grid, 1.5) is w and not w.flags.writeable
+    with pytest.raises(ValueError, match="weights must be finite"):
+        sobolev_weights(grid, 300.0)
 
 
 def test_envelope_weights_reject_bad_exponents():

@@ -637,6 +637,18 @@ def test_stage_forcing_matches_residual(nl):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"dt": 3e-3, "horizon": 1e-2},              # 3.33 steps
+    {"dt": 1e-320, "horizon": 1e-2},            # an infinite step count
+    {"dt": 1e-3, "horizon": 1e-2, "cadence": 3},
+], ids=["fractional-steps", "subnormal-dt", "cadence-3-of-10"])
+def test_solver_config_owns_the_step_count_rules(kwargs):
+    # evolve refused the first and last at run time, and overflowed on the
+    # second; the settings now refuse all three when they are made
+    with pytest.raises(ValueError, match="whole number of steps|cadence"):
+        SolverConfig(**kwargs)
+
+
 def test_core_signed_dt_rules():
     grid = Grid(30.0, 256)
     core = SpectralCore(grid, ZERO_BG, KDV)
